@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 on success, 2 for usage errors, 3 for bad input files,
-infeasible generator parameters, or a failed verification run.  Decision
-results are reported in the JSON output, never through the exit code.
+Exit codes: 0 on success; 2 for usage errors, unreadable or malformed
+files, and bad parameters; 3 for an internal invariant failure or a
+``verify`` run with mismatches.  Decision results are reported in the JSON
+output, never through the exit code.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ucactus.errors import InternalInvariantError
-from ucactus.graph import CactusGraph, GraphPoint, SkeletonTree, centroid
+from ucactus.errors import InternalInvariantError, ValidationError
+from ucactus.graph import GraphPoint, SkeletonTree, descend
 from ucactus.plf import (
     Profile,
     coverage_set,
@@ -214,7 +214,7 @@ def coverage_witness(
     if not g.edges:
         return g.vertex_point(0) if np.all(edv[0, idx] <= thr) else None
 
-    bu, bv, bl, bid = _bridge_table(g)
+    bu, bv, bl, bid = g.bridge_table
     if bid.size:
         y0 = edv[np.ix_(bu, idx)]
         slope = (edv[np.ix_(bv, idx)] - y0) / bl[:, None]
@@ -248,30 +248,12 @@ def coverage_witness(
     return None
 
 
-def _bridge_table(
-    g: CactusGraph,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint, length, and id arrays of the out-of-cycle edges."""
-    cached = g.__dict__.get("_bridge_table")
-    if cached is None:
-        free = [e for e in g.edges if g.cycles.edge_cycle[e.id] is None]
-        cached = (
-            np.array([e.u for e in free], dtype=int),
-            np.array([e.v for e in free], dtype=int),
-            np.array([e.length for e in free]),
-            np.array([e.id for e in free], dtype=int),
-        )
-        g.__dict__["_bridge_table"] = cached
-    return cached
-
-
 def _cycle_floor(inst: Instance, cycle_id: int) -> np.ndarray:
     """Per-point minimum of the unweighted profile around one cycle."""
-    cache = inst.__dict__.setdefault("_cycle_floor", {})
-    if cycle_id not in cache:
-        profiles = cycle_profiles(inst, cycle_id)
-        cache[cycle_id] = np.array([float(p.ys.min()) for p in profiles])
-    return cache[cycle_id]
+    return inst.memo(
+        ("cycle_floor", cycle_id),
+        lambda: np.array([p.ys.min() for p in cycle_profiles(inst, cycle_id)]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +586,8 @@ def _envelope_candidates(y0: np.ndarray, y1: np.ndarray, length: float) -> np.nd
 
 def decide(inst: Instance, lam: float) -> Verdict:
     """Whether two centers can serve every point within ``lam``."""
+    if math.isnan(lam):
+        raise ValidationError("radius is NaN")
     if not inst.is_vertex_constrained:
         from ucactus.reduction import reduce_instance
 
@@ -618,91 +602,66 @@ def decide(inst: Instance, lam: float) -> Verdict:
         )
 
     tree = inst.graph.skeleton
-    active = frozenset(range(len(tree)))
     flag: int | None = None
     committed: int | None = None
-    probes = 0
-    budget = 2 * math.ceil(math.log2(max(2, len(tree)))) + 16
 
-    def finish_node(node: int) -> Verdict:
+    def at_node(node: int) -> Verdict:
         if tree.nodes[node].kind == "cycle":
             if committed is not None:
                 return decide_on_two_cycles(inst, committed, node, lam)
             return decide_on_cycle(inst, node, lam)
         return _finish_at_vertex(inst, tree.nodes[node].ref, lam)
 
-    while True:
-        if probes > budget:
-            raise InternalInvariantError("probe budget exceeded")
-        if len(active) == 1:
-            return finish_node(next(iter(active))).with_probes(probes)
-        if len(active) == 2:
-            a, b = sorted(active)
-            link = next(l for l in tree.links[a] if l.other == b)
-            if link.edge is not None:
-                return decide_on_edge(inst, link.edge, lam).with_probes(probes)
-            u = a if tree.nodes[a].kind == "cycle" else b
+    def probe(u: int, active: frozenset[int]) -> frozenset[int] | Verdict:
+        nonlocal flag, committed
+        if tree.nodes[u].kind == "cycle":
             out = probe_cycle(inst, u, lam)
-            probes += 1
         else:
-            u = centroid(tree, active)
-            if tree.nodes[u].kind == "cycle":
-                out = probe_cycle(inst, u, lam)
-            else:
-                out = probe_articulation(inst, u, lam)
-            probes += 1
-
+            out = probe_articulation(inst, u, lam)
         if out.kind == INFEASIBLE:
-            return Verdict(False, probes=probes)
+            return Verdict(False)
         if out.kind == FEASIBLE_SINGLE:
             p = inst.graph.vertex_point(tree.nodes[out.primary].ref)
-            return Verdict(True, (p, p), probes)
+            return Verdict(True, (p, p))
         if out.kind == CENTER_AT:
-            return _finish_at_vertex(
-                inst, tree.nodes[out.primary].ref, lam
-            ).with_probes(probes)
+            return _finish_at_vertex(inst, tree.nodes[out.primary].ref, lam)
         if out.kind == DESCEND:
             if out.primary == u and tree.nodes[u].kind == "cycle":
-                return finish_node(u).with_probes(probes)
-            via = out.via_primary
-            assert via is not None
-            part = tree.component_toward(via, out.primary) & active
-            if not part:
-                return finish_node(via).with_probes(probes)
-            active = part | {via}
-            continue
-        if out.kind == DESCEND_TWO:
+                return at_node(u)
+            target, via = out.primary, out.via_primary
+        elif out.kind == DESCEND_TWO:
             choice = _pick_direction(tree, active, flag, out)
             if choice is None:
-                return Verdict(False, probes=probes)
+                return Verdict(False)
             target, via = choice
-            part = tree.component_toward(via, target) & active
-            if not part:
-                return finish_node(via).with_probes(probes)
-            active = part | {via}
             flag = via
-            continue
-        assert out.kind == CYCLE_AND_BEYOND
-        cyc_node, pendant, gate = out.primary, out.secondary, out.via_primary
-        assert pendant is not None and gate is not None
-        pend = tree.component_toward(gate, pendant)
-        # the reserved second-center region sits past the flag node, so a
-        # pendant claim is consistent when it lies in that region
-        compatible = flag is None or flag == gate or flag in pend
-        if committed is not None:
-            if compatible:
-                return decide_on_two_cycles(
-                    inst, committed, cyc_node, lam
-                ).with_probes(probes)
-            return Verdict(False, probes=probes)
-        if not compatible:
-            return Verdict(False, probes=probes)
-        # one center is now pinned to this cycle; hunt the other one over
-        # the whole branch past the hinge, regardless of how far the first
-        # search had narrowed
-        committed = cyc_node
-        active = pend | {gate}
-        flag = gate
+        else:
+            assert out.kind == CYCLE_AND_BEYOND
+            cyc_node, pendant, gate = out.primary, out.secondary, out.via_primary
+            pend = tree.component_toward(gate, pendant)
+            # the reserved second-center region sits past the flag node, so a
+            # pendant claim is consistent when it lies in that region
+            if not (flag is None or flag == gate or flag in pend):
+                return Verdict(False)
+            if committed is not None:
+                return decide_on_two_cycles(inst, committed, cyc_node, lam)
+            # one center is now pinned to this cycle; hunt the other one over
+            # the whole branch past the hinge, regardless of how far the
+            # first search had narrowed
+            committed = cyc_node
+            flag = gate
+            return pend | {gate}
+        part = tree.component_toward(via, target) & active
+        return part | {via} if part else at_node(via)
+
+    verdict, probes = descend(
+        tree,
+        frozenset(range(len(tree))),
+        probe,
+        at_node,
+        lambda edge: decide_on_edge(inst, edge, lam),
+    )
+    return verdict.with_probes(probes)
 
 
 def _pick_direction(

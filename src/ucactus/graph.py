@@ -7,15 +7,17 @@ plus an offset from the edge's ``u`` endpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ucactus.errors import (
+    InternalInvariantError,
     InvalidPoint,
     NonPositiveEdgeLength,
     NotConnected,
@@ -73,6 +75,17 @@ class CactusGraph:
     @cached_property
     def cycles(self) -> CycleDecomposition:
         return _decompose(self)
+
+    @cached_property
+    def bridge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``u``, ``v``, length and id arrays of the out-of-cycle edges."""
+        free = [e for e in self.edges if self.cycles.edge_cycle[e.id] is None]
+        return (
+            np.array([e.u for e in free], dtype=int),
+            np.array([e.v for e in free], dtype=int),
+            np.array([e.length for e in free]),
+            np.array([e.id for e in free], dtype=int),
+        )
 
     @cached_property
     def skeleton(self) -> SkeletonTree:
@@ -533,3 +546,44 @@ def centroid(tree: SkeletonTree, active: frozenset[int]) -> int:
         if load < best_load or (load == best_load and x < best):
             best, best_load = x, load
     return best
+
+
+T = TypeVar("T")
+
+
+def descend(
+    tree: SkeletonTree,
+    active: frozenset[int],
+    probe: Callable[[int, frozenset[int]], frozenset[int] | T],
+    at_node: Callable[[int], T],
+    at_edge: Callable[[int], T],
+) -> tuple[T, int]:
+    """Centroid descent over ``active``, a connected subtree of ``tree``.
+
+    Each step probes one node: the centroid, or with two nodes left the cycle
+    node of the pair.  ``probe(u, active)`` returns the next active set
+    (a frozenset) or a final result.  A single node left ends in
+    ``at_node``; two nodes joined by a graph edge end in ``at_edge`` without
+    a probe.  Returns the result and the number of probes made.
+    """
+    budget = 2 * math.ceil(math.log2(max(2, len(tree)))) + 16
+    probes = 0
+    while True:
+        if probes > budget:
+            raise InternalInvariantError("probe budget exceeded")
+        if len(active) == 1:
+            return at_node(next(iter(active))), probes
+        if len(active) == 2:
+            a, b = sorted(active)
+            link = next(l for l in tree.links[a] if l.other == b)
+            if link.edge is not None:
+                return at_edge(link.edge), probes
+            # a hinge-cycle link: probe the cycle side
+            u = a if tree.nodes[a].kind == "cycle" else b
+        else:
+            u = centroid(tree, active)
+        probes += 1
+        out = probe(u, active)
+        if not isinstance(out, frozenset):
+            return out, probes
+        active = out

@@ -10,14 +10,13 @@ local; the cheap global families are always included.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ucactus.decision import decide
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import GraphPoint, centroid
+from ucactus.graph import GraphPoint, descend
 from ucactus.plf import cycle_profiles
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
@@ -190,35 +189,22 @@ def find_critical_pair(inst: Instance) -> FindResult:
         """Descend within ``active``; directions whose subtree contains
         ``avoid`` belong to the already-located partner center."""
         flag: tuple[int, int] | None = None
-        budget = 2 * math.ceil(math.log2(max(2, len(tree)))) + 16
-        probes = 0
 
-        def follow(via: int, target: int) -> frozenset[int] | None:
+        def follow(
+            via: int, target: int, active: frozenset[int]
+        ) -> frozenset[int] | None:
             comp = tree.component_toward(via, target)
             if avoid is not None and avoid in comp:
                 return None
             part = comp & active
             return part if part else None
 
-        while True:
-            if probes > budget:
-                raise InternalInvariantError("locate budget exceeded")
-            if len(active) == 1:
-                return _SearchEnd(region=_node_region(tree, next(iter(active))), flag=flag)
-            if len(active) == 2:
-                a, b = sorted(active)
-                link = next(l for l in tree.links[a] if l.other == b)
-                if link.edge is not None:
-                    return _SearchEnd(region=("edge", link.edge), flag=flag)
-                u = a if tree.nodes[a].kind == "cycle" else b
+        def probe(u: int, active: frozenset[int]) -> frozenset[int] | _SearchEnd:
+            nonlocal flag
+            if tree.nodes[u].kind == "cycle":
                 out = locate_critical_cycle(inst, u)
             else:
-                u = centroid(tree, active)
-                if tree.nodes[u].kind == "cycle":
-                    out = locate_critical_cycle(inst, u)
-                else:
-                    out = locate_critical_articulation(inst, u)
-            probes += 1
+                out = locate_critical_articulation(inst, u)
             if out.kind == SOLVED:
                 return _SearchEnd(value=out.value)
             if out.kind == CRITICAL_HERE:
@@ -229,21 +215,29 @@ def find_critical_pair(inst: Instance) -> FindResult:
                     region=_node_region(tree, out.primary), flag=flag, branch=branch
                 )
             if out.kind == DESCEND:
-                part = follow(out.via_primary, out.primary)
+                part = follow(out.via_primary, out.primary, active)
                 if part is None:
                     return _SearchEnd(region=_node_region(tree, u), flag=flag)
-                active = part | {out.via_primary}
                 flag = None
-                continue
+                return part | {out.via_primary}
             assert out.kind == DESCEND_TWO
-            part = follow(out.via_primary, out.primary)
+            part = follow(out.via_primary, out.primary, active)
             flag = (out.via_primary, out.primary)
             if part is None and out.secondary is not None:
-                part = follow(out.via_secondary, out.secondary)
+                part = follow(out.via_secondary, out.secondary, active)
                 flag = (out.via_secondary, out.secondary)
             if part is None:
                 return _SearchEnd(region=_node_region(tree, u), flag=flag)
-            active = part | {flag[0]}
+            return part | {flag[0]}
+
+        end, _ = descend(
+            tree,
+            active,
+            probe,
+            lambda node: _SearchEnd(region=_node_region(tree, node), flag=flag),
+            lambda edge: _SearchEnd(region=("edge", edge), flag=flag),
+        )
+        return end
 
     first = search(all_nodes, None)
     if first.value is not None:

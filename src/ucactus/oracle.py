@@ -102,10 +102,9 @@ class _EdgeView:
 
 
 def _views(inst: Instance) -> list[_EdgeView]:
-    cache = inst.__dict__.setdefault("_oracle_views", {})
-    if "views" not in cache:
-        cache["views"] = [_EdgeView(inst, e.id) for e in inst.graph.edges]
-    return cache["views"]
+    return inst.memo(
+        "oracle_views", lambda: [_EdgeView(inst, e.id) for e in inst.graph.edges]
+    )
 
 
 def _level_positions(view: _EdgeView, lam: float, tol: float) -> list[float]:

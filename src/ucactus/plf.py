@@ -1,7 +1,8 @@
 """Expected-distance profiles along edges and cycles, and interval stabbing.
 
-The stabbing kernels run compiled when the extension built; the pure-Python
-twin is the fallback.  ``HAVE_COMPILED_KERNEL`` records which one is live.
+The stabbing kernels sweep sorted endpoint events: ``side`` 0 opens an
+interval, 1 closes it, ``owner`` is the family.  Events are sorted by
+position with opens before closes at equal positions.
 """
 
 from __future__ import annotations
@@ -12,17 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from ucactus.errors import ValidationError
-from ucactus.graph import Cycle, GraphPoint
 from ucactus.uncertain import Instance
 
-try:
-    from ucactus import _segsweep as _kernel
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # extension not built; same behaviour, slower
-    from ucactus import _segsweep_py as _kernel
-
-    HAVE_COMPILED_KERNEL = False
+# There is one kernel, in pure Python; the benchmark's env line still reads
+# this flag (perfbench/run.py).
+HAVE_COMPILED_KERNEL = False
 
 Interval = tuple[float, float]
 
@@ -50,50 +45,32 @@ class Profile:
         return zip(self.xs[:-1], self.ys[:-1], self.xs[1:], self.ys[1:])
 
 
-@dataclass(slots=True)
-class CycleAccess:
-    """How mass reaches one cycle: every location enters through a unique
-    ring vertex, so each point's profile is ``const + ring-distance mixture``.
-    """
-
-    cycle: Cycle
-    coords: np.ndarray  # (C,) arc coordinate per ring vertex
-    const: np.ndarray  # (n,)
-    source_mass: np.ndarray  # (C, n)
-
-
-def cycle_access(inst: Instance, cycle_id: int) -> CycleAccess:
-    cache = inst.__dict__.setdefault("_cycle_access", {})
-    if cycle_id not in cache:
-        cyc = inst.graph.cycles.cycles[cycle_id]
-        ring = np.array(cyc.vertices)
-        dist = inst.graph.vertex_distances
-        gate_idx = np.argmin(dist[:, ring], axis=1)  # (V,) index into ring
-        gate_dist = dist[np.arange(len(gate_idx)), ring[gate_idx]]
-        const = gate_dist @ inst.vertex_mass
-        source = np.zeros((len(ring), inst.n))
-        np.add.at(source, gate_idx, inst.vertex_mass)
-        cache[cycle_id] = CycleAccess(cyc, np.array(cyc.pos), const, source)
-    return cache[cycle_id]
-
-
 def cycle_profiles(inst: Instance, cycle_id: int) -> list[Profile]:
-    """Profiles of every point around one cycle, breakpoint-exact."""
-    cache = inst.__dict__.setdefault("_cycle_profiles", {})
-    if cycle_id not in cache:
-        acc = cycle_access(inst, cycle_id)
-        per = acc.cycle.perimeter
-        xs = np.concatenate(
-            [acc.coords, (acc.coords + per / 2) % per, [0.0, per]]
-        )
-        xs = np.unique(xs)
-        gaps = np.abs(xs[:, None] - acc.coords[None, :])
-        ring = np.minimum(gaps, per - gaps)
-        ys = ring @ acc.source_mass + acc.const
-        cache[cycle_id] = [
-            Profile(xs, ys[:, k], cyclic=True) for k in range(inst.n)
-        ]
-    return cache[cycle_id]
+    """Profiles of every point around one cycle, breakpoint-exact; built once
+    per cycle and instance."""
+    return inst.memo(
+        ("cycle_profiles", cycle_id), lambda: _cycle_profiles(inst, cycle_id)
+    )
+
+
+def _cycle_profiles(inst: Instance, cycle_id: int) -> list[Profile]:
+    # every location enters the cycle through a unique ring vertex, its gate,
+    # so each point's profile is a constant plus a ring-distance mixture
+    cyc = inst.graph.cycles.cycles[cycle_id]
+    ring = np.array(cyc.vertices)
+    coords = np.array(cyc.pos)
+    per = cyc.perimeter
+    dist = inst.graph.vertex_distances
+    gate_idx = np.argmin(dist[:, ring], axis=1)  # (V,) index into ring
+    gate_dist = dist[np.arange(len(gate_idx)), ring[gate_idx]]
+    const = gate_dist @ inst.vertex_mass
+    source = np.zeros((len(ring), inst.n))
+    np.add.at(source, gate_idx, inst.vertex_mass)
+
+    xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
+    gaps = np.abs(xs[:, None] - coords[None, :])
+    ys = np.minimum(gaps, per - gaps) @ source + const
+    return [Profile(xs, ys[:, k], cyclic=True) for k in range(inst.n)]
 
 
 def edge_profile(inst: Instance, k: int, edge: int) -> Profile:
@@ -162,13 +139,13 @@ def _event_arrays(
 def stab_one(sets: Sequence[Sequence[Interval]]) -> float | None:
     """A single position inside every family of closed intervals, or None."""
     pos, side, owner = _event_arrays(sets)
-    return _kernel.stab_one_events(pos, side, owner, len(sets))
+    return stab_one_events(pos, side, owner, len(sets))
 
 
 def stab_two(sets: Sequence[Sequence[Interval]]) -> tuple[float, float] | None:
     """Two positions jointly hitting every family, or None."""
     pos, side, owner = _event_arrays(sets)
-    return _kernel.stab_two_events(pos, side, owner, len(sets))
+    return stab_two_events(pos, side, owner, len(sets))
 
 
 def intersect_families(sets: Sequence[Sequence[Interval]]) -> list[Interval]:
@@ -190,3 +167,81 @@ def intersect_families(sets: Sequence[Sequence[Interval]]) -> list[Interval]:
                 out.append((start, p))
             depth -= 1
     return out
+
+
+def stab_one_events(
+    pos: np.ndarray, side: np.ndarray, owner: np.ndarray, n_sets: int
+) -> float | None:
+    """A position contained in every family's union, or None."""
+    if n_sets == 0:
+        return 0.0
+    posl = pos.tolist()
+    sidel = side.tolist()
+    ownerl = owner.tolist()
+    open_cnt = [0] * n_sets
+    covered = 0
+    for j in range(len(posl)):
+        k = ownerl[j]
+        if sidel[j] == 0:
+            if open_cnt[k] == 0:
+                covered += 1
+                if covered == n_sets:
+                    return posl[j]
+            open_cnt[k] += 1
+        else:
+            open_cnt[k] -= 1
+            if open_cnt[k] == 0:
+                covered -= 1
+    return None
+
+
+def stab_two_events(
+    pos: np.ndarray, side: np.ndarray, owner: np.ndarray, n_sets: int
+) -> tuple[float, float] | None:
+    """Two positions jointly hitting every family, or None.
+
+    The first stabber can always slide right onto some interval's close
+    endpoint, so candidates range over distinct close positions; for each,
+    the families it misses must share a single position, found by one sweep.
+    That is O(M·(M+n)) for M events and n families.
+    """
+    if n_sets == 0:
+        return (0.0, 0.0)
+    posl = pos.tolist()
+    sidel = side.tolist()
+    ownerl = owner.tolist()
+    M = len(posl)
+    open_cnt = [0] * n_sets
+    hit = [False] * n_sets
+    for ci in range(M):
+        if sidel[ci] != 1:
+            continue
+        if ci > 0 and sidel[ci - 1] == 1 and posl[ci - 1] == posl[ci]:
+            continue
+        x = posl[ci]
+        for k in range(n_sets):
+            open_cnt[k] = 0
+        for j in range(ci):
+            if sidel[j] == 0:
+                open_cnt[ownerl[j]] += 1
+            else:
+                open_cnt[ownerl[j]] -= 1
+        beta = 0
+        for k in range(n_sets):
+            h = open_cnt[k] > 0
+            hit[k] = h
+            if not h:
+                beta += 1
+        if beta == 0:
+            return (x, x)
+        alpha = 0
+        for j in range(M):
+            if hit[ownerl[j]]:
+                continue
+            if sidel[j] == 0:
+                alpha += 1
+                if alpha == beta:
+                    return (x, posl[j])
+            else:
+                alpha -= 1
+    return None

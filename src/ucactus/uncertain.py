@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from ucactus.graph import CactusGraph, GraphPoint, point_vertex_distances
 
 DEFAULT_EPS = 1e-9
 PROB_EPS = 1e-12
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +51,15 @@ class Instance:
         self.points = tuple(points)
         self.eps = eps
         self.n = len(self.points)
+        self._memo: dict = {}
+
+    def memo(self, key: Hashable, build: Callable[[], T]) -> T:
+        """Per-instance cache for values that take an argument, such as one
+        cycle's profiles; ``build`` runs on the first call for ``key`` only.
+        Values without an argument are ``cached_property`` instead."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -24,6 +24,7 @@ from ucactus.decision import (
     probe_articulation,
     probe_cycle,
 )
+from ucactus.errors import ValidationError
 from ucactus.graph import GraphPoint, validate_cactus
 from ucactus.oracle import oracle_decide, oracle_one_center, oracle_solve
 from ucactus.uncertain import (
@@ -162,6 +163,13 @@ def test_decide_witnesses_achieve_the_radius():
             assert v.feasible
             got = objective(inst, *v.centers)
             assert got <= lam + 1e-6 * max(1.0, lam), (seed, lam, got)
+
+
+def test_decide_rejects_a_nan_radius():
+    inst = draw_case(3)
+    with pytest.raises(ValidationError, match="NaN"):
+        decide(inst, float("nan"))
+    assert decide(inst, float("inf")).feasible
 
 
 def test_decide_stays_within_its_probe_budget():

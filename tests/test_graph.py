@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import draw_case, tri_graph
 from ucactus.errors import (
+    InternalInvariantError,
     InvalidPoint,
     NonPositiveEdgeLength,
     NotConnected,
@@ -18,6 +20,7 @@ from ucactus.errors import (
 from ucactus.graph import (
     GraphPoint,
     centroid,
+    descend,
     point_distance,
     point_vertex_distances,
     validate_cactus,
@@ -249,3 +252,73 @@ def test_centroid_leaves_no_heavy_branch():
                         stack.append(link.other)
             assert 2 * len(comp) <= len(active)
             remaining -= comp
+
+
+# ---------------------------------------------------------------------------
+# centroid descent
+
+
+def _path_tree(n: int):
+    """Skeleton of a path of ``n`` vertices; node ``i`` holds vertex ``i``."""
+    names = [f"v{i}" for i in range(n)]
+    g = validate_cactus(names, [(names[i], names[i + 1], 1.0) for i in range(n - 1)])
+    return g.skeleton
+
+
+def _at_node(node):
+    return ("node", node)
+
+
+def _at_edge(edge):
+    return ("edge", edge)
+
+
+def test_descend_narrowing_toward_a_leaf_ends_at_that_node():
+    tree = _path_tree(31)
+    probed = []
+
+    def probe(u, active):
+        probed.append(u)
+        return tree.component_toward(u, 0) & active
+
+    result, probes = descend(tree, frozenset(range(31)), probe, _at_node, _at_edge)
+    assert result == ("node", 0)
+    assert probes == len(probed) <= math.ceil(math.log2(31))
+
+
+def test_descend_ends_an_edge_linked_pair_at_the_edge_without_a_probe():
+    tree = _path_tree(4)
+
+    def probe(u, active):
+        raise AssertionError("an edge-linked pair needs no probe")
+
+    result, probes = descend(tree, frozenset({1, 2}), probe, _at_node, _at_edge)
+    assert (result, probes) == (("edge", 1), 0)
+
+
+def test_descend_probes_the_cycle_side_of_a_hinge_cycle_pair():
+    tree = tri_graph().skeleton
+    hinge, cycle = tree.node_of_vertex[2], tree.node_of_cycle[0]
+    probed = []
+
+    def probe(u, active):
+        probed.append(u)
+        return "done"
+
+    result, probes = descend(
+        tree, frozenset({hinge, cycle}), probe, _at_node, _at_edge
+    )
+    assert (result, probes, probed) == ("done", 1, [cycle])
+
+
+def test_descend_that_never_narrows_hits_the_probe_budget():
+    tree = _path_tree(31)
+    probed = []
+
+    def probe(u, active):
+        probed.append(u)
+        return active
+
+    with pytest.raises(InternalInvariantError, match="probe budget"):
+        descend(tree, frozenset(range(31)), probe, _at_node, _at_edge)
+    assert len(probed) == 2 * math.ceil(math.log2(31)) + 17

@@ -186,6 +186,11 @@ def test_cli_decide_reports_feasibility_not_via_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["feasible"] is False
 
 
+def test_cli_decide_rejects_a_nan_radius(tmp_path, capsys):
+    assert main(["decide", _write_tri(tmp_path), "--lambda", "nan"]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_cli_one_center_and_median(tmp_path, capsys):
     path = _write_tri(tmp_path)
     assert main(["one-center", path]) == 0

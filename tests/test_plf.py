@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import draw_case, square_instance, tri_instance
-from ucactus import plf
 from ucactus.errors import ValidationError
 from ucactus.graph import GraphPoint, validate_cactus
 from ucactus.plf import (
-    HAVE_COMPILED_KERNEL,
     coverage_set,
     cycle_profiles,
     edge_profile,
@@ -240,20 +238,3 @@ def test_stab_one_agrees_with_intersection():
         assert (got is None) == (not common)
         if got is not None:
             assert all(_hits(ivals, got) for ivals in sets)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED_KERNEL, reason="extension not built")
-def test_compiled_and_pure_kernels_agree():
-    from ucactus import _segsweep, _segsweep_py
-
-    rng = random.Random(7)
-    for _ in range(200):
-        sets = _random_families(rng, rng.randint(0, 6))
-        pos, side, owner = plf._event_arrays(sets)
-        n = len(sets)
-        assert _segsweep.stab_one_events(
-            pos, side, owner, n
-        ) == _segsweep_py.stab_one_events(pos, side, owner, n)
-        assert _segsweep.stab_two_events(
-            pos, side, owner, n
-        ) == _segsweep_py.stab_two_events(pos, side, owner, n)
