@@ -134,6 +134,8 @@ def validate_cactus(
         u, v = index[u_name], index[v_name]
         if u == v:
             raise ValidationError(f"self-loop at {u_name!r}")
+        if not math.isfinite(length):
+            raise ValidationError(f"edge {u_name!r}-{v_name!r} has non-finite length {length}")
         if length <= 0:
             raise NonPositiveEdgeLength(f"edge {u_name!r}-{v_name!r} has length {length}")
         pair = (min(u, v), max(u, v))

@@ -38,6 +38,19 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
+def _number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} is not a number: {value!r}") from exc
+
+
+def _list(value: Any, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def parse_instance(data: Any) -> Instance:
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
@@ -51,35 +64,37 @@ def parse_instance(data: Any) -> Instance:
         raise FormatError("vertices must be a list of names")
 
     spec = []
-    for row in edge_rows:
+    for row in _list(edge_rows, "edges"):
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise FormatError(f"bad edge entry {row!r}")
         u, v, length = row
         if not isinstance(u, str) or not isinstance(v, str):
             raise FormatError(f"bad edge entry {row!r}")
-        spec.append((u, v, float(length)))
+        spec.append((u, v, _number(length, f"length of edge {u!r}-{v!r}")))
     graph = validate_cactus(names, spec)
 
     points = []
-    for row in point_rows:
+    for row in _list(point_rows, "uncertain_points"):
         if not isinstance(row, dict):
             raise FormatError(f"bad uncertain point entry {row!r}")
         try:
             label = row["id"]
-            weight = float(row["weight"])
+            weight = row["weight"]
             loc_rows = row["locations"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"uncertain point missing key: {exc}") from exc
+        weight = _number(weight, f"weight of point {label!r}")
         locs = []
-        for pair in loc_rows:
+        for pair in _list(loc_rows, f"locations of point {label!r}"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise FormatError(f"bad location entry {pair!r}")
             where, prob = pair
-            locs.append(Location(_parse_place(graph, where), float(prob)))
+            prob = _number(prob, f"probability in point {label!r}")
+            locs.append(Location(_parse_place(graph, where), prob))
         points.append(UncertainPoint(str(label), weight, tuple(locs)))
 
     eps = data.get("eps")
-    return build_instance(graph, points, None if eps is None else float(eps))
+    return build_instance(graph, points, None if eps is None else _number(eps, "eps"))
 
 
 def _parse_place(graph: CactusGraph, where: Any) -> int | GraphPoint:
@@ -97,7 +112,7 @@ def _parse_place(graph: CactusGraph, where: Any) -> int | GraphPoint:
     for eid, other in graph.adj[u]:
         if other == v:
             e = graph.edges[eid]
-            t = float(t)
+            t = _number(t, f"offset on edge {u_name!r}-{v_name!r}")
             if not 0.0 <= t <= e.length:
                 raise FormatError(f"offset {t} outside edge {u_name!r}-{v_name!r}")
             return GraphPoint(eid, t if e.u == u else e.length - t)

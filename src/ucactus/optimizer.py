@@ -22,7 +22,7 @@ from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Instance,
     component_sums,
-    expected_distance,
+    expected_distances,
     group_eccentricity,
     median_values,
 )
@@ -383,14 +383,16 @@ def solve(inst: Instance) -> Solution:
     if not v.feasible or v.centers is None:
         raise InternalInvariantError("optimum value is not feasible")
     centers = (red.lift_point(v.centers[0]), red.lift_point(v.centers[1]))
+    # the reduction preserves expected distances and the order of the
+    # points, so price on the reduced network at the points the centers
+    # were lifted from
+    costs = np.column_stack(
+        [work.weights * expected_distances(work, red.lift_source(c)) for c in v.centers]
+    )
     assignments = []
-    for k, p in enumerate(inst.points):
-        costs = [
-            p.weight * expected_distance(inst, k, centers[0]),
-            p.weight * expected_distance(inst, k, centers[1]),
-        ]
-        side = int(costs[1] < costs[0])
-        assignments.append(Assignment(p.label, side, costs[side]))
+    for p, pair in zip(inst.points, costs.tolist()):
+        side = int(pair[1] < pair[0])
+        assignments.append(Assignment(p.label, side, pair[side]))
     return Solution(float(lam_star), centers, assignments)
 
 

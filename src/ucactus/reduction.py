@@ -9,6 +9,7 @@ values need no lifting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ucactus.errors import InternalInvariantError
@@ -42,18 +43,45 @@ class _WEdge:
 
 @dataclass(slots=True)
 class Reduction:
-    original: Instance
+    """An equivalent vertex-constrained instance and the map that lifts its
+    positions back onto the original graph.
+
+    The original instance is held weakly: an instance keeps its reduction in
+    its memo, and a strong reference back would make a cycle that holds the
+    instance, and any distance matrix built on it, until a full garbage
+    collection.  Lifting needs only the fields below.
+    """
+
+    _original: weakref.ref
     reduced: Instance
     identity: bool
     vertex_origin: list[GraphPoint] = field(default_factory=list)
     edge_paths: list[list[_Seg]] = field(default_factory=list)
 
+    @property
+    def original(self) -> Instance | None:
+        """The reduced instance's source, or None once it has been freed."""
+        return self._original()
+
+    def _snapped_vertex(self, p: GraphPoint) -> int | None:
+        """The reduced vertex that ``p`` lifts onto: a non-identity lift snaps
+        a point within ``_POS_EPS`` of a vertex onto it.  None when ``p``
+        lifts as it is."""
+        if self.identity:
+            return None
+        return self.reduced.graph.point_on_vertex(p)
+
+    def lift_source(self, p: GraphPoint) -> GraphPoint:
+        """The point of the reduced graph that :meth:`lift_point` maps ``p``
+        from; expected distances there equal those at the lifted point."""
+        v = self._snapped_vertex(p)
+        return p if v is None else self.reduced.graph.vertex_point(v)
+
     def lift_point(self, p: GraphPoint) -> GraphPoint:
         """Map a position on the reduced graph to the original graph."""
         if self.identity:
             return p
-        g = self.reduced.graph
-        v = g.point_on_vertex(p)
+        v = self._snapped_vertex(p)
         if v is not None:
             return self.vertex_origin[v]
         walked = 0.0
@@ -62,8 +90,7 @@ class Reduction:
             if p.t <= walked + span + _SNAP:
                 frac = min(max(p.t - walked, 0.0), span)
                 t = a + frac if b >= a else a - frac
-                length = self.original.graph.edges[eid].length
-                return GraphPoint(eid, min(max(t, 0.0), length))
+                return GraphPoint(eid, min(max(t, min(a, b)), max(a, b)))
             walked += span
         raise InternalInvariantError("point beyond reduced edge path")
 
@@ -71,7 +98,7 @@ class Reduction:
 def reduce_instance(inst: Instance) -> Reduction:
     """Reduce ``inst`` to an equivalent vertex-constrained instance."""
     if inst.is_vertex_constrained and _fully_occupied(inst):
-        return Reduction(inst, inst, identity=True)
+        return Reduction(weakref.ref(inst), inst, identity=True)
 
     graph = inst.graph
     verts: dict[int, _WVert] = {}
@@ -318,4 +345,4 @@ def _finish(
     reduced = build_instance(graph, points, inst.eps)
     vertex_origin = [verts[v].origin for v in ids]
     edge_paths = [edges[e].path for e in sorted(edges)]
-    return Reduction(inst, reduced, False, vertex_origin, edge_paths)
+    return Reduction(weakref.ref(inst), reduced, False, vertex_origin, edge_paths)

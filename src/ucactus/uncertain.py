@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,10 +98,22 @@ class Instance:
 
 
 def instance_eps(explicit: float | None) -> float:
+    """The comparison tolerance: ``explicit`` if given, else ``UCACTUS_EPS``,
+    else :data:`DEFAULT_EPS`; it must be finite and non-negative."""
     if explicit is not None:
-        return explicit
-    env = os.environ.get("UCACTUS_EPS")
-    return float(env) if env else DEFAULT_EPS
+        eps, source = explicit, "eps"
+    else:
+        env = os.environ.get("UCACTUS_EPS")
+        if not env:
+            return DEFAULT_EPS
+        source = "UCACTUS_EPS"
+        try:
+            eps = float(env)
+        except ValueError as exc:
+            raise ValidationError(f"UCACTUS_EPS is not a number: {env!r}") from exc
+    if not 0.0 <= eps < math.inf:
+        raise ValidationError(f"{source} must be finite and non-negative, got {eps}")
+    return eps
 
 
 def build_instance(
@@ -116,6 +129,8 @@ def build_instance(
         if p.label in labels:
             raise ValidationError(f"duplicate point label {p.label!r}")
         labels.add(p.label)
+        if not math.isfinite(p.weight):
+            raise ValidationError(f"point {p.label!r} has non-finite weight {p.weight}")
         if p.weight < 0:
             raise ValidationError(f"point {p.label!r} has negative weight")
         if not p.locations:

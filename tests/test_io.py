@@ -191,6 +191,72 @@ def test_cli_decide_rejects_a_nan_radius(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+def _tri_doc(**changes):
+    """The triangle instance as a document, with one field replaced; keys
+    are ``edge_length``, ``weight``, ``eps``, ``edges`` or ``locations``."""
+    doc = instance_to_dict(tri_instance())
+    if "edge_length" in changes:
+        doc["edges"][0][2] = changes["edge_length"]
+    if "weight" in changes:
+        doc["uncertain_points"][0]["weight"] = changes["weight"]
+    if "locations" in changes:
+        doc["uncertain_points"][0]["locations"] = changes["locations"]
+    for key in ("eps", "edges"):
+        if key in changes:
+            doc[key] = changes[key]
+    return doc
+
+
+# one row per bad input the command line must turn into exit code 2
+BAD_INPUTS = [
+    ("nan-edge-length", {"edge_length": float("nan")}, [], "non-finite length nan"),
+    ("inf-edge-length", {"edge_length": float("inf")}, [], "non-finite length inf"),
+    ("nan-weight", {"weight": float("nan")}, [], "non-finite weight nan"),
+    ("inf-weight", {"weight": float("inf")}, [], "non-finite weight inf"),
+    ("nan-eps", {"eps": float("nan")}, [], "eps must be finite and non-negative"),
+    ("negative-eps", {"eps": -1.0}, [], "eps must be finite and non-negative"),
+    ("nan-eps-flag", {}, ["--eps", "nan"], "eps must be finite and non-negative"),
+    ("negative-eps-flag", {}, ["--eps=-1"], "eps must be finite and non-negative"),
+    ("string-edge-length", {"edge_length": "long"}, [], "length of edge 'a'-'b' is not a number"),
+    ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
+    ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, flags, message", [row[1:] for row in BAD_INPUTS], ids=[row[0] for row in BAD_INPUTS]
+)
+def test_cli_rejects_bad_input(tmp_path, capsys, changes, flags, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_tri_doc(**changes)), encoding="utf-8")
+    assert main(["solve", str(path), *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
+def test_cli_rejects_a_bad_eps_from_the_environment(tmp_path, capsys, monkeypatch, value):
+    doc = _tri_doc()
+    del doc["eps"]  # an eps in the file would take precedence
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("UCACTUS_EPS", value)
+    assert main(["solve", str(path)]) == 2
+    assert "UCACTUS_EPS" in capsys.readouterr().err
+
+
+def test_parse_rejects_non_numeric_fields():
+    for changes, what in (
+        ({"weight": "heavy"}, "weight of point 'P1'"),
+        ({"locations": [["a", "half"], ["b", 0.5]]}, "probability in point 'P1'"),
+        ({"locations": [[["a", "b", "mid"], 1.0]]}, "offset on edge 'a'-'b'"),
+        ({"eps": "tiny"}, "eps"),
+    ):
+        with pytest.raises(FormatError, match=f"{what} is not a number"):
+            parse_instance(_tri_doc(**changes))
+    with pytest.raises(FormatError, match="uncertain_points must be a list"):
+        parse_instance({"vertices": ["a"], "edges": [], "uncertain_points": 5})
+
+
 def test_cli_one_center_and_median(tmp_path, capsys):
     path = _write_tri(tmp_path)
     assert main(["one-center", path]) == 0

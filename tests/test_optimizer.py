@@ -187,6 +187,31 @@ def test_assignments_describe_the_witnesses():
         assert worst == pytest.approx(sol.value, abs=1e-6 * max(1.0, sol.value))
 
 
+def test_assignments_describe_the_lifted_witnesses():
+    """Costs priced on the reduced network match the original instance at
+    the lifted centers."""
+    for seed in range(25):
+        inst = draw_case(seed, max_vertices=10, max_points=4, edge_locations=True)
+        sol = solve(inst)
+        for k, a in enumerate(sol.assignments):
+            assert a.label == inst.points[k].label
+            cost = inst.weights[k] * expected_distance(inst, k, sol.centers[a.center])
+            assert a.cost == pytest.approx(cost, abs=1e-9)
+
+
+def test_solve_never_builds_the_original_distance_matrix():
+    seen = 0
+    for seed in range(20):
+        inst = draw_case(seed, edge_locations=True)
+        if inst.is_vertex_constrained:
+            continue  # reduction could be the identity
+        assert "vertex_distances" not in inst.graph.__dict__
+        solve(inst)
+        assert "vertex_distances" not in inst.graph.__dict__
+        seen += 1
+    assert seen >= 10
+
+
 def test_two_centers_never_beat_one_center():
     for seed in range(25):
         inst = draw_case(seed, max_vertices=10, max_points=4)
