@@ -591,7 +591,7 @@ def decide(inst: Instance, lam: float) -> Verdict:
     if not inst.is_vertex_constrained:
         from ucactus.reduction import reduce_instance
 
-        red = inst.memo("reduction", lambda: reduce_instance(inst))
+        red = reduce_instance(inst)
         v = decide(red.reduced, lam)
         if v.centers is None:
             return v

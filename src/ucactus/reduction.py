@@ -9,7 +9,6 @@ values need no lifting.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from ucactus.errors import InternalInvariantError
@@ -43,25 +42,11 @@ class _WEdge:
 
 @dataclass(slots=True)
 class Reduction:
-    """An equivalent vertex-constrained instance and the map that lifts its
-    positions back onto the original graph.
-
-    The original instance is held weakly: an instance keeps its reduction in
-    its memo, and a strong reference back would make a cycle that holds the
-    instance, and any distance matrix built on it, until a full garbage
-    collection.  Lifting needs only the fields below.
-    """
-
-    _original: weakref.ref
+    original: Instance
     reduced: Instance
     identity: bool
     vertex_origin: list[GraphPoint] = field(default_factory=list)
     edge_paths: list[list[_Seg]] = field(default_factory=list)
-
-    @property
-    def original(self) -> Instance | None:
-        """The reduced instance's source, or None once it has been freed."""
-        return self._original()
 
     def _snapped_vertex(self, p: GraphPoint) -> int | None:
         """The reduced vertex that ``p`` lifts onto: a non-identity lift snaps
@@ -90,7 +75,8 @@ class Reduction:
             if p.t <= walked + span + _SNAP:
                 frac = min(max(p.t - walked, 0.0), span)
                 t = a + frac if b >= a else a - frac
-                return GraphPoint(eid, min(max(t, min(a, b)), max(a, b)))
+                length = self.original.graph.edges[eid].length
+                return GraphPoint(eid, min(max(t, 0.0), length))
             walked += span
         raise InternalInvariantError("point beyond reduced edge path")
 
@@ -98,7 +84,7 @@ class Reduction:
 def reduce_instance(inst: Instance) -> Reduction:
     """Reduce ``inst`` to an equivalent vertex-constrained instance."""
     if inst.is_vertex_constrained and _fully_occupied(inst):
-        return Reduction(weakref.ref(inst), inst, identity=True)
+        return Reduction(inst, inst, identity=True)
 
     graph = inst.graph
     verts: dict[int, _WVert] = {}
@@ -345,4 +331,4 @@ def _finish(
     reduced = build_instance(graph, points, inst.eps)
     vertex_origin = [verts[v].origin for v in ids]
     edge_paths = [edges[e].path for e in sorted(edges)]
-    return Reduction(weakref.ref(inst), reduced, False, vertex_origin, edge_paths)
+    return Reduction(inst, reduced, False, vertex_origin, edge_paths)

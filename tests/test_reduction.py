@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import gc
 import random
-import weakref
 
 import pytest
 
 from conftest import draw_case, square_instance, tri_graph, tri_instance
-from ucactus import reduction
-from ucactus.decision import decide
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.oracle import oracle_solve
 from ucactus.reduction import reduce_instance
@@ -184,34 +180,3 @@ def test_lift_source_is_the_point_lift_point_maps():
     assert red.lift_source(inside) == inside
     ident = reduce_instance(square_instance())
     assert ident.lift_source(near_u) == near_u
-
-
-def test_decide_reduces_an_instance_once(monkeypatch):
-    calls = []
-
-    def counting(inst):
-        calls.append(inst)
-        return reduce_instance(inst)
-
-    monkeypatch.setattr(reduction, "reduce_instance", counting)
-    inst = draw_case(5, max_points=4, edge_locations=True)
-    assert not inst.is_vertex_constrained
-    first, second = decide(inst, 2.0), decide(inst, 2.0)
-    assert len(calls) == 1
-    assert first == second
-
-
-def test_a_memoised_reduction_does_not_keep_its_instance_alive():
-    inst = draw_case(5, max_points=4, edge_locations=True)
-    decide(inst, 2.0)
-    red = inst.memo("reduction", lambda: None)
-    assert red.original is inst
-    gone = weakref.ref(inst)
-    gc.disable()
-    try:
-        del inst
-        assert gone() is None  # freed by reference counting, no cycle
-    finally:
-        gc.enable()
-    assert red.original is None
-    assert red.lift_point(red.reduced.graph.vertex_point(0)) == red.vertex_origin[0]
