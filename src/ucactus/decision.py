@@ -529,7 +529,15 @@ def one_center(
     inst: Instance, multipliers: np.ndarray | None = None
 ) -> tuple[GraphPoint, float]:
     """Exact weighted 1-center; ``multipliers`` replace the point weights
-    (zero drops a point).  All-zero multipliers pin the canonical vertex."""
+    (zero drops a point).  All-zero multipliers pin the canonical vertex.
+    An instance with edge-interior locations is solved on its reduction and
+    the center lifted back."""
+    if not inst.is_vertex_constrained:
+        from ucactus.reduction import reduce_instance
+
+        red = reduce_instance(inst)
+        center, value = one_center(red.reduced, multipliers)
+        return red.lift_point(center), value
     mult = inst.weights if multipliers is None else np.asarray(multipliers, float)
     g = inst.graph
     if not np.any(mult > 0) or not g.edges:

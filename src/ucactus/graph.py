@@ -61,16 +61,28 @@ class CactusGraph:
         self.vertex_id = {name: i for i, name in enumerate(names)}
 
     @cached_property
-    def vertex_distances(self) -> np.ndarray:
-        """Dense all-pairs shortest-path matrix over vertices."""
+    def adjacency(self) -> csr_matrix:
+        """Sparse symmetric adjacency matrix weighted by edge length."""
         n = self.vertex_count
-        if not self.edges:
-            return np.zeros((n, n))
         rows = [e.u for e in self.edges] + [e.v for e in self.edges]
         cols = [e.v for e in self.edges] + [e.u for e in self.edges]
         data = [e.length for e in self.edges] * 2
-        mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-        return dijkstra(mat, directed=False)
+        return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+    @cached_property
+    def vertex_distances(self) -> np.ndarray:
+        """Dense all-pairs shortest-path matrix over vertices."""
+        return dijkstra(self.adjacency, directed=False)
+
+    def distances_from(self, p: GraphPoint) -> np.ndarray:
+        """Distances from ``p`` to every vertex, from one Dijkstra run out of
+        both ends of ``p``'s edge; the |V|² matrix is neither built nor read."""
+        check_point(self, p)
+        if p.edge < 0:
+            return np.zeros(self.vertex_count)
+        e = self.edges[p.edge]
+        d = dijkstra(self.adjacency, directed=False, indices=[e.u, e.v])
+        return np.minimum(p.t + d[0], (e.length - p.t) + d[1])
 
     @cached_property
     def cycles(self) -> CycleDecomposition:
@@ -478,7 +490,8 @@ def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
 # metric
 
 
-def _check_on_edge(graph: CactusGraph, p: GraphPoint) -> None:
+def check_point(graph: CactusGraph, p: GraphPoint) -> None:
+    """Raise :class:`InvalidPoint` unless ``p`` lies on an edge of ``graph``."""
     if p.edge < 0:
         if graph.edges:
             raise InvalidPoint("vertex sentinel point used on a non-trivial graph")
@@ -490,8 +503,9 @@ def _check_on_edge(graph: CactusGraph, p: GraphPoint) -> None:
 
 
 def point_vertex_distances(graph: CactusGraph, p: GraphPoint) -> np.ndarray:
-    """Distances from ``p`` to every vertex, as a vector."""
-    _check_on_edge(graph, p)
+    """Distances from ``p`` to every vertex, read off two rows of the cached
+    all-pairs matrix; :meth:`CactusGraph.distances_from` builds no matrix."""
+    check_point(graph, p)
     if p.edge < 0:
         return np.zeros(graph.vertex_count)
     dist = graph.vertex_distances
@@ -499,22 +513,24 @@ def point_vertex_distances(graph: CactusGraph, p: GraphPoint) -> np.ndarray:
     return np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
 
 
+def distance_via(
+    graph: CactusGraph, q: GraphPoint, dq: np.ndarray, p: GraphPoint
+) -> float:
+    """Distance between ``q`` and ``p``, given ``dq = graph.distances_from(q)``:
+    through an end of ``p``'s edge, or along that edge when ``q`` shares it."""
+    if p.edge < 0:
+        return float(dq[0])
+    e = graph.edges[p.edge]
+    d = min(p.t + dq[e.u], (e.length - p.t) + dq[e.v])
+    if p.edge == q.edge:
+        d = min(d, abs(p.t - q.t))
+    return float(d)
+
+
 def point_distance(graph: CactusGraph, p: GraphPoint, q: GraphPoint) -> float:
     """Exact shortest-path distance between two points of the network."""
-    _check_on_edge(graph, p)
-    _check_on_edge(graph, q)
-    if p.edge < 0 or q.edge < 0:
-        return 0.0
-    dist = graph.vertex_distances
-    ep, eq = graph.edges[p.edge], graph.edges[q.edge]
-    if p.edge == q.edge:
-        direct = abs(p.t - q.t)
-        around = dist[ep.u][ep.v] + min(
-            p.t + (ep.length - q.t), (ep.length - p.t) + q.t
-        )
-        return min(direct, around)
-    du = point_vertex_distances(graph, p)
-    return min(q.t + du[eq.u], (eq.length - q.t) + du[eq.v])
+    check_point(graph, p)
+    return distance_via(graph, q, graph.distances_from(q), p)
 
 
 def centroid(tree: SkeletonTree, active: frozenset[int]) -> int:

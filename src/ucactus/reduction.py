@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import CactusGraph, GraphPoint, validate_cactus
+from ucactus.graph import GraphPoint, validate_cactus
 from ucactus.uncertain import Instance, Location, UncertainPoint, build_instance
 
 _SNAP = 1e-12
@@ -33,6 +33,10 @@ class _WEdge:
     v: int
     length: float
     path: list[_Seg]
+    cycle: int | None  # id of the original cycle this edge lies on, if any
+
+    def other(self, w: int) -> int:
+        return self.v if w == self.u else self.u
 
     def oriented(self, start: int) -> list[_Seg]:
         if start == self.u:
@@ -132,7 +136,9 @@ def reduce_instance(inst: Instance) -> Reduction:
         stations.append((e.length, e.v))
         split_vertex[e.id] = stations[1:-1]
         for (t0, a), (t1, b) in zip(stations, stations[1:]):
-            edges[eid_next] = _WEdge(a, b, t1 - t0, [(e.id, t0, t1)])
+            edges[eid_next] = _WEdge(
+                a, b, t1 - t0, [(e.id, t0, t1)], graph.cycles.edge_cycle[e.id]
+            )
             eid_next += 1
 
     for (k, li), site in loc_site.items():
@@ -203,12 +209,32 @@ def _prune(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> None:
 def _working_cycles(
     verts: dict[int, _WVert], edges: dict[int, _WEdge]
 ) -> list[list[int]]:
-    ids = sorted(verts)
-    names = [str(v) for v in ids]
-    spec = [(str(edges[e].u), str(edges[e].v), edges[e].length) for e in sorted(edges)]
-    g = validate_cactus(names, spec)
-    eids = sorted(edges)
-    return [[eids[e] for e in cyc.edges] for cyc in g.cycles.cycles]
+    """Edge ids of each surviving cycle in ring order, by original cycle id.
+
+    A ring starts at its smallest vertex and heads toward that vertex's
+    smaller ring neighbour, as :class:`~ucactus.graph.Cycle` orders rings.
+    """
+    groups: dict[int, list[int]] = {}
+    for eid, e in edges.items():
+        if e.cycle is not None:
+            groups.setdefault(e.cycle, []).append(eid)
+    rings = []
+    for cid in sorted(groups):
+        at: dict[int, list[int]] = {}
+        for eid in groups[cid]:
+            at.setdefault(edges[eid].u, []).append(eid)
+            at.setdefault(edges[eid].v, []).append(eid)
+        start = min(at)
+        eid = min(at[start], key=lambda x: edges[x].other(start))
+        ring, v = [], start
+        while True:
+            ring.append(eid)
+            v = edges[eid].other(v)
+            if v == start:
+                break
+            eid = next(x for x in at[v] if x != eid)
+        rings.append(ring)
+    return rings
 
 
 def _reduce_cycles(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> bool:
@@ -260,7 +286,7 @@ def _reduce_cycles(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> bool:
         for v in ring:
             if v not in (a, b):
                 del verts[v]
-        edges[new_id] = _WEdge(arc_v[0], arc_v[-1], length, path)
+        edges[new_id] = _WEdge(arc_v[0], arc_v[-1], length, path, None)
         changed = True
     return changed
 
@@ -282,7 +308,10 @@ def _contract_paths(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> bool:
             continue  # contraction would create a parallel edge; pad later
         path = edges[e1].oriented(u) + edges[e2].oriented(v)
         new_id = max(edges) + 1
-        edges[new_id] = _WEdge(u, w, edges[e1].length + edges[e2].length, path)
+        # both edges at a degree-2 vertex lie on the same cycle, or on none
+        edges[new_id] = _WEdge(
+            u, w, edges[e1].length + edges[e2].length, path, edges[e1].cycle
+        )
         del edges[e1]
         del edges[e2]
         del verts[v]

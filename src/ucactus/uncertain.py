@@ -11,7 +11,13 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from ucactus.errors import ValidationError
-from ucactus.graph import CactusGraph, GraphPoint, point_vertex_distances
+from ucactus.graph import (
+    CactusGraph,
+    GraphPoint,
+    check_point,
+    distance_via,
+    point_vertex_distances,
+)
 
 DEFAULT_EPS = 1e-9
 PROB_EPS = 1e-12
@@ -142,6 +148,8 @@ def build_instance(
             if loc.is_vertex:
                 if not 0 <= loc.place < graph.vertex_count:
                     raise ValidationError(f"point {p.label!r}: no vertex {loc.place}")
+            else:
+                check_point(graph, loc.place)
             total += loc.prob
         if abs(total - 1.0) > PROB_EPS:
             raise ValidationError(
@@ -160,19 +168,26 @@ def expected_distance(inst: Instance, k: int, q: GraphPoint) -> float:
     if inst.is_vertex_constrained:
         dq = point_vertex_distances(inst.graph, q)
         return float(dq @ inst.vertex_mass[:, k])
-    from ucactus.graph import point_distance
-
-    return sum(
-        loc.prob * point_distance(inst.graph, location_point(inst.graph, loc), q)
-        for loc in inst.points[k].locations
-    )
+    return _priced(inst, q, inst.graph.distances_from(q), k)
 
 
 def expected_distances(inst: Instance, q: GraphPoint) -> np.ndarray:
     """Expected distance of every point to ``q`` as a vector."""
     if inst.is_vertex_constrained:
         return point_vertex_distances(inst.graph, q) @ inst.vertex_mass
-    return np.array([expected_distance(inst, k, q) for k in range(inst.n)])
+    dq = inst.graph.distances_from(q)
+    return np.array([_priced(inst, q, dq, k) for k in range(inst.n)])
+
+
+def _priced(inst: Instance, q: GraphPoint, dq: np.ndarray, k: int) -> float:
+    """Expected distance of point ``k`` to ``q``, given
+    ``dq = inst.graph.distances_from(q)``; O(1) per location."""
+    g = inst.graph
+    total = 0.0
+    for loc in inst.points[k].locations:
+        d = dq[loc.place] if loc.is_vertex else distance_via(g, q, dq, loc.place)
+        total += loc.prob * d
+    return float(total)
 
 
 def objective(inst: Instance, q1: GraphPoint, q2: GraphPoint) -> float:
@@ -212,8 +227,15 @@ def median(inst: Instance, k: int) -> tuple[GraphPoint, float]:
     """The 1-median of uncertain point ``k`` and its expected distance.
 
     Expected distance is concave along every edge of a vertex-constrained
-    instance, so a vertex always attains the minimum.
+    instance, so a vertex always attains the minimum.  Other instances are
+    solved on their reduction and the median is lifted back.
     """
+    if not inst.is_vertex_constrained:
+        from ucactus.reduction import reduce_instance
+
+        red = reduce_instance(inst)
+        where, value = median(red.reduced, k)
+        return red.lift_point(where), value
     col = inst.ed_at_vertices[:, k]
     v = int(np.argmin(col))
     return inst.graph.vertex_point(v), float(col[v])

@@ -26,12 +26,19 @@ from ucactus.decision import (
 )
 from ucactus.errors import ValidationError
 from ucactus.graph import GraphPoint, validate_cactus
-from ucactus.oracle import oracle_decide, oracle_one_center, oracle_solve
+from ucactus.oracle import (
+    oracle_decide,
+    oracle_median,
+    oracle_one_center,
+    oracle_solve,
+)
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
     build_instance,
+    expected_distance,
     expected_distances,
+    median,
     objective,
 )
 
@@ -228,6 +235,27 @@ def test_one_center_matches_reference_on_random_instances():
         _, value = one_center(inst)
         _, want = oracle_one_center(inst)
         assert value == pytest.approx(want, abs=1e-9), seed
+
+
+def test_one_center_and_median_lift_back_on_interior_instances():
+    done, seed = 0, 0
+    while done < 20:
+        seed += 1
+        inst = draw_case(seed, max_points=4, edge_locations=True)
+        if inst.is_vertex_constrained:
+            continue  # this draw landed every location on a vertex
+        done += 1
+        where, value = one_center(inst)
+        _, want = oracle_one_center(inst)
+        assert value == pytest.approx(want, rel=1e-6, abs=1e-6), seed
+        attained = float(np.max(inst.weights * expected_distances(inst, where)))
+        assert abs(attained - value) <= 1e-9 * max(1.0, value), seed
+        for k in range(inst.n):
+            where, value = median(inst, k)
+            _, want = oracle_median(inst, k)
+            assert value == pytest.approx(want, rel=1e-6, abs=1e-6), (seed, k)
+            attained = expected_distance(inst, k, where)
+            assert abs(attained - value) <= 1e-9 * max(1.0, value), (seed, k)
 
 
 def test_coverage_witness_serves_exactly_when_one_center_can():

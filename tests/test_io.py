@@ -8,6 +8,7 @@ import pytest
 
 from conftest import draw_case, tri_instance
 from ucactus.cli import main
+from ucactus.decision import one_center
 from ucactus.errors import FormatError, InfeasibleParams, ValidationError
 from ucactus.graph import GraphPoint
 from ucactus.io import (
@@ -18,6 +19,7 @@ from ucactus.io import (
     read_instance,
     write_instance,
 )
+from ucactus.uncertain import median
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,19 @@ def test_cli_one_center_and_median(tmp_path, capsys):
     assert main(["median", path, "--point", "P1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["id"], out["value"], out["location"]) == ("P1", 0.5, "a")
+
+
+def test_cli_one_center_and_median_on_edge_interior_locations(tmp_path, capsys):
+    inst = draw_case(5, max_points=4, edge_locations=True)
+    assert not inst.is_vertex_constrained
+    path = tmp_path / "interior.json"
+    write_instance(inst, path)
+    assert main(["one-center", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == pytest.approx(one_center(inst)[1], rel=1e-9)
+    assert main(["median", str(path), "--point", inst.points[0].label]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] == pytest.approx(median(inst, 0)[1], rel=1e-9)
 
 
 def test_cli_median_unknown_point_is_an_input_error(tmp_path, capsys):

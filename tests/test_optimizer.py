@@ -7,7 +7,7 @@ import pytest
 
 from conftest import draw_case, tri_instance
 from ucactus.decision import DESCEND_TWO, decide, one_center
-from ucactus.graph import GraphPoint, validate_cactus
+from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.optimizer import (
     CRITICAL_HERE,
     SOLVED,
@@ -23,6 +23,8 @@ from ucactus.uncertain import (
     UncertainPoint,
     build_instance,
     expected_distance,
+    expected_distances,
+    median,
     objective,
 )
 
@@ -205,9 +207,23 @@ def test_solve_never_builds_the_original_distance_matrix():
         inst = draw_case(seed, edge_locations=True)
         if inst.is_vertex_constrained:
             continue  # reduction could be the identity
-        assert "vertex_distances" not in inst.graph.__dict__
-        solve(inst)
-        assert "vertex_distances" not in inst.graph.__dict__
+        g = inst.graph
+        assert "vertex_distances" not in g.__dict__
+        sol = solve(inst)
+        assert "vertex_distances" not in g.__dict__
+        q, inside = sol.centers[0], GraphPoint(0, 0.5 * g.edges[0].length)
+        calls = {
+            "objective": lambda: objective(inst, *sol.centers),
+            "expected_distance": lambda: expected_distance(inst, 0, inside),
+            "expected_distances": lambda: expected_distances(inst, q),
+            "point_distance": lambda: point_distance(g, inside, q),
+            "decide": lambda: decide(inst, sol.value),
+            "one_center": lambda: one_center(inst),
+            "median": lambda: median(inst, 0),
+        }
+        for name, call in calls.items():
+            call()
+            assert "vertex_distances" not in g.__dict__, name
         seen += 1
     assert seen >= 10
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import draw_case, square_instance, tri_graph, tri_instance
+from ucactus import reduction
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.oracle import oracle_solve
 from ucactus.reduction import reduce_instance
@@ -180,3 +181,38 @@ def test_lift_source_is_the_point_lift_point_maps():
     assert red.lift_source(inside) == inside
     ident = reduce_instance(square_instance())
     assert ident.lift_source(near_u) == near_u
+
+
+def test_working_cycles_match_a_fresh_decomposition(monkeypatch):
+    """The cycle ids carried on working edges give the same rings, in the
+    same ring order, as validating the working graph would."""
+    checked = []
+    inner = reduction._reduce_cycles
+
+    def reduce_cycles(verts, edges):
+        eids = sorted(edges)
+        spec = [(str(edges[e].u), str(edges[e].v), edges[e].length) for e in eids]
+        g = validate_cactus([str(v) for v in sorted(verts)], spec)
+        want = {tuple(eids[e] for e in cyc.edges) for cyc in g.cycles.cycles}
+        got = reduction._working_cycles(verts, edges)
+        assert {tuple(ring) for ring in got} == want
+        assert len(got) == len(want)
+        checked.append(len(want))
+        return inner(verts, edges)
+
+    monkeypatch.setattr(reduction, "_reduce_cycles", reduce_cycles)
+    for seed in range(60):
+        reduce_instance(draw_case(seed, max_vertices=16, edge_locations=True))
+    assert sum(checked) >= 50
+
+
+def test_reduction_validates_only_the_reduced_graph(monkeypatch):
+    calls = []
+    inner = reduction.validate_cactus
+    monkeypatch.setattr(
+        reduction, "validate_cactus", lambda *a: calls.append(1) or inner(*a)
+    )
+    for seed in range(20):
+        calls.clear()
+        red = reduce_instance(draw_case(seed, edge_locations=True))
+        assert len(calls) == (0 if red.identity else 1)

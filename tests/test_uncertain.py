@@ -9,7 +9,7 @@ import pytest
 
 from conftest import draw_case, square_instance, tri_graph, tri_instance
 from ucactus.errors import ValidationError
-from ucactus.graph import GraphPoint, validate_cactus
+from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
@@ -69,6 +69,17 @@ def test_rejects_unknown_location_vertex():
         )
 
 
+@pytest.mark.parametrize(
+    "place, message",
+    [(GraphPoint(3, 0.5), "no edge 3"), (GraphPoint(0, 2.0), "offset 2.0 outside")],
+)
+def test_rejects_an_interior_location_off_its_edge(place, message):
+    with pytest.raises(ValidationError, match=message):
+        build_instance(
+            _two_vertex_graph(), [UncertainPoint("P", 1.0, (Location(place, 1.0),))]
+        )
+
+
 def test_rejects_duplicate_labels():
     with pytest.raises(ValidationError, match="duplicate point label 'P'"):
         build_instance(
@@ -106,6 +117,50 @@ def test_expected_distances_match_single_queries():
         vec = expected_distances(inst, q)
         for k in range(inst.n):
             assert vec[k] == pytest.approx(expected_distance(inst, k, q), abs=1e-9)
+
+
+def _matrix_distance(g, p, q):
+    """Reference: the distance between two points read off the all-pairs
+    vertex matrix."""
+    dist = g.vertex_distances
+    ep, eq = g.edges[p.edge], g.edges[q.edge]
+    if p.edge == q.edge:
+        around = dist[ep.u, ep.v] + min(
+            p.t + (ep.length - q.t), (ep.length - p.t) + q.t
+        )
+        return min(abs(p.t - q.t), around)
+    du = np.minimum(p.t + dist[ep.u], (ep.length - p.t) + dist[ep.v])
+    return min(q.t + du[eq.u], (eq.length - q.t) + du[eq.v])
+
+
+def test_interior_expected_distances_match_the_matrix_formula():
+    seen = 0
+    for seed in range(30):
+        inst = draw_case(seed, edge_locations=True)
+        if inst.is_vertex_constrained:
+            continue
+        seen += 1
+        g = inst.graph
+        queries = [g.vertex_point(v) for v in range(g.vertex_count)]
+        queries += [GraphPoint(e.id, 0.37 * e.length) for e in g.edges]
+        for p in inst.points:
+            for loc in p.locations:
+                if not loc.is_vertex:  # the location itself and its own edge
+                    at = loc.place
+                    queries += [at, GraphPoint(at.edge, 0.5 * at.t)]
+        for q in queries:
+            vec = expected_distances(inst, q)
+            for k, p in enumerate(inst.points):
+                want = 0.0
+                for loc in p.locations:
+                    here = location_point(g, loc)
+                    d = _matrix_distance(g, here, q)
+                    assert abs(point_distance(g, here, q) - d) <= 1e-9 * max(1.0, d)
+                    want += loc.prob * d
+                tol = 1e-9 * max(1.0, want)
+                assert abs(vec[k] - want) <= tol, (seed, q, k)
+                assert abs(expected_distance(inst, k, q) - want) <= tol, (seed, q, k)
+    assert seen >= 15
 
 
 def test_objective_takes_the_better_center_per_point():
