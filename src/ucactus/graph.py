@@ -71,17 +71,23 @@ class CactusGraph:
 
     @cached_property
     def vertex_distances(self) -> np.ndarray:
-        """Dense all-pairs shortest-path matrix over vertices."""
+        """Dense all-pairs shortest-path matrix over vertices: the reference
+        that the oracle and the tests check against; no solver stage reads it."""
         return dijkstra(self.adjacency, directed=False)
 
+    def distance_rows(self, sources: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Row ``i`` holds the distances from vertex ``sources[i]`` to every
+        vertex: one Dijkstra run, the solver's only source of distances."""
+        return dijkstra(self.adjacency, directed=False, indices=sources)
+
     def distances_from(self, p: GraphPoint) -> np.ndarray:
-        """Distances from ``p`` to every vertex, from one Dijkstra run out of
-        both ends of ``p``'s edge; the |V|² matrix is neither built nor read."""
+        """Distances from ``p`` to every vertex, through the nearer end of
+        ``p``'s edge."""
         check_point(self, p)
         if p.edge < 0:
             return np.zeros(self.vertex_count)
         e = self.edges[p.edge]
-        d = dijkstra(self.adjacency, directed=False, indices=[e.u, e.v])
+        d = self.distance_rows([e.u, e.v])
         return np.minimum(p.t + d[0], (e.length - p.t) + d[1])
 
     @cached_property
@@ -346,14 +352,12 @@ class SkeletonTree:
 
     def __init__(
         self,
-        graph: CactusGraph,
         nodes: list[SkelNode],
         links: list[list[TreeLink]],
         node_of_vertex: list[int | None],
         node_of_cycle: list[int],
         node_vertices: list[tuple[int, ...]],
     ) -> None:
-        self.graph = graph
         self.nodes = nodes
         self.links = links
         self.node_of_vertex = node_of_vertex
@@ -477,7 +481,6 @@ def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
                 links[h].append(TreeLink(cnode, 0.0, None))
 
     return SkeletonTree(
-        graph,
         nodes,
         links,
         node_of_vertex,
@@ -500,17 +503,6 @@ def check_point(graph: CactusGraph, p: GraphPoint) -> None:
         raise InvalidPoint(f"no edge {p.edge}")
     if not -_POS_EPS <= p.t <= graph.edges[p.edge].length + _POS_EPS:
         raise InvalidPoint(f"offset {p.t} outside edge {p.edge}")
-
-
-def point_vertex_distances(graph: CactusGraph, p: GraphPoint) -> np.ndarray:
-    """Distances from ``p`` to every vertex, read off two rows of the cached
-    all-pairs matrix; :meth:`CactusGraph.distances_from` builds no matrix."""
-    check_point(graph, p)
-    if p.edge < 0:
-        return np.zeros(graph.vertex_count)
-    dist = graph.vertex_distances
-    e = graph.edges[p.edge]
-    return np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
 
 
 def distance_via(

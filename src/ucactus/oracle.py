@@ -4,7 +4,9 @@ Everything here is derived from first principles on top of the metric alone:
 expected distances are piecewise affine along each edge, so enumerating piece
 endpoints, level crossings, and pairwise crossing ordinates is exhaustive.
 Deliberately independent of the skeleton-tree machinery so the two can check
-each other.
+each other.  Distances come from the all-pairs matrix
+``CactusGraph.vertex_distances``, which only this module reads; the solver
+takes Dijkstra rows out of chosen sources instead.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ucactus.errors import TooLargeForOracle
-from ucactus.graph import CactusGraph, GraphPoint, point_vertex_distances
+from ucactus.graph import GraphPoint
 from ucactus.uncertain import Instance, location_point
 
 MAX_VERTICES = 20
@@ -55,6 +57,7 @@ class _EdgeView:
 
     def __init__(self, inst: Instance, edge: int) -> None:
         g = inst.graph
+        dist = g.vertex_distances
         e = g.edges[edge]
         self.edge = edge
         self.length = e.length
@@ -62,7 +65,8 @@ class _EdgeView:
         for k, p in enumerate(inst.points):
             for loc in p.locations:
                 pt = location_point(g, loc)
-                dvec = point_vertex_distances(g, pt)
+                pe = g.edges[pt.edge]  # the graph has edges, so pt.edge >= 0
+                dvec = np.minimum(pt.t + dist[pe.u], (pe.length - pt.t) + dist[pe.v])
                 s = pt.t if pt.edge == edge else None
                 self.arms.append(_LocArm(k, loc.prob, dvec[e.u], dvec[e.v], s))
         self.breaks = self._breakpoints()

@@ -60,12 +60,12 @@ def _cycle_profiles(inst: Instance, cycle_id: int) -> list[Profile]:
     ring = np.array(cyc.vertices)
     coords = np.array(cyc.pos)
     per = cyc.perimeter
-    dist = inst.graph.vertex_distances
-    gate_idx = np.argmin(dist[:, ring], axis=1)  # (V,) index into ring
-    gate_dist = dist[np.arange(len(gate_idx)), ring[gate_idx]]
-    const = gate_dist @ inst.vertex_mass
+    rows = inst.support_rows[:, ring]
+    mass = inst.vertex_mass[inst.support]
+    gate_idx = np.argmin(rows, axis=1)  # (S,) index into ring
+    const = rows[np.arange(len(gate_idx)), gate_idx] @ mass
     source = np.zeros((len(ring), inst.n))
-    np.add.at(source, gate_idx, inst.vertex_mass)
+    np.add.at(source, gate_idx, mass)
 
     xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
     gaps = np.abs(xs[:, None] - coords[None, :])

@@ -11,13 +11,7 @@ from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from ucactus.errors import ValidationError
-from ucactus.graph import (
-    CactusGraph,
-    GraphPoint,
-    check_point,
-    distance_via,
-    point_vertex_distances,
-)
+from ucactus.graph import CactusGraph, GraphPoint, check_point, distance_via
 
 DEFAULT_EPS = 1e-9
 PROB_EPS = 1e-12
@@ -88,9 +82,19 @@ class Instance:
         return mass
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The vertices that carry some point's mass, ascending."""
+        return np.flatnonzero(self.vertex_mass.any(axis=1))
+
+    @cached_property
+    def support_rows(self) -> np.ndarray:
+        """Distances from each vertex of :attr:`support` to every vertex."""
+        return self.graph.distance_rows(self.support)
+
+    @cached_property
     def ed_at_vertices(self) -> np.ndarray:
         """``ed_at_vertices[v, k]`` is the expected distance of point k to v."""
-        return self.graph.vertex_distances @ self.vertex_mass
+        return self.support_rows.T @ self.vertex_mass[self.support]
 
     @cached_property
     def node_mass(self) -> np.ndarray:
@@ -165,16 +169,11 @@ def location_point(graph: CactusGraph, loc: Location) -> GraphPoint:
 def expected_distance(inst: Instance, k: int, q: GraphPoint) -> float:
     """Expected distance between uncertain point ``k`` and the fixed point
     ``q``; exact, works for edge-interior locations too."""
-    if inst.is_vertex_constrained:
-        dq = point_vertex_distances(inst.graph, q)
-        return float(dq @ inst.vertex_mass[:, k])
     return _priced(inst, q, inst.graph.distances_from(q), k)
 
 
 def expected_distances(inst: Instance, q: GraphPoint) -> np.ndarray:
     """Expected distance of every point to ``q`` as a vector."""
-    if inst.is_vertex_constrained:
-        return point_vertex_distances(inst.graph, q) @ inst.vertex_mass
     dq = inst.graph.distances_from(q)
     return np.array([_priced(inst, q, dq, k) for k in range(inst.n)])
 

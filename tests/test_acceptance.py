@@ -157,16 +157,18 @@ def test_stab_two_matches_endpoint_search_on_1000_families():
 
 
 def _timed_solve(n_points: int) -> float:
-    inst = random_instance(
-        777,
-        n_vertices=200,
-        n_cycles=12,
-        n_points=n_points,
-        n_locations=8,
-        prob_denominator=16,
-    )
+    """Best of three cold solves: each gets a fresh instance, so no
+    per-instance cache carries over from one timing to the next."""
     best = float("inf")
     for _ in range(3):
+        inst = random_instance(
+            777,
+            n_vertices=200,
+            n_cycles=12,
+            n_points=n_points,
+            n_locations=8,
+            prob_denominator=16,
+        )
         t0 = time.perf_counter()
         solve(inst)
         best = min(best, time.perf_counter() - t0)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from ucactus.graph import (
     centroid,
     descend,
     point_distance,
-    point_vertex_distances,
     validate_cactus,
 )
 
@@ -161,6 +162,8 @@ def test_vertex_distance_matrix_matches_floyd_warshall():
         for k in range(n):
             dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
         assert np.allclose(g.vertex_distances, dist)
+        sources = list(range(0, n, 2))
+        assert np.array_equal(g.distance_rows(sources), g.vertex_distances[sources])
 
 
 def test_point_distance_is_a_metric_on_samples():
@@ -182,28 +185,49 @@ def test_point_distance_is_a_metric_on_samples():
                     )
 
 
-def test_point_vertex_distances_agree_with_pairwise_queries():
-    g = tri_graph()
-    p = GraphPoint(3, 0.75)
-    vec = point_vertex_distances(g, p)
-    for v in range(g.vertex_count):
-        assert vec[v] == pytest.approx(
-            point_distance(g, p, g.vertex_point(v)), abs=1e-12
-        )
+def test_distances_from_agree_with_pairwise_queries():
+    for g in [tri_graph()] + [draw_case(seed).graph for seed in range(10)]:
+        dist = g.vertex_distances
+        for e in g.edges:
+            p = GraphPoint(e.id, 0.37 * e.length)
+            vec = g.distances_from(p)
+            ref = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
+            assert np.allclose(vec, ref, rtol=1e-12, atol=1e-12)
+            for v in range(g.vertex_count):
+                assert vec[v] == pytest.approx(
+                    point_distance(g, p, g.vertex_point(v)), abs=1e-12
+                )
 
 
 def test_rejects_points_off_the_graph():
     g = validate_cactus(["x", "y"], [("x", "y", 1.0)])
     with pytest.raises(InvalidPoint, match="no edge 7"):
-        point_vertex_distances(g, GraphPoint(7, 0.0))
+        g.distances_from(GraphPoint(7, 0.0))
     with pytest.raises(InvalidPoint, match="offset 5.0 outside edge 0"):
-        point_vertex_distances(g, GraphPoint(0, 5.0))
+        g.distances_from(GraphPoint(0, 5.0))
 
 
 def test_point_on_vertex_detects_endpoints_only():
     g = tri_graph()
     assert g.point_on_vertex(g.vertex_point(2)) == 2
     assert g.point_on_vertex(GraphPoint(0, 0.5)) is None
+
+
+def test_a_graph_is_freed_without_the_cycle_collector():
+    # the skeleton holds no reference back to its graph, so dropping the
+    # last instance frees the graph and its cached matrices at once
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in range(5):
+            inst = draw_case(seed)
+            inst.graph.skeleton
+            ref = weakref.ref(inst.graph)
+            del inst
+            assert ref() is None, seed
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from ucactus.optimizer import (
     solve,
 )
 from ucactus.oracle import oracle_solve
+from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
@@ -202,12 +203,11 @@ def test_assignments_describe_the_lifted_witnesses():
 
 
 def test_solve_never_builds_the_original_distance_matrix():
-    seen = 0
-    for seed in range(20):
-        inst = draw_case(seed, edge_locations=True)
-        if inst.is_vertex_constrained:
-            continue  # reduction could be the identity
+    kinds = set()
+    for seed in range(40):
+        inst = draw_case(seed, edge_locations=seed % 2 == 0)
         g = inst.graph
+        kinds.add((inst.is_vertex_constrained, reduce_instance(inst).identity))
         assert "vertex_distances" not in g.__dict__
         sol = solve(inst)
         assert "vertex_distances" not in g.__dict__
@@ -224,8 +224,8 @@ def test_solve_never_builds_the_original_distance_matrix():
         for name, call in calls.items():
             call()
             assert "vertex_distances" not in g.__dict__, name
-        seen += 1
-    assert seen >= 10
+    # interior locations, and vertex-only ones with and without a reduction
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_two_centers_never_beat_one_center():

@@ -10,6 +10,8 @@ import pytest
 from conftest import draw_case, square_instance, tri_graph, tri_instance
 from ucactus.errors import ValidationError
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
+from ucactus.plf import cycle_profiles
+from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
@@ -134,12 +136,10 @@ def _matrix_distance(g, p, q):
 
 
 def test_interior_expected_distances_match_the_matrix_formula():
-    seen = 0
+    kinds = set()
     for seed in range(30):
         inst = draw_case(seed, edge_locations=True)
-        if inst.is_vertex_constrained:
-            continue
-        seen += 1
+        kinds.add(inst.is_vertex_constrained)
         g = inst.graph
         queries = [g.vertex_point(v) for v in range(g.vertex_count)]
         queries += [GraphPoint(e.id, 0.37 * e.length) for e in g.edges]
@@ -160,7 +160,42 @@ def test_interior_expected_distances_match_the_matrix_formula():
                 tol = 1e-9 * max(1.0, want)
                 assert abs(vec[k] - want) <= tol, (seed, q, k)
                 assert abs(expected_distance(inst, k, q) - want) <= tol, (seed, q, k)
-    assert seen >= 15
+    assert kinds == {False, True}
+
+
+def _support_cases():
+    """Vertex-constrained instances: plain draws, the reductions of draws
+    with edge-interior locations (whose zero-probability padding leaves
+    vertices without mass), and a single vertex."""
+    cases = [draw_case(seed) for seed in range(30)]
+    cases += [
+        reduce_instance(draw_case(seed, edge_locations=True)).reduced
+        for seed in range(30)
+    ]
+    solo = build_instance(
+        validate_cactus(["solo"], []), [UncertainPoint("P", 1.0, (Location(0, 1.0),))]
+    )
+    return cases + [solo]
+
+
+def test_support_rows_match_the_reference_matrix():
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    smaller = 0
+    for inst in _support_cases():
+        g = inst.graph
+        dist, mass = g.vertex_distances, inst.vertex_mass
+        smaller += len(inst.support) < g.vertex_count
+        assert close(inst.ed_at_vertices, dist @ mass)
+        for cyc in g.cycles.cycles:
+            for k, prof in enumerate(cycle_profiles(inst, cyc.id)):
+                for x, y in zip(prof.xs, prof.ys):
+                    p = cyc.coord_point(g, x)
+                    e = g.edges[p.edge]
+                    d = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
+                    assert close(y, d @ mass[:, k])
+    assert smaller >= 10
 
 
 def test_objective_takes_the_better_center_per_point():
