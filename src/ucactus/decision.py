@@ -19,7 +19,6 @@ import numpy as np
 from ucactus.errors import InternalInvariantError, ValidationError
 from ucactus.graph import GraphPoint, SkeletonTree, descend
 from ucactus.plf import (
-    Profile,
     coverage_set,
     cycle_profiles,
     intersect_families,
@@ -30,7 +29,6 @@ from ucactus.uncertain import (
     ComponentSums,
     Instance,
     component_sums,
-    expected_distances,
     group_eccentricity,
 )
 
@@ -237,11 +235,8 @@ def coverage_witness(
         floor = _cycle_floor(inst, cyc.id)
         if np.any(inst.weights[idx] * floor[idx] > lam + tol):
             continue
-        profiles = cycle_profiles(inst, cyc.id)
-        fams = [
-            coverage_set(profiles[k], inst.weights[k], lam, inst.eps)
-            for k in idx
-        ]
+        xs, ys = cycle_profiles(inst, cyc.id)
+        fams = coverage_set(xs, ys[:, idx], w, lam, inst.eps)
         common = intersect_families(fams)
         if common:
             return cyc.coord_point(g, common[0][0])
@@ -252,7 +247,7 @@ def _cycle_floor(inst: Instance, cycle_id: int) -> np.ndarray:
     """Per-point minimum of the unweighted profile around one cycle."""
     return inst.memo(
         ("cycle_floor", cycle_id),
-        lambda: np.array([p.ys.min() for p in cycle_profiles(inst, cycle_id)]),
+        lambda: cycle_profiles(inst, cycle_id)[1].min(axis=0),
     )
 
 
@@ -337,11 +332,8 @@ def _side_mass(inst: Instance, edge: int) -> np.ndarray:
 def _cycle_arcs(
     inst: Instance, cycle_id: int, lam: float
 ) -> list[list[tuple[float, float]]]:
-    profiles = cycle_profiles(inst, cycle_id)
-    return [
-        coverage_set(profiles[k], inst.weights[k], lam, inst.eps)
-        for k in range(inst.n)
-    ]
+    xs, ys = cycle_profiles(inst, cycle_id)
+    return coverage_set(xs, ys, inst.weights, lam, inst.eps)
 
 
 def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
@@ -360,9 +352,7 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
                     cyc.coord_point(inst.graph, hit[1]),
                 ),
             )
-    profiles = cycle_profiles(inst, cyc.id)
-    ys = np.column_stack([p.ys for p in profiles])
-    xs = profiles[0].xs
+    xs, ys = cycle_profiles(inst, cyc.id)
     tol = _tol(inst, lam)
     cands = sorted({0.0} | {end for fam in arcs for ab in fam for end in ab})
     seen_masks: set[frozenset[int]] = set()
@@ -455,13 +445,14 @@ def decide_on_two_cycles(
             continue
         xs_cand.extend(_closest_in_region(region, h1_coord, cyc1.perimeter))
 
+    xs1, ys1 = cycle_profiles(inst, cyc1.id)
     seen: set[float] = set()
     for x in xs_cand:
         if x in seen:
             continue
         seen.add(x)
         p1 = cyc1.coord_point(g, x)
-        vals = inst.weights * expected_distances(inst, p1)
+        vals = inst.weights * _interp_rows(xs1, ys1, x)
         # double slack, as in the cycle terminal: x lies on an arc boundary
         rest = np.flatnonzero(vals > lam + 2.0 * tol)
         if rest.size == 0:
@@ -558,9 +549,8 @@ def one_center(
             best = (float(env[i]), GraphPoint(e.id, float(ts[i])))
 
     for cyc in g.cycles.cycles:
-        profiles = cycle_profiles(inst, cyc.id)
-        xs = profiles[0].xs
-        ys = np.column_stack([p.ys for p in profiles]) * mult
+        xs, ys = cycle_profiles(inst, cyc.id)
+        ys = ys * mult
         for i in range(len(xs) - 1):
             if xs[i + 1] <= xs[i]:
                 continue

@@ -298,8 +298,7 @@ def _base_values(inst: Instance) -> list[float]:
     vals.extend((inst.weights * median_values(inst)).tolist())
     vals.extend((inst.ed_at_vertices * inst.weights).ravel().tolist())
     for cyc in inst.graph.cycles.cycles:
-        profiles = cycle_profiles(inst, cyc.id)
-        ys = np.column_stack([p.ys for p in profiles]) * inst.weights
+        ys = cycle_profiles(inst, cyc.id)[1] * inst.weights
         vals.extend(ys.ravel().tolist())
     return vals
 
@@ -314,8 +313,7 @@ def _region_values(inst: Instance, region: Region) -> list[float]:
         y1 = inst.weights * inst.ed_at_vertices[e.v]
         return _crossings(y0, y1)
     if kind == "cycle":
-        profiles = cycle_profiles(inst, ref)
-        ys = np.column_stack([p.ys for p in profiles]) * inst.weights
+        ys = cycle_profiles(inst, ref)[1] * inst.weights
         out: list[float] = []
         for i in range(ys.shape[0] - 1):
             out.extend(_crossings(ys[i], ys[i + 1]))

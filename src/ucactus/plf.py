@@ -1,4 +1,10 @@
-"""Expected-distance profiles along edges and cycles, and interval stabbing.
+"""Expected-distance profiles around cycles, their coverage intervals, and
+interval stabbing.
+
+A cycle's profiles are one matrix: every point's expected distance sampled
+at the cycle's shared breakpoints.  A probe turns that matrix into every
+point's coverage intervals at a radius in one array pass, with no loop over
+points or pieces.
 
 The stabbing kernels sweep sorted endpoint events: ``side`` 0 opens an
 interval, 1 closes it, ``owner`` is the family.  Events are sorted by
@@ -7,12 +13,10 @@ position with opens before closes at equal positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ucactus.errors import ValidationError
 from ucactus.uncertain import Instance
 
 # There is one kernel, in pure Python; the benchmark's env line still reads
@@ -22,38 +26,17 @@ HAVE_COMPILED_KERNEL = False
 Interval = tuple[float, float]
 
 
-@dataclass(slots=True)
-class Profile:
-    """Piecewise-linear samples of one point's expected distance along an
-    edge (``cyclic`` False, domain [0, length]) or around a cycle's arc
-    coordinate (``cyclic`` True, wrapping at the perimeter)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    cyclic: bool
-
-    @property
-    def length(self) -> float:
-        return float(self.xs[-1])
-
-    def value(self, x: float) -> float:
-        if self.cyclic:
-            x %= self.length
-        return float(np.interp(x, self.xs, self.ys))
-
-    def pieces(self) -> zip:
-        return zip(self.xs[:-1], self.ys[:-1], self.xs[1:], self.ys[1:])
-
-
-def cycle_profiles(inst: Instance, cycle_id: int) -> list[Profile]:
-    """Profiles of every point around one cycle, breakpoint-exact; built once
-    per cycle and instance."""
+def cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's profile around one cycle, breakpoint-exact, as ``(xs,
+    ys)``: column ``k`` of the (breakpoints × n) matrix ``ys`` samples point
+    ``k`` at the arc coordinates ``xs``, which run from 0 to the perimeter.
+    Built once per cycle and instance; both arrays are read-only."""
     return inst.memo(
         ("cycle_profiles", cycle_id), lambda: _cycle_profiles(inst, cycle_id)
     )
 
 
-def _cycle_profiles(inst: Instance, cycle_id: int) -> list[Profile]:
+def _cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarray]:
     # every location enters the cycle through a unique ring vertex, its gate,
     # so each point's profile is a constant plus a ring-distance mixture
     cyc = inst.graph.cycles.cycles[cycle_id]
@@ -70,48 +53,56 @@ def _cycle_profiles(inst: Instance, cycle_id: int) -> list[Profile]:
     xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
     gaps = np.abs(xs[:, None] - coords[None, :])
     ys = np.minimum(gaps, per - gaps) @ source + const
-    return [Profile(xs, ys[:, k], cyclic=True) for k in range(inst.n)]
-
-
-def edge_profile(inst: Instance, k: int, edge: int) -> Profile:
-    """Profile along an out-of-cycle edge; affine, so two samples suffice."""
-    e = inst.graph.edges[edge]
-    if inst.graph.cycles.edge_cycle[edge] is not None:
-        raise ValidationError(f"edge {edge} lies on a cycle")
-    ys = np.array([inst.ed_at_vertices[e.u, k], inst.ed_at_vertices[e.v, k]])
-    return Profile(np.array([0.0, e.length]), ys, cyclic=False)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return xs, ys
 
 
 def coverage_set(
-    profile: Profile, weight: float, lam: float, eps: float
-) -> list[Interval]:
-    """Closed intervals where the weighted profile stays within ``lam``.
+    xs: np.ndarray, ys: np.ndarray, weights: np.ndarray, lam: float, eps: float
+) -> list[list[Interval]]:
+    """Per column of ``ys``, the closed intervals of ``xs`` where the
+    weighted profile stays within ``lam``.
 
-    On cyclic profiles the result is reported in [0, perimeter] without
-    joining across the wrap point; a region through the wrap appears as a
-    leading and a trailing interval.
+    ``ys`` holds one profile per column sampled at ``xs``, ``weights`` one
+    weight per column.  Each column's intervals are its pieces' sublevel
+    parts merged in order.  On a cycle the result is reported in
+    [0, perimeter] without joining across the wrap point; a region through
+    the wrap appears as a leading and a trailing interval.
     """
     slack = lam + eps * max(1.0, abs(lam))
-    if weight == 0.0:
-        # weightless points cost nothing anywhere
-        return [(0.0, float(profile.xs[-1]))] if slack >= 0.0 else []
-    thr = slack / weight
-    out: list[Interval] = []
-    for x0, y0, x1, y1 in profile.pieces():
-        if x1 <= x0:
-            continue
-        if y0 <= thr and y1 <= thr:
-            seg = (x0, x1)
-        elif y0 <= thr < y1:
-            seg = (x0, x0 + (thr - y0) * (x1 - x0) / (y1 - y0))
-        elif y1 <= thr < y0:
-            seg = (x0 + (thr - y0) * (x1 - x0) / (y1 - y0), x1)
-        else:
-            continue
-        if out and out[-1][1] >= seg[0]:
-            out[-1] = (out[-1][0], max(out[-1][1], seg[1]))
-        else:
-            out.append(seg)
+    free = weights == 0.0  # weightless points cost nothing anywhere
+    thr = slack / np.where(free, 1.0, weights)
+    x0, x1 = xs[:-1, None], xs[1:, None]
+    y0, y1 = ys[:-1], ys[1:]
+    lo_in, hi_in = y0 <= thr, y1 <= thr
+    up = lo_in & (thr < y1)  # leaves the sublevel set inside the piece
+    down = hi_in & (thr < y0)  # enters it inside the piece
+    both = lo_in & hi_in
+    with np.errstate(all="ignore"):  # cells off a crossing are discarded
+        cut = x0 + (thr - y0) * (x1 - x0) / (y1 - y0)
+    a = np.where(both | up, x0, cut)
+    b = np.where(both | down, x1, cut)
+    keep = (both | up | down) & (x1 > x0) & ~free
+
+    # A piece joins the running interval when it starts at or before the
+    # running interval's end.  Cuts land at most an ulp past their piece, and
+    # a piece that short has no cut past its own end, so the column's running
+    # maximum of the ends is always the running interval's end.
+    ends = np.maximum.accumulate(np.where(keep, b, -np.inf), axis=0)
+    before = np.vstack([np.full((1, ys.shape[1]), -np.inf), ends[:-1]])
+    opens = keep & (a > before)
+    col, piece = np.nonzero(keep.T)  # column by column, pieces in order
+    first = np.flatnonzero(opens.T[col, piece])
+    last = np.append(first[1:], col.size) - 1 if first.size else first
+    lo = a.T[col[first], piece[first]]
+    hi = ends.T[col[last], piece[last]]
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    stops = np.cumsum(np.bincount(col[first], minlength=ys.shape[1])).tolist()
+    out = [pairs[i:j] for i, j in zip([0] + stops[:-1], stops)]
+    whole = [(0.0, float(xs[-1]))] if slack >= 0.0 else []
+    for k in np.flatnonzero(free).tolist():
+        out[k] = list(whole)
     return out
 
 

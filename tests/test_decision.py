@@ -15,6 +15,8 @@ from ucactus.decision import (
     DESCEND,
     DESCEND_TWO,
     FEASIBLE_SINGLE,
+    _cycle_arcs,
+    _interp_rows,
     coverage_witness,
     decide,
     decide_on_cycle,
@@ -32,6 +34,8 @@ from ucactus.oracle import (
     oracle_one_center,
     oracle_solve,
 )
+from ucactus.plf import cycle_profiles
+from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
@@ -123,6 +127,29 @@ def test_two_cycle_terminal_reaches_both_far_corners():
     assert v.feasible
     c1, c2 = v.centers
     assert objective(inst, c1, c2) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_cycle_matrix_rows_price_positions_like_expected_distances():
+    # the cycle terminals price an on-cycle center by reading the cycle's
+    # profile matrix at arc ends, in place of measuring from the position
+    cycles = 0
+    for seed in range(40):
+        inst = draw_case(seed, edge_locations=seed % 2 == 1)
+        if not inst.is_vertex_constrained:
+            inst = reduce_instance(inst).reduced
+        g = inst.graph
+        rng = random.Random(seed)
+        for cyc in g.cycles.cycles:
+            cycles += 1
+            xs, ys = cycle_profiles(inst, cyc.id)
+            lam = rng.uniform(0.0, float((ys * inst.weights).max()))
+            arcs = _cycle_arcs(inst, cyc.id, lam)
+            ends = [x for fam in arcs for ab in fam for x in ab]
+            for x in [*xs.tolist(), *ends, rng.uniform(0.0, cyc.perimeter)]:
+                want = expected_distances(inst, cyc.coord_point(g, x))
+                err = np.abs(_interp_rows(xs, ys, x) - want)
+                assert np.all(err <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert cycles >= 30
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_case, square_instance, tri_instance
-from ucactus.errors import ValidationError
-from ucactus.graph import GraphPoint, validate_cactus
+from ucactus.graph import validate_cactus
 from ucactus.plf import (
     coverage_set,
     cycle_profiles,
-    edge_profile,
     intersect_families,
     stab_one,
     stab_two,
@@ -22,48 +22,15 @@ from ucactus.uncertain import Location, UncertainPoint, build_instance, expected
 
 
 # ---------------------------------------------------------------------------
-# edge profiles
-
-
-def test_edge_profile_on_pendant_edge():
-    inst = tri_instance()
-    prof = edge_profile(inst, 1, 3)
-    assert list(prof.xs) == [0.0, 2.0]
-    assert list(prof.ys) == [2.0, 0.0]
-    assert not prof.cyclic
-
-
-def test_edge_profile_rejects_cycle_edges():
-    inst = tri_instance()
-    with pytest.raises(ValidationError, match="lies on a cycle"):
-        edge_profile(inst, 0, 0)
-
-
-def test_edge_profile_interpolates_expected_distance():
-    for seed in range(10):
-        inst = draw_case(seed)
-        g = inst.graph
-        rng = random.Random(seed)
-        bridges = [e for e in g.edges if g.cycles.edge_cycle[e.id] is None]
-        for e in rng.choices(bridges, k=2) if bridges else []:
-            k = rng.randrange(inst.n)
-            prof = edge_profile(inst, k, e.id)
-            for _ in range(5):
-                t = rng.uniform(0.0, e.length)
-                want = expected_distance(inst, k, GraphPoint(e.id, t))
-                assert np.interp(t, prof.xs, prof.ys) == pytest.approx(want, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # cycle profiles
 
 
 def test_cycle_profile_of_a_corner_point_is_a_tent():
     sq = square_instance()
-    prof = cycle_profiles(sq, 0)[0]
-    assert list(prof.xs) == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert list(prof.ys) == [0.0, 1.0, 2.0, 1.0, 0.0]
-    assert prof.cyclic
+    xs, ys = cycle_profiles(sq, 0)
+    assert list(xs) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert list(ys[:, 0]) == [0.0, 1.0, 2.0, 1.0, 0.0]
+    assert ys.shape == (5, sq.n)
 
 
 def test_cycle_profile_of_antipodal_mass_is_flat():
@@ -71,8 +38,8 @@ def test_cycle_profile_of_antipodal_mass_is_flat():
     inst = build_instance(
         g, [UncertainPoint("P", 1.0, (Location(0, 0.5), Location(2, 0.5)))]
     )
-    prof = cycle_profiles(inst, 0)[0]
-    assert np.allclose(prof.ys, 1.0)
+    _, ys = cycle_profiles(inst, 0)
+    assert np.allclose(ys[:, 0], 1.0)
 
 
 def test_cycle_profile_shifts_by_pendant_offset():
@@ -89,8 +56,8 @@ def test_cycle_profile_shifts_by_pendant_offset():
         ],
     )
     inst = build_instance(g, [UncertainPoint("P", 1.0, (Location(4, 1.0),))])
-    prof = cycle_profiles(inst, 0)[0]
-    assert list(prof.ys) == [2.0, 3.0, 4.0, 3.0, 2.0]
+    _, ys = cycle_profiles(inst, 0)
+    assert list(ys[:, 0]) == [2.0, 3.0, 4.0, 3.0, 2.0]
 
 
 def test_cycle_profiles_sample_to_expected_distances():
@@ -99,40 +66,133 @@ def test_cycle_profiles_sample_to_expected_distances():
         g = inst.graph
         rng = random.Random(seed)
         for cyc in g.cycles.cycles:
-            profs = cycle_profiles(inst, cyc.id)
+            xs, ys = cycle_profiles(inst, cyc.id)
             k = rng.randrange(inst.n)
-            prof = profs[k]
-            assert prof.xs[0] == 0.0
-            assert prof.xs[-1] == pytest.approx(cyc.perimeter)
-            assert prof.ys[0] == pytest.approx(prof.ys[-1], abs=1e-9)
-            assert np.all(np.diff(prof.xs) >= 0.0)
+            assert xs[0] == 0.0
+            assert xs[-1] == pytest.approx(cyc.perimeter)
+            assert ys[0, k] == pytest.approx(ys[-1, k], abs=1e-9)
+            assert np.all(np.diff(xs) >= 0.0)
             for _ in range(5):
                 x = rng.uniform(0.0, cyc.perimeter)
                 want = expected_distance(inst, k, cyc.coord_point(g, x))
-                assert np.interp(x, prof.xs, prof.ys) == pytest.approx(
-                    want, abs=1e-9
-                )
+                assert np.interp(x, xs, ys[:, k]) == pytest.approx(want, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # sublevel sets
 
 
+def _reference_coverage_set(xs, ys, weight, lam, eps):
+    """One column's coverage intervals by a loop over its pieces; the array
+    kernel must reproduce it exactly."""
+    slack = lam + eps * max(1.0, abs(lam))
+    if weight == 0.0:
+        return [(0.0, float(xs[-1]))] if slack >= 0.0 else []
+    thr = slack / weight
+    out = []
+    for x0, y0, x1, y1 in zip(xs[:-1], ys[:-1], xs[1:], ys[1:]):
+        if x1 <= x0:
+            continue
+        if y0 <= thr and y1 <= thr:
+            seg = (x0, x1)
+        elif y0 <= thr < y1:
+            seg = (x0, x0 + (thr - y0) * (x1 - x0) / (y1 - y0))
+        elif y1 <= thr < y0:
+            seg = (x0 + (thr - y0) * (x1 - x0) / (y1 - y0), x1)
+        else:
+            continue
+        if out and out[-1][1] >= seg[0]:
+            out[-1] = (out[-1][0], max(out[-1][1], seg[1]))
+        else:
+            out.append(seg)
+    return out
+
+
+def _reference_columns(xs, ys, weights, lam, eps):
+    return [
+        _reference_coverage_set(xs, ys[:, k], weights[k], lam, eps)
+        for k in range(ys.shape[1])
+    ]
+
+
+_GRID = st.integers(0, 16).map(lambda i: i / 4.0)
+
+
+@st.composite
+def _profile_matrices(draw):
+    b = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 5))
+    xs = draw(st.lists(_GRID, min_size=b, max_size=b))
+    # some breakpoints move one ulp up, leaving ulp-wide pieces behind them
+    nudge = draw(st.lists(st.booleans(), min_size=b, max_size=b))
+    xs = np.sort([np.nextafter(x, np.inf) if up else x for x, up in zip(xs, nudge)])
+    value = st.one_of(_GRID, st.floats(0.0, 4.0))
+    ys = np.array(
+        draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=b, max_size=b))
+    )
+    weight = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 4.0))
+    weights = np.array(draw(st.lists(weight, min_size=m, max_size=m)))
+    # radii at a breakpoint value, weighted or not, put cuts on the threshold
+    at_breakpoint = st.sampled_from(np.concatenate([ys, ys * weights]).ravel().tolist())
+    lam = draw(st.one_of(at_breakpoint, st.sampled_from([-1.0, 0.0]), st.floats(-2, 16)))
+    eps = draw(st.sampled_from([0.0, 1e-9]))
+    return xs, ys, weights, lam, eps
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_profile_matrices())
+def test_coverage_set_equals_the_piece_loop(case):
+    xs, ys, weights, lam, eps = case
+    assert coverage_set(xs, ys, weights, lam, eps) == _reference_columns(
+        xs, ys, weights, lam, eps
+    )
+
+
+def test_coverage_set_equals_the_piece_loop_on_cycles():
+    cycles = 0
+    for seed in range(40):
+        inst = draw_case(seed)
+        rng = random.Random(seed)
+        for cyc in inst.graph.cycles.cycles:
+            cycles += 1
+            xs, ys = cycle_profiles(inst, cyc.id)
+            w = inst.weights
+            cols = np.array(sorted(rng.sample(range(inst.n), rng.randint(1, inst.n))))
+            top = float((ys * w).max())
+            lams = [-1.0, 0.0, rng.uniform(0.0, top), rng.uniform(0.0, top), top]
+            lams.append(float(ys[rng.randrange(len(xs)), cols[0]] * w[cols[0]]))
+            for lam in lams:
+                want = _reference_columns(xs, ys, w, lam, inst.eps)
+                assert coverage_set(xs, ys, w, lam, inst.eps) == want
+                assert coverage_set(xs, ys[:, cols], w[cols], lam, inst.eps) == [
+                    want[k] for k in cols
+                ]
+    assert cycles >= 30
+
+
+def _pendant_profile(inst):
+    """Point 1's profile along the pendant edge c-d of the triangle instance."""
+    e = inst.graph.edges[3]
+    return np.array([0.0, e.length]), inst.ed_at_vertices[[e.u, e.v]][:, [1]]
+
+
 def test_coverage_set_clips_the_profile_at_the_radius():
     inst = tri_instance()
-    prof = edge_profile(inst, 1, 3)
-    (lo, hi), = coverage_set(prof, 1.0, 1.0, inst.eps)
+    xs, ys = _pendant_profile(inst)
+    w = np.array([1.0])
+    ((lo, hi),), = coverage_set(xs, ys, w, 1.0, inst.eps)
     assert lo == pytest.approx(1.0, abs=1e-8)
     assert hi == 2.0
-    assert coverage_set(prof, 1.0, 2.5, inst.eps) == [(0.0, 2.0)]
-    assert coverage_set(prof, 1.0, -0.5, inst.eps) == []
+    assert coverage_set(xs, ys, w, 2.5, inst.eps) == [[(0.0, 2.0)]]
+    assert coverage_set(xs, ys, w, -0.5, inst.eps) == [[]]
 
 
 def test_coverage_set_of_weightless_point_is_everything_or_nothing():
     inst = tri_instance()
-    prof = edge_profile(inst, 1, 3)
-    assert coverage_set(prof, 0.0, 0.0, inst.eps) == [(0.0, 2.0)]
-    assert coverage_set(prof, 0.0, -1.0, inst.eps) == []
+    xs, ys = _pendant_profile(inst)
+    w = np.array([0.0])
+    assert coverage_set(xs, ys, w, 0.0, inst.eps) == [[(0.0, 2.0)]]
+    assert coverage_set(xs, ys, w, -1.0, inst.eps) == [[]]
 
 
 def test_coverage_set_membership_matches_the_profile():
@@ -144,20 +204,21 @@ def test_coverage_set_membership_matches_the_profile():
             continue
         cyc = rng.choice(g.cycles.cycles)
         k = rng.randrange(inst.n)
-        prof = cycle_profiles(inst, cyc.id)[k]
+        xs, ys = cycle_profiles(inst, cyc.id)
+        prof = ys[:, k]
         w = float(inst.weights[k])
-        lam = rng.uniform(0.0, w * float(prof.ys.max()) + 0.5)
-        ivals = coverage_set(prof, w, lam, inst.eps)
+        lam = rng.uniform(0.0, w * float(prof.max()) + 0.5)
+        ivals = coverage_set(xs, ys, inst.weights, lam, inst.eps)[k]
         for a, b in ivals:
             assert a <= b
             for x in (a, (a + b) / 2.0, b):
-                assert w * np.interp(x, prof.xs, prof.ys) <= lam + 1e-6
+                assert w * np.interp(x, xs, prof) <= lam + 1e-6
         # positions well outside every interval must sit above the radius
         for _ in range(10):
             x = rng.uniform(0.0, cyc.perimeter)
             if any(a - 1e-6 <= x <= b + 1e-6 for a, b in ivals):
                 continue
-            assert w * np.interp(x, prof.xs, prof.ys) > lam
+            assert w * np.interp(x, xs, prof) > lam
 
 
 # ---------------------------------------------------------------------------

@@ -189,18 +189,42 @@ def test_support_rows_match_the_reference_matrix():
         smaller += len(inst.support) < g.vertex_count
         assert close(inst.ed_at_vertices, dist @ mass)
         for cyc in g.cycles.cycles:
-            for k, prof in enumerate(cycle_profiles(inst, cyc.id)):
-                for x, y in zip(prof.xs, prof.ys):
-                    p = cyc.coord_point(g, x)
-                    e = g.edges[p.edge]
-                    d = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
-                    assert close(y, d @ mass[:, k])
+            xs, ys = cycle_profiles(inst, cyc.id)
+            for x, row in zip(xs, ys):
+                p = cyc.coord_point(g, x)
+                e = g.edges[p.edge]
+                d = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
+                assert close(row, d @ mass)
     assert smaller >= 10
 
 
 def test_objective_takes_the_better_center_per_point():
     inst = tri_instance()
     assert objective(inst, GraphPoint(0, 0.0), GraphPoint(3, 2.0)) == pytest.approx(0.5)
+
+
+def test_ed_at_vertices_on_pendant_edge():
+    inst = tri_instance()
+    e = inst.graph.edges[3]
+    assert list(inst.ed_at_vertices[[e.u, e.v], 1]) == [2.0, 0.0]
+
+
+def test_ed_at_vertices_interpolate_expected_distance_along_bridges():
+    # expected distance is affine along an out-of-cycle edge, so the two
+    # endpoint rows give it everywhere on the edge
+    for seed in range(10):
+        inst = draw_case(seed)
+        g = inst.graph
+        rng = random.Random(seed)
+        bridges = [e for e in g.edges if g.cycles.edge_cycle[e.id] is None]
+        for e in rng.choices(bridges, k=2) if bridges else []:
+            k = rng.randrange(inst.n)
+            ends = inst.ed_at_vertices[[e.u, e.v], k]
+            for _ in range(5):
+                t = rng.uniform(0.0, e.length)
+                want = expected_distance(inst, k, GraphPoint(e.id, t))
+                got = np.interp(t, [0.0, e.length], ends)
+                assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_expected_distance_is_affine_along_bridge_edges():
