@@ -20,6 +20,7 @@ from ucactus.errors import InternalInvariantError, ValidationError
 from ucactus.graph import GraphPoint, SkeletonTree, descend
 from ucactus.plf import (
     coverage_set,
+    crossings,
     cycle_profiles,
     intersect_families,
     stab_one,
@@ -28,6 +29,7 @@ from ucactus.plf import (
 from ucactus.uncertain import (
     ComponentSums,
     Instance,
+    component_mass,
     component_sums,
     group_eccentricity,
 )
@@ -281,7 +283,9 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
         raise InternalInvariantError("edge terminal on a cycle edge")
     tol = _tol(inst, lam)
     peps = inst.eps
-    side_u = _side_mass(inst, edge)
+    tree = g.skeleton
+    # mass on the u side once the edge is cut
+    side_u = component_mass(inst, tree.node_of_vertex[e.v], tree.node_of_vertex[e.u])
 
     y0 = inst.weights * inst.ed_at_vertices[e.u]
     y1 = inst.weights * inst.ed_at_vertices[e.v]
@@ -311,22 +315,6 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
         if other is not None:
             return Verdict(True, (GraphPoint(edge, t), other))
     return Verdict(False)
-
-
-def _side_mass(inst: Instance, edge: int) -> np.ndarray:
-    """Mass per point on the ``u`` side once the out-of-cycle edge is cut."""
-    g = inst.graph
-    e = g.edges[edge]
-    seen = np.zeros(g.vertex_count, dtype=bool)
-    seen[e.u] = True
-    stack = [e.u]
-    while stack:
-        x = stack.pop()
-        for eid, w in g.adj[x]:
-            if eid != edge and not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return seen @ inst.vertex_mass
 
 
 def _cycle_arcs(
@@ -401,10 +389,10 @@ def decide_on_two_cycles(
     cyc2 = g.cycles.cycles[tree.nodes[node2].ref]
     tol = _tol(inst, lam)
 
-    h1 = _gate_toward(tree, node1, node2)
-    h2 = _gate_toward(tree, node2, node1)
-    branch = tree.component_toward(h2, _first_step(tree, h2, node1))
-    toward1 = inst.node_mass[list(branch) + [h2]].sum(axis=0)
+    # a cycle node's neighbours are its hinges
+    h1 = tree.step_toward(node1, node2)
+    h2 = tree.step_toward(node2, node1)
+    toward1 = component_mass(inst, h2, node1) + inst.node_mass[h2]
     far = toward1 >= 0.5 - inst.eps  # majority mass beyond the second cycle
 
     arcs2 = _cycle_arcs(inst, cyc2.id, lam)
@@ -463,23 +451,6 @@ def decide_on_two_cycles(
         if q is not None:
             return Verdict(True, (p1, cyc2.coord_point(g, q)))
     return Verdict(False)
-
-
-def _gate_toward(tree: SkeletonTree, cycle_node: int, target: int) -> int:
-    for comp in tree.split_components(cycle_node):
-        if target in comp.nodes:
-            return comp.gate
-    raise InternalInvariantError("target not beyond any hinge of the cycle")
-
-
-def _first_step(tree: SkeletonTree, removed: int, target: int) -> int:
-    """Neighbour of ``removed`` on the side of ``target``."""
-    for link in tree.links[removed]:
-        if link.other == target:
-            return link.other
-        if target in tree.component_toward(removed, link.other):
-            return link.other
-    raise InternalInvariantError("no step from node toward target")
 
 
 def _arc_contains(
@@ -571,11 +542,7 @@ def one_center(
 def _envelope_candidates(y0: np.ndarray, y1: np.ndarray, length: float) -> np.ndarray:
     """Offsets where the upper envelope of the affine bundle can attain its
     minimum: segment ends plus every pairwise crossing."""
-    d0 = y0[:, None] - y0[None, :]
-    d1 = y1[:, None] - y1[None, :]
-    crossing = (d0 * d1 < 0) & np.triu(np.ones_like(d0, dtype=bool), 1)
-    fr = d0[crossing] / (d0[crossing] - d1[crossing])
-    return np.concatenate([[0.0, length], fr * length])
+    return np.concatenate([[0.0, length], crossings(y0, y1)[0] * length])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Vertices are dense integers internally; external names live in
 ``CactusGraph.names``.  A point on the network is a ``GraphPoint``: an edge id
 plus an offset from the edge's ``u`` endpoint.
+
+The skeleton tree is rooted once, when it is built; every component query
+(what one removed node cuts off, which way a target lies, a centroid) reads
+its preorder, since each such component is a preorder slice or its
+complement.
 """
 
 from __future__ import annotations
@@ -208,15 +213,8 @@ class Cycle:
             self._vpos.update(zip(self.vertices, self.pos))
         return self._vpos[v]
 
-    def point_coord(self, graph: CactusGraph, p: GraphPoint) -> float:
-        """Arc coordinate of a point lying on one of this cycle's edges."""
-        i = self.edges.index(p.edge)
-        length = graph.edges[p.edge].length
-        off = p.t if self.forward[i] else length - p.t
-        return (self.pos[i] + off) % self.perimeter
-
     def coord_point(self, graph: CactusGraph, x: float) -> GraphPoint:
-        """Inverse of :meth:`point_coord`; ``x`` taken modulo the perimeter."""
+        """The point at arc coordinate ``x``, taken modulo the perimeter."""
         x %= self.perimeter
         c = len(self.vertices)
         for i in range(c):
@@ -227,10 +225,6 @@ class Cycle:
                 t = off if self.forward[i] else length - off
                 return GraphPoint(self.edges[i], min(max(t, 0.0), length))
         raise AssertionError("coordinate outside ring")
-
-    def ring_distance(self, x: float, y: float) -> float:
-        d = abs(x - y)
-        return min(d, self.perimeter - d)
 
 
 @dataclass(slots=True)
@@ -348,6 +342,12 @@ class SkeletonTree:
     Cycle-interior vertices (degree 2, on a cycle) collapse into their cycle's
     node; hinges stay separate nodes joined to the cycle node by a zero-length
     link, so every graph vertex is held by exactly one node.
+
+    The tree is rooted once, at node 0, when it is built.  ``order`` is the
+    preorder, ``parent[x]`` is -1 for the root, and the subtree of ``x`` is
+    the slice ``order[start[x]:stop[x]]``.  Deleting one node leaves its
+    children's subtrees and the rest of the tree, so every component query is
+    a preorder slice or its complement.
     """
 
     def __init__(
@@ -363,14 +363,26 @@ class SkeletonTree:
         self.node_of_vertex = node_of_vertex
         self.node_of_cycle = node_of_cycle
         self.node_vertices = node_vertices
-        self._splits: dict[int, list[SplitComponent]] = {}
+        self.parent = [-1] * len(nodes)
+        self.order: list[int] = []
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            self.order.append(x)
+            for link in reversed(links[x]):
+                if link.other != self.parent[x]:
+                    self.parent[link.other] = x
+                    stack.append(link.other)
+        self.start = [0] * len(nodes)
+        for i, x in enumerate(self.order):
+            self.start[x] = i
+        size = [1] * len(nodes)
+        for x in reversed(self.order[1:]):
+            size[self.parent[x]] += size[x]
+        self.stop = [self.start[x] + size[x] for x in range(len(nodes))]
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def home_vertex(self, node: int) -> int:
-        """A graph vertex inside the node, for distance anchoring."""
-        return self.node_vertices[node][0]
 
     def hinge_nodes(self, cycle_node: int) -> list[int]:
         return [
@@ -382,50 +394,36 @@ class SkeletonTree:
 
     def split_components(self, node: int) -> list[SplitComponent]:
         """Components of the tree after removing ``node`` (and, for cycle
-        nodes, its adjacent hinge nodes).  Cached; computed on the full tree.
-        """
-        if node not in self._splits:
-            self._splits[node] = self._compute_split(node)
-        return self._splits[node]
+        nodes, its adjacent hinge nodes), one per link leaving the removed
+        structure."""
+        if self.nodes[node].kind != "cycle":
+            return [SplitComponent(node, link.other) for link in self.links[node]]
+        # in a cactus no two hinges of one cycle are linked to each other
+        return [
+            SplitComponent(h, link.other)
+            for h in self.hinge_nodes(node)
+            for link in self.links[h]
+            if link.other != node
+        ]
 
-    def _compute_split(self, node: int) -> list[SplitComponent]:
-        removed = {node}
-        gates: list[tuple[int, int]] = []  # (gate node, first node of component)
-        if self.nodes[node].kind == "cycle":
-            hinges = self.hinge_nodes(node)
-            removed.update(hinges)
-            for h in hinges:
-                for link in self.links[h]:
-                    if link.other not in removed:
-                        gates.append((h, link.other))
-        else:
-            for link in self.links[node]:
-                gates.append((node, link.other))
-        comps = []
-        for gate, first in gates:
-            seen = {first}
-            stack = [first]
-            while stack:
-                x = stack.pop()
-                for link in self.links[x]:
-                    if link.other not in removed and link.other not in seen:
-                        seen.add(link.other)
-                        stack.append(link.other)
-            comps.append(SplitComponent(gate, first, frozenset(seen)))
-        return comps
+    def step_toward(self, removed: int, target: int) -> int:
+        """Neighbour of ``removed`` on the side of ``target``."""
+        at = self.start[target]
+        for link in self.links[removed]:
+            c = link.other
+            if c != self.parent[removed] and self.start[c] <= at < self.stop[c]:
+                return c
+        return self.parent[removed]
 
     def component_toward(self, removed: int, start: int) -> frozenset[int]:
         """Node set of the full-tree component of ``start`` once ``removed``
         (alone, regardless of kind) is deleted."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for link in self.links[x]:
-                if link.other != removed and link.other not in seen:
-                    seen.add(link.other)
-                    stack.append(link.other)
-        return frozenset(seen)
+        step = self.step_toward(removed, start)
+        if step != self.parent[removed]:
+            return frozenset(self.order[self.start[step] : self.stop[step]])
+        return frozenset(
+            self.order[: self.start[removed]] + self.order[self.stop[removed] :]
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -435,7 +433,6 @@ class SplitComponent:
 
     gate: int
     first: int
-    nodes: frozenset[int]
 
 
 def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
@@ -530,32 +527,16 @@ def centroid(tree: SkeletonTree, active: frozenset[int]) -> int:
     smallest node id.  ``active`` must induce a connected subtree."""
     if not active:
         raise ValidationError("centroid of an empty active set")
-    if len(active) == 1:
-        return next(iter(active))
-    root = min(active)
-    order = [root]
-    parent: dict[int, int] = {root: -1}
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for link in tree.links[x]:
-            if link.other in active and link.other != parent[x]:
-                parent[link.other] = x
-                order.append(link.other)
-    size = {x: 1 for x in order}
+    # in preorder, every active node but the first has an active parent
+    order = sorted(active, key=tree.start.__getitem__)
+    size = dict.fromkeys(order, 1)
+    heaviest_child = dict.fromkeys(order, 0)
     for x in reversed(order[1:]):
-        size[parent[x]] += size[x]
+        p = tree.parent[x]
+        size[p] += size[x]
+        heaviest_child[p] = max(heaviest_child[p], size[x])
     total = len(order)
-    best, best_load = -1, total + 1
-    for x in order:
-        load = total - size[x]
-        for link in tree.links[x]:
-            if link.other in active and parent.get(link.other) == x:
-                load = max(load, size[link.other])
-        if load < best_load or (load == best_load and x < best):
-            best, best_load = x, load
-    return best
+    return min(order, key=lambda x: (max(total - size[x], heaviest_child[x]), x))
 
 
 T = TypeVar("T")

@@ -17,7 +17,7 @@ import numpy as np
 from ucactus.decision import decide
 from ucactus.errors import InternalInvariantError
 from ucactus.graph import GraphPoint, descend
-from ucactus.plf import cycle_profiles
+from ucactus.plf import crossings, cycle_profiles
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Instance,
@@ -278,19 +278,6 @@ def _merge_close(vals: np.ndarray) -> np.ndarray:
     return vals[keep]
 
 
-def _crossings(y0: np.ndarray, y1: np.ndarray) -> list[float]:
-    n = len(y0)
-    out: list[float] = []
-    for i in range(n):
-        d0 = y0[i] - y0[i + 1 :]
-        d1 = y1[i] - y1[i + 1 :]
-        hit = d0 * d1 < 0
-        if np.any(hit):
-            fr = d0[hit] / (d0[hit] - d1[hit])
-            out.extend((y0[i] + (y1[i] - y0[i]) * fr).tolist())
-    return out
-
-
 def _base_values(inst: Instance) -> list[float]:
     """Values the optimum can take regardless of where the centers sit:
     median values, vertex values, and cycle breakpoint values."""
@@ -306,19 +293,16 @@ def _base_values(inst: Instance) -> list[float]:
 def _region_values(inst: Instance, region: Region) -> list[float]:
     """Crossing values attainable inside one region."""
     kind, ref = region
-    g = inst.graph
     if kind == "edge":
-        e = g.edges[ref]
+        e = inst.graph.edges[ref]
         y0 = inst.weights * inst.ed_at_vertices[e.u]
         y1 = inst.weights * inst.ed_at_vertices[e.v]
-        return _crossings(y0, y1)
-    if kind == "cycle":
+    elif kind == "cycle":
         ys = cycle_profiles(inst, ref)[1] * inst.weights
-        out: list[float] = []
-        for i in range(ys.shape[0] - 1):
-            out.extend(_crossings(ys[i], ys[i + 1]))
-        return out
-    return []
+        y0, y1 = ys[:-1], ys[1:]  # one segment per piece between breakpoints
+    else:
+        return []
+    return crossings(y0, y1)[1].tolist()
 
 
 def candidate_values(inst: Instance, c1: Region, c2: Region) -> np.ndarray:

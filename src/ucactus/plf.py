@@ -58,6 +58,23 @@ def _cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarr
     return xs, ys
 
 
+def crossings(y0: np.ndarray, y1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strict crossings of the segments running from ``y0[..., i]`` to
+    ``y1[..., i]``, over every pair ``i < j`` of the last axis.
+
+    Returns each crossing's fraction of the way along and the common value
+    there, as flat arrays in row-major order of (leading index, i, j).
+    """
+    i, j = np.triu_indices(y0.shape[-1], 1)
+    d0 = y0[..., i] - y0[..., j]
+    d1 = y1[..., i] - y1[..., j]
+    hit = d0 * d1 < 0
+    d0, d1 = d0[hit], d1[hit]
+    fr = d0 / (d0 - d1)
+    a = y0[..., i][hit]
+    return fr, a + (y1[..., i][hit] - a) * fr
+
+
 def coverage_set(
     xs: np.ndarray, ys: np.ndarray, weights: np.ndarray, lam: float, eps: float
 ) -> list[list[Interval]]:

@@ -106,6 +106,17 @@ class Instance:
                 mass[node] += self.vertex_mass[v]
         return mass
 
+    @cached_property
+    def subtree_mass(self) -> np.ndarray:
+        """Probability mass per (skeleton node, point) over the node's subtree
+        in the rooted skeleton."""
+        tree = self.graph.skeleton
+        mass = self.node_mass.copy()
+        for x in reversed(tree.order[1:]):
+            mass[tree.parent[x]] += mass[x]
+        mass.setflags(write=False)  # component_mass hands out its rows
+        return mass
+
 
 def instance_eps(explicit: float | None) -> float:
     """The comparison tolerance: ``explicit`` if given, else ``UCACTUS_EPS``,
@@ -207,6 +218,16 @@ class ComponentSums:
     at_node: np.ndarray  # (n,)
 
 
+def component_mass(inst: Instance, removed: int, start: int) -> np.ndarray:
+    """Mass per point in the skeleton component of ``start`` once node
+    ``removed`` is deleted: one subtree's row, or the total minus one."""
+    tree = inst.graph.skeleton
+    step = tree.step_toward(removed, start)
+    if step != tree.parent[removed]:
+        return inst.subtree_mass[step]
+    return inst.subtree_mass[tree.order[0]] - inst.subtree_mass[removed]
+
+
 def component_sums(inst: Instance, node: int) -> ComponentSums:
     tree = inst.graph.skeleton
     comps = tree.split_components(node)
@@ -217,8 +238,7 @@ def component_sums(inst: Instance, node: int) -> ComponentSums:
         for h in tree.hinge_nodes(node):
             covered += mass[h]
     for i, comp in enumerate(comps):
-        for x in comp.nodes:
-            sums[i] += mass[x]
+        sums[i] = component_mass(inst, comp.gate, comp.first)
     return ComponentSums(node, comps, sums, covered)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_case, tri_graph
+from ucactus.io import random_instance
 from ucactus.errors import (
     InternalInvariantError,
     InvalidPoint,
@@ -26,6 +27,7 @@ from ucactus.graph import (
     point_distance,
     validate_cactus,
 )
+from ucactus.uncertain import component_mass
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +121,11 @@ def test_split_components_partition_every_node():
             if len(tree.nodes) == 1:
                 assert comps == []
                 continue
-            pieces = [set(c.nodes) for c in comps]
+            pieces = [set(tree.component_toward(c.gate, c.first)) for c in comps]
             gates = {c.gate for c in comps}
             assert set().union(*pieces) | {node} | gates == everyone
-            for c in comps:
-                assert node not in c.nodes
+            for c, piece in zip(comps, pieces):
+                assert node not in piece
                 if tree.nodes[node].kind != "cycle":
                     assert c.gate == node
                 else:
@@ -131,6 +133,135 @@ def test_split_components_partition_every_node():
             for i, a in enumerate(pieces):
                 for b in pieces[i + 1 :]:
                     assert not (a & b)
+
+
+# Reference searches: the component queries as plain graph searches over the
+# skeleton's links, which the rooted preorder answers by slicing.
+
+
+def _ref_component_toward(tree, removed, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for link in tree.links[x]:
+            if link.other != removed and link.other not in seen:
+                seen.add(link.other)
+                stack.append(link.other)
+    return frozenset(seen)
+
+
+def _ref_split(tree, node):
+    removed = {node}
+    gates = []
+    if tree.nodes[node].kind == "cycle":
+        hinges = tree.hinge_nodes(node)
+        removed.update(hinges)
+        for h in hinges:
+            gates += [(h, l.other) for l in tree.links[h] if l.other not in removed]
+    else:
+        gates = [(node, l.other) for l in tree.links[node]]
+    comps = []
+    for gate, first in gates:
+        seen = {first}
+        stack = [first]
+        while stack:
+            x = stack.pop()
+            for link in tree.links[x]:
+                if link.other not in removed and link.other not in seen:
+                    seen.add(link.other)
+                    stack.append(link.other)
+        comps.append((gate, first, frozenset(seen)))
+    return comps
+
+
+def _ref_centroid(tree, active):
+    root = min(active)
+    order = [root]
+    parent = {root: -1}
+    i = 0
+    while i < len(order):
+        x = order[i]
+        i += 1
+        for link in tree.links[x]:
+            if link.other in active and link.other != parent[x]:
+                parent[link.other] = x
+                order.append(link.other)
+    size = {x: 1 for x in order}
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    total = len(order)
+    best, best_load = -1, total + 1
+    for x in order:
+        load = total - size[x]
+        for link in tree.links[x]:
+            if link.other in active and parent.get(link.other) == x:
+                load = max(load, size[link.other])
+        if load < best_load or (load == best_load and x < best):
+            best, best_load = x, load
+    return best
+
+
+def _query_instances():
+    """40 small sweep draws and three 200-vertex instances."""
+    yield from (draw_case(seed, max_vertices=16) for seed in range(40))
+    for seed in range(3):
+        yield random_instance(
+            seed, n_vertices=200, n_cycles=20 * seed + 5, n_points=6
+        )
+
+
+def _ref_sides(inst, removed):
+    """Each node's component once ``removed`` is deleted, with the neighbour
+    of ``removed`` that leads into it and the component's mass per point."""
+    tree = inst.graph.skeleton
+    side = {}
+    for link in tree.links[removed]:
+        comp = _ref_component_toward(tree, removed, link.other)
+        mass = inst.node_mass[sorted(comp)].sum(axis=0)
+        for x in comp:
+            side[x] = (link.other, comp, mass)
+    return side
+
+
+def test_component_queries_match_the_reference_search():
+    for inst in _query_instances():
+        tree = inst.graph.skeleton
+        assert sorted(tree.order) == list(range(len(tree)))
+        for removed in range(len(tree)):
+            side = _ref_sides(inst, removed)
+            assert set(side) == set(range(len(tree))) - {removed}
+            for start, (step, comp, _) in side.items():
+                assert tree.step_toward(removed, start) == step
+                assert tree.component_toward(removed, start) == comp
+            if side:
+                got = [component_mass(inst, removed, start) for start in side]
+                want = [mass for _, _, mass in side.values()]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            got = tree.split_components(removed)
+            want = _ref_split(tree, removed)
+            assert [(c.gate, c.first) for c in got] == [w[:2] for w in want]
+            for c, (_, _, nodes) in zip(got, want):
+                assert tree.component_toward(c.gate, c.first) == nodes
+
+
+def test_centroid_matches_the_reference_search():
+    for inst in _query_instances():
+        tree = inst.graph.skeleton
+        rng = random.Random(len(tree))
+        for _ in range(40):
+            # grow a random connected set from a random frontier
+            first = rng.randrange(len(tree))
+            active = {first}
+            frontier = [l.other for l in tree.links[first]]
+            want = rng.randint(1, len(tree))
+            while frontier and len(active) < want:
+                x = frontier.pop(rng.randrange(len(frontier)))
+                if x not in active:
+                    active.add(x)
+                    frontier += [l.other for l in tree.links[x]]
+            active = frozenset(active)
+            assert centroid(tree, active) == _ref_centroid(tree, active), active
 
 
 # ---------------------------------------------------------------------------

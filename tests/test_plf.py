@@ -13,6 +13,7 @@ from conftest import draw_case, square_instance, tri_instance
 from ucactus.graph import validate_cactus
 from ucactus.plf import (
     coverage_set,
+    crossings,
     cycle_profiles,
     intersect_families,
     stab_one,
@@ -219,6 +220,52 @@ def test_coverage_set_membership_matches_the_profile():
             if any(a - 1e-6 <= x <= b + 1e-6 for a, b in ivals):
                 continue
             assert w * np.interp(x, xs, prof) > lam
+
+
+# ---------------------------------------------------------------------------
+# pairwise crossings
+
+
+def _reference_crossings(y0, y1):
+    """Pair loop, one row ``i`` against every later ``j`` at a time."""
+    fracs, values = [], []
+    for i in range(len(y0)):
+        d0 = y0[i] - y0[i + 1 :]
+        d1 = y1[i] - y1[i + 1 :]
+        hit = d0 * d1 < 0
+        fr = d0[hit] / (d0[hit] - d1[hit])
+        fracs += fr.tolist()
+        values += (y0[i] + (y1[i] - y0[i]) * fr).tolist()
+    return fracs, values
+
+
+@st.composite
+def _segment_bundles(draw):
+    rows = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 8))
+    value = st.one_of(_GRID, st.floats(-4.0, 4.0))
+    # a shift from a small set makes parallel segments; grid values make
+    # shared endpoints and ties
+    shift = st.sampled_from([-1.0, 0.0, 0.25, 2.0])
+    y0 = np.array(draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                                min_size=rows, max_size=rows)))
+    y1 = y0.copy()
+    for r in range(rows):
+        for k in range(m):
+            y1[r, k] = draw(st.one_of(value, shift.map(lambda d: y0[r, k] + d)))
+    return y0, y1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_segment_bundles())
+def test_crossings_equal_the_pair_loop(case):
+    y0, y1 = case
+    rows = [_reference_crossings(a, b) for a, b in zip(y0, y1)]
+    fr, val = crossings(y0[0], y1[0])
+    assert (fr.tolist(), val.tolist()) == rows[0]
+    fr, val = crossings(y0, y1)
+    assert fr.tolist() == [x for f, _ in rows for x in f]
+    assert val.tolist() == [x for _, v in rows for x in v]
 
 
 # ---------------------------------------------------------------------------

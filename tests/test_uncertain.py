@@ -250,7 +250,11 @@ def test_expected_distance_is_affine_along_bridge_edges():
 def test_component_sums_on_fixed_instance():
     inst = tri_instance()
     cs = component_sums(inst, 0)
-    assert [(c.gate, c.first, set(c.nodes)) for c in cs.comps] == [
+    tree = inst.graph.skeleton
+    assert [
+        (c.gate, c.first, set(tree.component_toward(c.gate, c.first)))
+        for c in cs.comps
+    ] == [
         (0, 1, {1}),
         (0, 2, {2}),
     ]
