@@ -53,7 +53,9 @@ def _cmd_solve(args) -> int:
     }
     if args.verify:
         attained = objective(inst, *sol.centers)
-        out["verified"] = bool(attained <= sol.value + 1e-9 * max(1.0, sol.value))
+        # the decision procedure's double slack, as at its terminals
+        slack = 2.0 * inst.eps * max(1.0, sol.value)
+        out["verified"] = bool(attained <= sol.value + slack)
     _emit(out)
     return 0
 

@@ -151,8 +151,15 @@ def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
     for comp, grp in zip(cs.comps, b.exclusive):
         hinge_vertex = tree.nodes[comp.gate].ref
         vals.append(group_eccentricity(inst, grp, hinge_vertex))
-    for (val, worst), comp in zip(vals, cs.comps):
-        if worst is not None and lam - tol <= val <= lam + tol:
+    # a tight point pins its hinge only when more than half its mass lies
+    # beyond it: its expected distance then rises moving into the ring, while
+    # with half it can stay flat along an arc that holds the center instead
+    for i, ((val, worst), comp) in enumerate(zip(vals, cs.comps)):
+        if (
+            worst is not None
+            and lam - tol <= val <= lam + tol
+            and cs.sums[i, worst] > 0.5 + inst.eps
+        ):
             return ProbeOutcome(CENTER_AT, comp.gate)
     exceed = [i for i, (val, worst) in enumerate(vals) if worst is not None and val > lam + tol]
     if len(exceed) > 2:

@@ -82,7 +82,9 @@ class CactusGraph:
 
     def distance_rows(self, sources: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row ``i`` holds the distances from vertex ``sources[i]`` to every
-        vertex: one Dijkstra run, the solver's only source of distances."""
+        vertex, from one Dijkstra run.  The solver reads it in two places:
+        :meth:`distances_from` and the skeleton root's row of
+        ``Instance.ed_at_vertices``."""
         return dijkstra(self.adjacency, directed=False, indices=sources)
 
     def distances_from(self, p: GraphPoint) -> np.ndarray:
@@ -225,6 +227,12 @@ class Cycle:
                 t = off if self.forward[i] else length - off
                 return GraphPoint(self.edges[i], min(max(t, 0.0), length))
         raise AssertionError("coordinate outside ring")
+
+    def ring_distances(self, at: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``(len(at), c)`` distances along the ring from each arc coordinate
+        of ``at`` to every ring vertex."""
+        gaps = np.abs(np.asarray(at)[:, None] - np.array(self.pos)[None, :])
+        return np.minimum(gaps, self.perimeter - gaps)
 
 
 @dataclass(slots=True)

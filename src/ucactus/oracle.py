@@ -6,7 +6,8 @@ endpoints, level crossings, and pairwise crossing ordinates is exhaustive.
 Deliberately independent of the skeleton-tree machinery so the two can check
 each other.  Distances come from the all-pairs matrix
 ``CactusGraph.vertex_distances``, which only this module reads; the solver
-takes Dijkstra rows out of chosen sources instead.
+reroots its expected distances over the skeleton from one Dijkstra row and
+prices a query point from a run out of its edge's ends.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ucactus.uncertain import Instance
+from ucactus.uncertain import Instance, ring_mixture
 
 # There is one kernel, in pure Python; the benchmark's env line still reads
 # this flag (perfbench/run.py).
@@ -37,22 +37,13 @@ def cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarray]:
-    # every location enters the cycle through a unique ring vertex, its gate,
-    # so each point's profile is a constant plus a ring-distance mixture
+    # each profile is the ring mixture of ed_at_vertices, which is linear
+    # between ring vertices and their antipodes, so those are the breakpoints
     cyc = inst.graph.cycles.cycles[cycle_id]
-    ring = np.array(cyc.vertices)
     coords = np.array(cyc.pos)
     per = cyc.perimeter
-    rows = inst.support_rows[:, ring]
-    mass = inst.vertex_mass[inst.support]
-    gate_idx = np.argmin(rows, axis=1)  # (S,) index into ring
-    const = rows[np.arange(len(gate_idx)), gate_idx] @ mass
-    source = np.zeros((len(ring), inst.n))
-    np.add.at(source, gate_idx, mass)
-
     xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
-    gaps = np.abs(xs[:, None] - coords[None, :])
-    ys = np.minimum(gaps, per - gaps) @ source + const
+    ys = ring_mixture(inst, cycle_id, xs, inst.ed_at_vertices)
     xs.setflags(write=False)
     ys.setflags(write=False)
     return xs, ys

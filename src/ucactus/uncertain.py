@@ -82,19 +82,30 @@ class Instance:
         return mass
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """The vertices that carry some point's mass, ascending."""
-        return np.flatnonzero(self.vertex_mass.any(axis=1))
-
-    @cached_property
-    def support_rows(self) -> np.ndarray:
-        """Distances from each vertex of :attr:`support` to every vertex."""
-        return self.graph.distance_rows(self.support)
-
-    @cached_property
     def ed_at_vertices(self) -> np.ndarray:
-        """``ed_at_vertices[v, k]`` is the expected distance of point k to v."""
-        return self.support_rows.T @ self.vertex_mass[self.support]
+        """``ed_at_vertices[v, k]`` is the expected distance of point k to v.
+
+        One Dijkstra row prices the vertex of the skeleton root; every other
+        vertex is rerooted from its parent, in preorder.  Across a bridge of
+        length ``l`` into a subtree holding mass ``M`` of a point whose total
+        mass is ``T``, the value moves by ``l·(T − 2M)``; around a cycle it
+        follows :func:`ring_mixture`.  O(|V|·n + Σ c²·n) for cycles of c
+        vertices."""
+        g, tree = self.graph, self.graph.skeleton
+        sub = self.subtree_mass
+        total = sub[tree.order[0]]
+        ed = np.empty((g.vertex_count, self.n))
+        top = tree.node_vertices[tree.order[0]][0]
+        ed[top] = g.distance_rows([top])[0] @ self.vertex_mass
+        for x in tree.order:
+            node, up = tree.nodes[x], tree.parent[x]
+            if node.kind == "cycle":
+                cyc = g.cycles.cycles[node.ref]
+                ed[list(cyc.vertices)] = ring_mixture(self, node.ref, cyc.pos, ed)
+            elif up >= 0 and tree.nodes[up].kind != "cycle":
+                length = next(link.length for link in tree.links[x] if link.other == up)
+                ed[node.ref] = ed[tree.nodes[up].ref] + length * (total - 2.0 * sub[x])
+        return ed
 
     @cached_property
     def node_mass(self) -> np.ndarray:
@@ -226,6 +237,52 @@ def component_mass(inst: Instance, removed: int, start: int) -> np.ndarray:
     if step != tree.parent[removed]:
         return inst.subtree_mass[step]
     return inst.subtree_mass[tree.order[0]] - inst.subtree_mass[removed]
+
+
+def _cycle_gates(inst: Instance, cycle_id: int) -> tuple[int, np.ndarray]:
+    """``(entry, gate)`` for one cycle: ``gate[i, k]`` is the mass of point k
+    that reaches the ring first at its ``i``-th vertex, which is a hinge's
+    whole side off the ring or a plain ring vertex's own mass.  ``entry``
+    indexes the ring vertex nearest the skeleton root; its gate holds
+    everything outside the cycle's subtree."""
+    tree = inst.graph.skeleton
+    cyc = inst.graph.cycles.cycles[cycle_id]
+    node = tree.node_of_cycle[cycle_id]
+    up = tree.parent[node]
+    sub = inst.subtree_mass
+    # the root's own vertex serves as the entry of a cycle at the root
+    entry = cyc.vertices.index(tree.node_vertices[node][0]) if up < 0 else -1
+    gate = np.empty((len(cyc.vertices), inst.n))
+    for i, v in enumerate(cyc.vertices):
+        hinge = tree.node_of_vertex[v]
+        if hinge is None:
+            gate[i] = inst.vertex_mass[v]
+        elif hinge == up:
+            gate[i] = sub[tree.order[0]] - sub[node]
+            entry = i
+        else:
+            gate[i] = sub[hinge]
+    gate.setflags(write=False)
+    return entry, gate
+
+
+def ring_mixture(
+    inst: Instance, cycle_id: int, at: Sequence[float] | np.ndarray, ed: np.ndarray
+) -> np.ndarray:
+    """Every point's expected distance at the arc coordinates ``at`` of one
+    cycle, as an ``(len(at), n)`` matrix, given ``ed``, whose row for the
+    cycle's entry vertex must hold that vertex's expected distances.
+
+    Each location reaches the ring through one gate vertex, so moving from
+    the entry to ``x`` changes a point's expected distance by the ring
+    distances from ``x`` less those from the entry, weighted by the gate
+    masses, which are built once per cycle and instance."""
+    cyc = inst.graph.cycles.cycles[cycle_id]
+    entry, gate = inst.memo(
+        ("cycle_gates", cycle_id), lambda: _cycle_gates(inst, cycle_id)
+    )
+    shift = cyc.ring_distances(at) - cyc.ring_distances([cyc.pos[entry]])
+    return ed[cyc.vertices[entry]] + shift @ gate
 
 
 def component_sums(inst: Instance, node: int) -> ComponentSums:

@@ -28,6 +28,8 @@ from ucactus.decision import (
 )
 from ucactus.errors import ValidationError
 from ucactus.graph import GraphPoint, validate_cactus
+from ucactus.io import random_instance
+from ucactus.optimizer import solve
 from ucactus.oracle import (
     oracle_decide,
     oracle_median,
@@ -96,6 +98,19 @@ def test_cycle_probe_outcomes_across_radii(tri):
     assert (pinned.kind, pinned.primary) == (CENTER_AT, 0)
     wide = probe_cycle(tri, 2, 3.0)
     assert (wide.kind, wide.primary) == (DESCEND, 2)
+
+
+def test_cycle_probe_pins_no_hinge_for_a_half_mass_point():
+    # a tight point with exactly half its mass beyond a hinge can keep a flat
+    # expected distance along an arc of the ring; pinning a center at the
+    # hinge for it makes this instance's optimum infeasible at every eps
+    inst = random_instance(137, n_vertices=14, n_points=6, edge_locations=True)
+    star, _ = oracle_solve(reduce_instance(inst).reduced)
+    for eps in (0.0, 1e-12, 1e-9, 1e-6):
+        case = build_instance(inst.graph, inst.points, eps)
+        value = solve(case).value
+        assert value == pytest.approx(star, rel=1e-9), eps
+        assert decide(case, value).feasible, eps
 
 
 # ---------------------------------------------------------------------------

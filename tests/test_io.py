@@ -180,6 +180,18 @@ def test_cli_solve_verify_flag(tmp_path, capsys):
     assert out["verified"] is True
 
 
+def test_cli_solve_verify_allows_the_instance_tolerance(tmp_path, capsys):
+    # at eps 1e-6 the witness may cost up to twice the tolerance above the
+    # optimum, more than a fixed 1e-9 allows
+    path = str(tmp_path / "gen.json")
+    assert main(["gen", "--seed", "0", "--vertices", "14", "--points", "6",
+                 "-o", path]) == 0
+    capsys.readouterr()
+    for eps in ("1e-6", "1e-9", "0"):
+        assert main(["solve", "--eps", eps, "--verify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 def test_cli_decide_reports_feasibility_not_via_exit_code(tmp_path, capsys):
     path = _write_tri(tmp_path)
     assert main(["decide", path, "--lambda", "0.5"]) == 0

@@ -163,30 +163,88 @@ def test_interior_expected_distances_match_the_matrix_formula():
     assert kinds == {False, True}
 
 
-def _support_cases():
-    """Vertex-constrained instances: plain draws, the reductions of draws
-    with edge-interior locations (whose zero-probability padding leaves
-    vertices without mass), and a single vertex."""
+def _mass_on_every_vertex(names, spec, seed):
+    """Three points with random masses on every vertex of the cactus, whose
+    edge lengths are not dyadic, so rerooting rounds unlike the matrix."""
+    rng = random.Random(seed)
+    g = validate_cactus(names, spec)
+    points = []
+    for k in range(3):
+        raw = [rng.random() for _ in names]
+        locs = tuple(Location(v, r / sum(raw)) for v, r in enumerate(raw))
+        points.append(UncertainPoint(f"P{k}", 1.0, locs))
+    return build_instance(g, points)
+
+
+def _rescaled(inst, seed):
+    rng = random.Random(seed)
+    g = inst.graph
+    spec = [
+        (g.names[e.u], g.names[e.v], e.length * rng.uniform(0.3, 1.7))
+        for e in g.edges
+    ]
+    return build_instance(validate_cactus(g.names, spec), inst.points)
+
+
+def _rerooting_cases():
+    """Vertex-constrained instances: plain draws and the same draws with
+    non-dyadic lengths, the reductions of draws with edge-interior locations
+    (whose zero-probability padding leaves vertices without mass), a lone
+    cycle (the skeleton root is its cycle node), a path, a hinge on two
+    cycles at the root, two cycles joined by a hinge-to-hinge bridge, and a
+    single vertex."""
     cases = [draw_case(seed) for seed in range(30)]
+    cases += [_rescaled(draw_case(seed), seed) for seed in range(30)]
     cases += [
         reduce_instance(draw_case(seed, edge_locations=True)).reduced
         for seed in range(30)
     ]
+    names = list("abcdefg")
+    cases.append(_mass_on_every_vertex(
+        names[:5],
+        [("a", "b", 1.3), ("b", "c", 0.7), ("c", "d", 2.9), ("d", "e", 1.1),
+         ("e", "a", 0.45)],
+        1,
+    ))
+    cases.append(_mass_on_every_vertex(
+        names[:5],
+        [("a", "b", 0.3), ("b", "c", 1.7), ("c", "d", 2.2), ("d", "e", 0.9)],
+        2,
+    ))
+    cases.append(_mass_on_every_vertex(
+        names[:5],
+        [("a", "b", 0.3), ("b", "c", 1.1), ("c", "a", 0.7), ("a", "d", 2.3),
+         ("d", "e", 0.6), ("e", "a", 1.9)],
+        3,
+    ))
+    cases.append(_mass_on_every_vertex(
+        names,
+        [("a", "b", 0.3), ("b", "c", 1.1), ("c", "a", 0.7), ("c", "d", 2.3),
+         ("d", "e", 0.6), ("e", "f", 1.9), ("f", "g", 0.35), ("g", "d", 1.25)],
+        4,
+    ))
     solo = build_instance(
         validate_cactus(["solo"], []), [UncertainPoint("P", 1.0, (Location(0, 1.0),))]
     )
     return cases + [solo]
 
 
-def test_support_rows_match_the_reference_matrix():
+def test_rerooted_ed_matches_the_reference_matrix():
     def close(got, want):
         return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
-    smaller = 0
-    for inst in _support_cases():
+    roots, hinge_bridges, paths = set(), 0, 0
+    for inst in _rerooting_cases():
         g = inst.graph
+        tree = g.skeleton
+        roots.add(tree.nodes[tree.order[0]].kind)
+        hinge_bridges += any(
+            tree.nodes[x].kind == tree.nodes[link.other].kind == "hinge"
+            for x in range(len(tree))
+            for link in tree.links[x]
+        )
+        paths += bool(g.edges) and not g.cycles.cycles
         dist, mass = g.vertex_distances, inst.vertex_mass
-        smaller += len(inst.support) < g.vertex_count
         assert close(inst.ed_at_vertices, dist @ mass)
         for cyc in g.cycles.cycles:
             xs, ys = cycle_profiles(inst, cyc.id)
@@ -195,7 +253,8 @@ def test_support_rows_match_the_reference_matrix():
                 e = g.edges[p.edge]
                 d = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
                 assert close(row, d @ mass)
-    assert smaller >= 10
+    assert roots == {"vertex", "hinge", "cycle"}
+    assert hinge_bridges >= 1 and paths >= 1
 
 
 def test_objective_takes_the_better_center_per_point():
