@@ -494,30 +494,27 @@ def _closest_in_region(
 # exact single-center optimisation (used by the CLI and the optimiser)
 
 
-def one_center(
-    inst: Instance, multipliers: np.ndarray | None = None
-) -> tuple[GraphPoint, float]:
-    """Exact weighted 1-center; ``multipliers`` replace the point weights
-    (zero drops a point).  All-zero multipliers pin the canonical vertex.
-    An instance with edge-interior locations is solved on its reduction and
-    the center lifted back."""
+def one_center(inst: Instance) -> tuple[GraphPoint, float]:
+    """Exact weighted 1-center; a zero-weight point is dropped, and all-zero
+    weights pin the canonical vertex.  An instance with edge-interior
+    locations is solved on its reduction and the center lifted back."""
     if not inst.is_vertex_constrained:
         from ucactus.reduction import reduce_instance
 
         red = reduce_instance(inst)
-        center, value = one_center(red.reduced, multipliers)
+        center, value = one_center(red.reduced)
         return red.lift_point(center), value
-    mult = inst.weights if multipliers is None else np.asarray(multipliers, float)
+    weights = inst.weights
     g = inst.graph
-    if not np.any(mult > 0) or not g.edges:
+    if not np.any(weights > 0) or not g.edges:
         return g.vertex_point(0), 0.0
     best: tuple[float, GraphPoint] | None = None
 
     for e in g.edges:
         if g.cycles.edge_cycle[e.id] is not None:
             continue
-        y0 = mult * inst.ed_at_vertices[e.u]
-        y1 = mult * inst.ed_at_vertices[e.v]
+        y0 = weights * inst.ed_at_vertices[e.u]
+        y1 = weights * inst.ed_at_vertices[e.v]
         ts = _envelope_candidates(y0, y1, e.length)
         env = np.max(
             y0[None, :] + (ts[:, None] / e.length) * (y1 - y0)[None, :], axis=1
@@ -528,7 +525,7 @@ def one_center(
 
     for cyc in g.cycles.cycles:
         xs, ys = cycle_profiles(inst, cyc.id)
-        ys = ys * mult
+        ys = ys * weights
         for i in range(len(xs) - 1):
             if xs[i + 1] <= xs[i]:
                 continue

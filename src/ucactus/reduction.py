@@ -1,10 +1,20 @@
 """Normalisation to vertex-constrained form.
 
-Splits edges at interior locations, prunes mass-free parts that can never
-host a useful center, and pads what remains so every vertex holds a
-location.  The returned object lifts positions on the reduced graph back to
-the original one; expected distances are preserved exactly, so solution
-values need no lifting.
+Splits edges at interior locations, then reduces the split cactus in one
+worklist pass, with no position removed that could host a better center:
+
+* as degrees fall, mass-free leaves are peeled and every ring left with at
+  most one anchor (a ring vertex holding mass or of degree three or more)
+  is dropped;
+* every ring left with exactly two anchors keeps only its shorter arc;
+* every chain between survivors (vertices holding mass or of degree three
+  or more) becomes one reduced edge.
+
+Ring membership and ring order come from the original graph's cycle
+decomposition.  What remains is padded so every vertex holds a location.
+The returned object lifts positions on the reduced graph back to the
+original one; expected distances are preserved exactly, so solution values
+need no lifting.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import GraphPoint, validate_cactus
+from ucactus.graph import CactusGraph, Cycle, GraphPoint, validate_cactus
 from ucactus.uncertain import Instance, Location, UncertainPoint, build_instance
 
 _SNAP = 1e-12
@@ -22,18 +32,14 @@ _Seg = tuple[int, float, float]
 
 
 @dataclass(slots=True)
-class _WVert:
-    origin: GraphPoint
-    mass: bool = False
+class _Edge:
+    """An edge of the split cactus, or a reduced edge: a walk from ``u`` to
+    ``v`` along the runs of ``path``."""
 
-
-@dataclass(slots=True)
-class _WEdge:
     u: int
     v: int
     length: float
     path: list[_Seg]
-    cycle: int | None  # id of the original cycle this edge lies on, if any
 
     def other(self, w: int) -> int:
         return self.v if w == self.u else self.u
@@ -42,6 +48,48 @@ class _WEdge:
         if start == self.u:
             return self.path
         return [(e, b, a) for e, a, b in reversed(self.path)]
+
+
+@dataclass(slots=True)
+class _Split:
+    """The cactus with every interior location made a vertex.
+
+    Original vertices keep their ids; split vertices follow, numbered edge
+    by edge, and ``cut_points`` holds their positions.  ``pieces[e]`` lists
+    the split edges of original edge ``e`` from its ``u`` end to its ``v``
+    end; ``placed[k]`` holds point ``k``'s (vertex, probability) pairs."""
+
+    graph: CactusGraph
+    mass: list[bool]
+    cut_points: list[GraphPoint]
+    edges: list[_Edge]
+    pieces: list[list[int]]
+    placed: list[list[tuple[int, float]]]
+
+    def origin(self, v: int) -> GraphPoint:
+        n = self.graph.vertex_count
+        return self.graph.vertex_point(v) if v < n else self.cut_points[v - n]
+
+    def cycles_at(self, v: int) -> tuple[int, ...]:
+        """Ids of the original cycles that vertex ``v`` lies on."""
+        cycles = self.graph.cycles
+        n = self.graph.vertex_count
+        if v < n:
+            return cycles.vertex_cycles[v]
+        c = cycles.edge_cycle[self.cut_points[v - n].edge]
+        return () if c is None else (c,)
+
+    def ring(self, cyc: Cycle) -> tuple[list[int], list[int]]:
+        """Vertices and split edges of one original cycle, in its ring
+        order."""
+        verts: list[int] = []
+        ring_edges: list[int] = []
+        for v, e, forward in zip(cyc.vertices, cyc.edges, cyc.forward):
+            for i in self.pieces[e] if forward else reversed(self.pieces[e]):
+                verts.append(v)
+                ring_edges.append(i)
+                v = self.edges[i].other(v)
+        return verts, ring_edges
 
 
 @dataclass(slots=True)
@@ -89,18 +137,29 @@ def reduce_instance(inst: Instance) -> Reduction:
     """Reduce ``inst`` to an equivalent vertex-constrained instance."""
     if inst.is_vertex_constrained and _fully_occupied(inst):
         return Reduction(inst, inst, identity=True)
+    split = _split(inst)
+    survivors, edges = _reduce(split)
+    return _finish(inst, split, survivors, edges)
 
+
+def _fully_occupied(inst: Instance) -> bool:
+    """True when every vertex carries positive probability mass, leaving
+    nothing for the reduction to remove."""
+    occupied = [False] * inst.graph.vertex_count
+    for p in inst.points:
+        for loc in p.locations:
+            if loc.is_vertex and loc.prob > 0.0:
+                occupied[loc.place] = True
+    return all(occupied)
+
+
+def _split(inst: Instance) -> _Split:
     graph = inst.graph
-    verts: dict[int, _WVert] = {}
-    edges: dict[int, _WEdge] = {}
     placed: list[list[tuple[int, float]]] = [[] for _ in inst.points]
-
-    for v in range(graph.vertex_count):
-        verts[v] = _WVert(graph.vertex_point(v))
 
     # split every edge at its interior locations, snapping near-endpoint
     # offsets onto the endpoints
-    interior: dict[int, list[float]] = {e.id: [] for e in graph.edges}
+    interior: dict[int, list[float]] = {}
     loc_site: dict[tuple[int, int], tuple[str, int | float]] = {}
     for k, p in enumerate(inst.points):
         for li, loc in enumerate(p.locations):
@@ -117,29 +176,27 @@ def reduce_instance(inst: Instance) -> Reduction:
             elif pt.t >= e.length - snap:
                 loc_site[(k, li)] = ("vertex", e.v)
             else:
-                interior[pt.edge].append(pt.t)
+                interior.setdefault(pt.edge, []).append(pt.t)
                 loc_site[(k, li)] = ("interior", pt.t)
 
-    next_id = graph.vertex_count
+    cut_points: list[GraphPoint] = []
+    edges: list[_Edge] = []
+    pieces: list[list[int]] = []
     split_vertex: dict[int, list[tuple[float, int]]] = {}
-    eid_next = 0
     for e in graph.edges:
         cuts: list[float] = []
-        for t in sorted(interior[e.id]):
+        for t in sorted(interior.get(e.id, ())):
             if not cuts or t - cuts[-1] > _SNAP * max(1.0, e.length):
                 cuts.append(t)
         stations: list[tuple[float, int]] = [(0.0, e.u)]
         for t in cuts:
-            verts[next_id] = _WVert(GraphPoint(e.id, t))
-            stations.append((t, next_id))
-            next_id += 1
+            stations.append((t, graph.vertex_count + len(cut_points)))
+            cut_points.append(GraphPoint(e.id, t))
         stations.append((e.length, e.v))
         split_vertex[e.id] = stations[1:-1]
+        pieces.append(list(range(len(edges), len(edges) + len(cuts) + 1)))
         for (t0, a), (t1, b) in zip(stations, stations[1:]):
-            edges[eid_next] = _WEdge(
-                a, b, t1 - t0, [(e.id, t0, t1)], graph.cycles.edge_cycle[e.id]
-            )
-            eid_next += 1
+            edges.append(_Edge(a, b, t1 - t0, [(e.id, t0, t1)]))
 
     for (k, li), site in loc_site.items():
         prob = inst.points[k].locations[li].prob
@@ -153,201 +210,137 @@ def reduce_instance(inst: Instance) -> Reduction:
             )
             placed[k].append((wv, prob))
 
+    mass = [False] * (graph.vertex_count + len(cut_points))
     for locs in placed:
         for w, _ in locs:
-            verts[w].mass = True
-
-    _prune(verts, edges)
-    return _finish(inst, verts, edges, placed)
+            mass[w] = True
+    return _Split(graph, mass, cut_points, edges, pieces, placed)
 
 
-def _fully_occupied(inst: Instance) -> bool:
-    """True when every vertex carries positive probability mass, leaving
-    nothing for the pruning passes to remove."""
-    occupied = [False] * inst.graph.vertex_count
-    for p in inst.points:
-        for loc in p.locations:
-            if loc.is_vertex and loc.prob > 0.0:
-                occupied[loc.place] = True
-    return all(occupied)
+def _reduce(split: _Split) -> tuple[list[int], list[_Edge]]:
+    """The survivors of the split cactus, in id order, and the reduced edges
+    that join them, each a chain of split edges walked in one piece; the
+    edges come in order of their lowest split edge and run its way.
 
+    Peeling a mass-free leaf or dropping a ring lowers degrees, which can
+    make new leaves and rings to drop, so both run off one worklist.  Every
+    removed position is dominated by a survivor: a peeled leaf by its
+    neighbour, a dropped ring by its anchor, a longer arc by the shorter."""
+    mass, edges = split.mass, split.edges
+    adj: list[list[int]] = [[] for _ in mass]
+    for i, e in enumerate(edges):
+        adj[e.u].append(i)
+        adj[e.v].append(i)
+    deg = [len(a) for a in adj]
+    live = [True] * len(edges)
+    cycles = split.graph.cycles.cycles
+    rings = [split.ring(cyc) for cyc in cycles]
+    ring_live = [True] * len(cycles)
 
-def _adjacency(
-    verts: dict[int, _WVert], edges: dict[int, _WEdge]
-) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for eid, e in edges.items():
-        adj[e.u].append(eid)
-        adj[e.v].append(eid)
-    return adj
+    def anchor(v: int) -> bool:
+        return mass[v] or deg[v] >= 3
 
+    def lower(v: int, by: int) -> None:
+        was = anchor(v)
+        deg[v] -= by
+        if was and not anchor(v):
+            for c in split.cycles_at(v):
+                if ring_live[c]:
+                    anchors[c] -= 1
+                    if anchors[c] == 1:
+                        drops.append(c)
+        if deg[v] == 1 and not mass[v]:
+            leaves.append(v)
 
-def _prune(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> None:
-    """Drop mass-free leaves and dissolve mass-free cycle stretches until
-    nothing changes; every removed position is dominated by a survivor."""
-    while True:
-        changed = False
-        adj = _adjacency(verts, edges)
+    anchors = [sum(map(anchor, verts)) for verts, _ in rings]
+    leaves = [v for v in range(len(mass)) if deg[v] == 1 and not mass[v]]
+    drops = [c for c, count in enumerate(anchors) if count == 1]
 
-        for v in list(verts):
-            while v in verts and len(adj[v]) == 1 and not verts[v].mass:
-                eid = adj[v][0]
-                other = edges[eid].u if edges[eid].v == v else edges[eid].v
-                del edges[eid]
-                del verts[v]
-                adj[other].remove(eid)
-                del adj[v]
-                changed = True
-                v = other
-
-        changed |= _reduce_cycles(verts, edges)
-        changed |= _contract_paths(verts, edges)
-        if not changed:
-            return
-
-
-def _working_cycles(
-    verts: dict[int, _WVert], edges: dict[int, _WEdge]
-) -> list[list[int]]:
-    """Edge ids of each surviving cycle in ring order, by original cycle id.
-
-    A ring starts at its smallest vertex and heads toward that vertex's
-    smaller ring neighbour, as :class:`~ucactus.graph.Cycle` orders rings.
-    """
-    groups: dict[int, list[int]] = {}
-    for eid, e in edges.items():
-        if e.cycle is not None:
-            groups.setdefault(e.cycle, []).append(eid)
-    rings = []
-    for cid in sorted(groups):
-        at: dict[int, list[int]] = {}
-        for eid in groups[cid]:
-            at.setdefault(edges[eid].u, []).append(eid)
-            at.setdefault(edges[eid].v, []).append(eid)
-        start = min(at)
-        eid = min(at[start], key=lambda x: edges[x].other(start))
-        ring, v = [], start
-        while True:
-            ring.append(eid)
-            v = edges[eid].other(v)
-            if v == start:
-                break
-            eid = next(x for x in at[v] if x != eid)
-        rings.append(ring)
-    return rings
-
-
-def _reduce_cycles(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> bool:
-    adj = _adjacency(verts, edges)
-    changed = False
-    for cyc_edges in _working_cycles(verts, edges):
-        ring: list[int] = []
-        for eid in cyc_edges:
-            e = edges[eid]
-            if not ring:
-                nxt = edges[cyc_edges[1]]
-                first = e.u if e.v in (nxt.u, nxt.v) else e.v
-                ring.append(first)
-            ring.append(edges[eid].u if edges[eid].v == ring[-1] else edges[eid].v)
-        ring.pop()  # closes back on ring[0]
-        keep = [
-            v for v in ring if verts[v].mass or len(adj[v]) >= 3
-        ]
-        if len(keep) >= 3 or len(keep) == 0:
+    while leaves or drops:
+        if leaves:
+            v = leaves.pop()
+            i = next(i for i in adj[v] if live[i])
+            live[i] = False
+            deg[v] = 0
+            lower(edges[i].other(v), 1)
             continue
-        if len(keep) == 1:
-            for eid in cyc_edges:
-                del edges[eid]
-            for v in ring:
-                if v != keep[0]:
-                    del verts[v]
-            changed = True
+        c = drops.pop()
+        ring_live[c] = False
+        verts, ring_edges = rings[c]
+        for i in ring_edges:
+            live[i] = False
+        kept = next(filter(anchor, verts))
+        for v in verts:
+            if v != kept:
+                deg[v] = 0
+        lower(kept, 2)
+
+    # a ring with two anchors keeps its shorter arc; the arc's anchors stay
+    # anchors of any other ring they lie on, so nothing else changes
+    for c, (verts, ring_edges) in enumerate(rings):
+        if not ring_live[c] or anchors[c] != 2:
             continue
-        # two anchors: swap the cycle for its shorter arc
-        a, b = keep
-        i, j = ring.index(a), ring.index(b)
-        if i > j:
-            i, j = j, i
-        arc1_v, arc1_e = ring[i : j + 1], cyc_edges[i:j]
-        arc2_v = ring[j:] + ring[: i + 1]
-        arc2_e = cyc_edges[j:] + cyc_edges[:i]
-        len1 = sum(edges[e].length for e in arc1_e)
-        len2 = sum(edges[e].length for e in arc2_e)
-        arc_v, arc_e = (arc1_v, arc1_e) if len1 <= len2 else (arc2_v, arc2_e)
-        path: list[_Seg] = []
-        cur = arc_v[0]
-        for eid in arc_e:
-            path.extend(edges[eid].oriented(cur))
-            cur = edges[eid].u if edges[eid].v == cur else edges[eid].v
-        new_id = max(edges) + 1
-        length = min(len1, len2)
-        for eid in cyc_edges:
-            del edges[eid]
-        for v in ring:
-            if v not in (a, b):
-                del verts[v]
-        edges[new_id] = _WEdge(arc_v[0], arc_v[-1], length, path, None)
-        changed = True
-    return changed
+        i, j = (k for k, v in enumerate(verts) if anchor(v))
+        inner = sum(edges[e].length for e in ring_edges[i:j])
+        outer = sum(edges[e].length for e in ring_edges[j:] + ring_edges[:i])
+        if inner <= outer:
+            drop_v, drop_e = verts[j + 1 :] + verts[:i], ring_edges[j:] + ring_edges[:i]
+        else:
+            drop_v, drop_e = verts[i + 1 : j], ring_edges[i:j]
+        for e in drop_e:
+            live[e] = False
+        for v in drop_v:
+            deg[v] = 0
+        deg[verts[i]] -= 1
+        deg[verts[j]] -= 1
+
+    survivors = [v for v in range(len(mass)) if anchor(v)]
+    chains: list[tuple[int, list[int], list[int]]] = []
+    for s in survivors:
+        for first in adj[s]:
+            if not live[first]:
+                continue
+            live[first] = False
+            walk, chain = [s], [first]
+            v = edges[first].other(s)
+            while not anchor(v):
+                i = next(i for i in adj[v] if live[i])
+                live[i] = False
+                walk.append(v)
+                chain.append(i)
+                v = edges[i].other(v)
+            walk.append(v)
+            # orient each chain along its first split edge
+            low = chain.index(min(chain))
+            if walk[low] != edges[chain[low]].u:
+                walk.reverse()
+                chain.reverse()
+            chains.append((min(chain), walk, chain))
+    chains.sort(key=lambda item: item[0])
+    return survivors, [_joined(edges, walk, chain) for _, walk, chain in chains]
 
 
-def _contract_paths(verts: dict[int, _WVert], edges: dict[int, _WEdge]) -> bool:
-    changed = False
-    adj = _adjacency(verts, edges)
-    neighbours = {
-        v: {edges[e].u if edges[e].v == v else edges[e].v for e in adj[v]}
-        for v in verts
-    }
-    for v in list(verts):
-        if verts[v].mass or len(adj[v]) != 2:
-            continue
-        e1, e2 = adj[v]
-        u = edges[e1].u if edges[e1].v == v else edges[e1].v
-        w = edges[e2].u if edges[e2].v == v else edges[e2].v
-        if u == w or w in neighbours[u]:
-            continue  # contraction would create a parallel edge; pad later
-        path = edges[e1].oriented(u) + edges[e2].oriented(v)
-        new_id = max(edges) + 1
-        # both edges at a degree-2 vertex lie on the same cycle, or on none
-        edges[new_id] = _WEdge(
-            u, w, edges[e1].length + edges[e2].length, path, edges[e1].cycle
-        )
-        del edges[e1]
-        del edges[e2]
-        del verts[v]
-        adj[u].remove(e1)
-        adj[u].append(new_id)
-        adj[w].remove(e2)
-        adj[w].append(new_id)
-        adj.pop(v)
-        neighbours[u].discard(v)
-        neighbours[u].add(w)
-        neighbours[w].discard(v)
-        neighbours[w].add(u)
-        changed = True
-    return changed
+def _joined(edges: list[_Edge], walk: list[int], chain: list[int]) -> _Edge:
+    """One edge along the split edges ``chain``, entered at ``walk``."""
+    path: list[_Seg] = []
+    for v, i in zip(walk, chain):
+        path.extend(edges[i].oriented(v))
+    return _Edge(walk[0], walk[-1], sum(edges[i].length for i in chain), path)
 
 
 def _finish(
-    inst: Instance,
-    verts: dict[int, _WVert],
-    edges: dict[int, _WEdge],
-    placed: list[list[tuple[int, float]]],
+    inst: Instance, split: _Split, survivors: list[int], edges: list[_Edge]
 ) -> Reduction:
-    ids = sorted(verts)
-    new_index = {v: i for i, v in enumerate(ids)}
-    names = [f"v{i}" for i in range(len(ids))]
-    spec = [
-        (names[new_index[edges[e].u]], names[new_index[edges[e].v]], edges[e].length)
-        for e in sorted(edges)
-    ]
+    new_index = {v: i for i, v in enumerate(survivors)}
+    names = [f"v{i}" for i in range(len(survivors))]
+    spec = [(names[new_index[e.u]], names[new_index[e.v]], e.length) for e in edges]
     graph = validate_cactus(names, spec)
 
     points = []
-    empty = set(range(len(ids)))
+    empty = set(range(len(survivors)))
     for k, p in enumerate(inst.points):
-        locs = [Location(new_index[w], prob) for w, prob in placed[k]]
-        for w, _ in placed[k]:
+        locs = [Location(new_index[w], prob) for w, prob in split.placed[k]]
+        for w, _ in split.placed[k]:
             empty.discard(new_index[w])
         points.append(UncertainPoint(p.label, p.weight, tuple(locs)))
     if empty:
@@ -358,6 +351,6 @@ def _finish(
         points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
 
     reduced = build_instance(graph, points, inst.eps)
-    vertex_origin = [verts[v].origin for v in ids]
-    edge_paths = [edges[e].path for e in sorted(edges)]
+    vertex_origin = [split.origin(v) for v in survivors]
+    edge_paths = [e.path for e in edges]
     return Reduction(inst, reduced, False, vertex_origin, edge_paths)

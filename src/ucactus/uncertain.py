@@ -75,10 +75,16 @@ class Instance:
         """Probability mass per (vertex, point); vertex-constrained only."""
         if not self.is_vertex_constrained:
             raise ValidationError("instance has edge-interior locations")
+        cells = [
+            loc.place * self.n + k
+            for k, p in enumerate(self.points)
+            for loc in p.locations
+        ]
+        probs = [loc.prob for p in self.points for loc in p.locations]
         mass = np.zeros((self.graph.vertex_count, self.n))
-        for k, p in enumerate(self.points):
-            for loc in p.locations:
-                mass[loc.place, k] += loc.prob
+        # unbuffered, so a cell that several locations share adds them up in
+        # location order
+        np.add.at(mass.ravel(), cells, probs)
         return mass
 
     @cached_property
@@ -110,11 +116,14 @@ class Instance:
     @cached_property
     def node_mass(self) -> np.ndarray:
         """Probability mass per (skeleton node, point)."""
-        tree = self.graph.skeleton
-        mass = np.zeros((len(tree), self.n))
-        for node in range(len(tree)):
-            for v in tree.node_vertices[node]:
-                mass[node] += self.vertex_mass[v]
+        held = self.graph.skeleton.node_vertices
+        nodes = np.array([x for x, vs in enumerate(held) for _ in vs])
+        verts = [v for vs in held for v in vs]
+        mass = np.zeros((len(held), self.n))
+        cells = (nodes[:, None] * self.n + np.arange(self.n)).ravel()
+        # unbuffered, so each node adds up its vertices in the order it
+        # lists them
+        np.add.at(mass.ravel(), cells, self.vertex_mass[verts].ravel())
         return mass
 
     @cached_property
@@ -131,7 +140,8 @@ class Instance:
 
 def instance_eps(explicit: float | None) -> float:
     """The comparison tolerance: ``explicit`` if given, else ``UCACTUS_EPS``,
-    else :data:`DEFAULT_EPS`; it must be finite and non-negative."""
+    else :data:`DEFAULT_EPS`; it must be finite and positive, since with no
+    slack a comparison one rounding error off flips a verdict."""
     if explicit is not None:
         eps, source = explicit, "eps"
     else:
@@ -143,8 +153,8 @@ def instance_eps(explicit: float | None) -> float:
             eps = float(env)
         except ValueError as exc:
             raise ValidationError(f"UCACTUS_EPS is not a number: {env!r}") from exc
-    if not 0.0 <= eps < math.inf:
-        raise ValidationError(f"{source} must be finite and non-negative, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValidationError(f"{source} must be finite and positive, got {eps}")
     return eps
 
 
@@ -221,12 +231,10 @@ def objective(inst: Instance, q1: GraphPoint, q2: GraphPoint) -> float:
 @dataclass(slots=True)
 class ComponentSums:
     """Split of probability mass around a skeleton node: one row of ``sums``
-    per split component, plus the mass held by the removed structure."""
+    per split component."""
 
-    node: int
     comps: list  # SplitComponent list, aligned with rows of sums
     sums: np.ndarray  # (components, n)
-    at_node: np.ndarray  # (n,)
 
 
 def component_mass(inst: Instance, removed: int, start: int) -> np.ndarray:
@@ -287,16 +295,11 @@ def ring_mixture(
 
 def component_sums(inst: Instance, node: int) -> ComponentSums:
     tree = inst.graph.skeleton
-    comps = tree.split_components(node)
-    mass = inst.node_mass
+    comps = inst.graph.skeleton.split_components(node)
     sums = np.zeros((len(comps), inst.n))
-    covered = mass[node].copy()
-    if tree.nodes[node].kind == "cycle":
-        for h in tree.hinge_nodes(node):
-            covered += mass[h]
     for i, comp in enumerate(comps):
         sums[i] = component_mass(inst, comp.gate, comp.first)
-    return ComponentSums(node, comps, sums, covered)
+    return ComponentSums(comps, sums)
 
 
 def median(inst: Instance, k: int) -> tuple[GraphPoint, float]:

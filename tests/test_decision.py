@@ -106,7 +106,7 @@ def test_cycle_probe_pins_no_hinge_for_a_half_mass_point():
     # hinge for it makes this instance's optimum infeasible at every eps
     inst = random_instance(137, n_vertices=14, n_points=6, edge_locations=True)
     star, _ = oracle_solve(reduce_instance(inst).reduced)
-    for eps in (0.0, 1e-12, 1e-9, 1e-6):
+    for eps in (1e-12, 1e-9, 1e-6):
         case = build_instance(inst.graph, inst.points, eps)
         value = solve(case).value
         assert value == pytest.approx(star, rel=1e-9), eps
@@ -265,9 +265,15 @@ def test_one_center_on_fixed_instance(tri):
 
 
 def test_one_center_with_multipliers(tri):
-    where, value = one_center(tri, np.array([1.0, 0.0]))
+    def reweighted(weights):
+        points = [
+            UncertainPoint(p.label, w, p.locations) for p, w in zip(tri.points, weights)
+        ]
+        return build_instance(tri.graph, points, tri.eps)
+
+    where, value = one_center(reweighted([1.0, 0.0]))
     assert (where, value) == (GraphPoint(0, 0.0), 0.5)
-    _, zero_value = one_center(tri, np.zeros(2))
+    _, zero_value = one_center(reweighted([0.0, 0.0]))
     assert zero_value == 0.0
 
 

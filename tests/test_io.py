@@ -187,9 +187,11 @@ def test_cli_solve_verify_allows_the_instance_tolerance(tmp_path, capsys):
     assert main(["gen", "--seed", "0", "--vertices", "14", "--points", "6",
                  "-o", path]) == 0
     capsys.readouterr()
-    for eps in ("1e-6", "1e-9", "0"):
+    for eps in ("1e-6", "1e-9"):
         assert main(["solve", "--eps", eps, "--verify", path]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert main(["solve", "--eps", "0", "--verify", path]) == 2
+    assert "eps must be finite and positive" in capsys.readouterr().err
 
 
 def test_cli_decide_reports_feasibility_not_via_exit_code(tmp_path, capsys):
@@ -227,10 +229,12 @@ BAD_INPUTS = [
     ("inf-edge-length", {"edge_length": float("inf")}, [], "non-finite length inf"),
     ("nan-weight", {"weight": float("nan")}, [], "non-finite weight nan"),
     ("inf-weight", {"weight": float("inf")}, [], "non-finite weight inf"),
-    ("nan-eps", {"eps": float("nan")}, [], "eps must be finite and non-negative"),
-    ("negative-eps", {"eps": -1.0}, [], "eps must be finite and non-negative"),
-    ("nan-eps-flag", {}, ["--eps", "nan"], "eps must be finite and non-negative"),
-    ("negative-eps-flag", {}, ["--eps=-1"], "eps must be finite and non-negative"),
+    ("nan-eps", {"eps": float("nan")}, [], "eps must be finite and positive"),
+    ("negative-eps", {"eps": -1.0}, [], "eps must be finite and positive"),
+    ("zero-eps", {"eps": 0.0}, [], "eps must be finite and positive"),
+    ("nan-eps-flag", {}, ["--eps", "nan"], "eps must be finite and positive"),
+    ("negative-eps-flag", {}, ["--eps=-1"], "eps must be finite and positive"),
+    ("zero-eps-flag", {}, ["--eps", "0"], "eps must be finite and positive"),
     ("string-edge-length", {"edge_length": "long"}, [], "length of edge 'a'-'b' is not a number"),
     ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
     ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
@@ -247,7 +251,7 @@ def test_cli_rejects_bad_input(tmp_path, capsys, changes, flags, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
 def test_cli_rejects_a_bad_eps_from_the_environment(tmp_path, capsys, monkeypatch, value):
     doc = _tri_doc()
     del doc["eps"]  # an eps in the file would take precedence

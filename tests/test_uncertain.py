@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -96,6 +97,14 @@ def test_rejects_duplicate_labels():
 def test_rejects_empty_point_list():
     with pytest.raises(ValidationError, match="at least one uncertain point"):
         build_instance(_two_vertex_graph(), [])
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-9, math.inf, math.nan])
+def test_rejects_an_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(ValidationError, match="eps must be finite and positive"):
+        build_instance(
+            _two_vertex_graph(), [UncertainPoint("P", 1.0, (Location(0, 1.0),))], eps
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +327,18 @@ def test_component_sums_on_fixed_instance():
         (0, 2, {2}),
     ]
     assert [list(s) for s in cs.sums] == [[0.0, 1.0], [1.0, 0.0]]
-    assert list(cs.at_node) == [0.0, 0.0]
+    assert list(_removed_mass(inst, 0)) == [0.0, 0.0]
+
+
+def _removed_mass(inst, node):
+    """Mass per point held by the structure a split at ``node`` removes: the
+    node itself and, for a cycle node, its hinges."""
+    tree = inst.graph.skeleton
+    held = inst.node_mass[node].copy()
+    if tree.nodes[node].kind == "cycle":
+        for h in tree.hinge_nodes(node):
+            held += inst.node_mass[h]
+    return held
 
 
 def test_component_sums_account_for_all_mass():
@@ -326,7 +346,7 @@ def test_component_sums_account_for_all_mass():
         inst = draw_case(seed)
         for node in range(len(inst.graph.skeleton.nodes)):
             cs = component_sums(inst, node)
-            total = np.array(cs.at_node, dtype=float)
+            total = _removed_mass(inst, node)
             for s in cs.sums:
                 total = total + np.asarray(s, dtype=float)
             assert np.allclose(total, 1.0, atol=1e-9)
@@ -408,6 +428,39 @@ def test_node_mass_distributes_each_points_probability():
     for seed in range(10):
         inst = draw_case(seed)
         assert np.allclose(inst.node_mass.sum(axis=0), 1.0, atol=1e-9)
+
+
+def test_mass_matrices_match_the_location_loops():
+    """Both matrices equal, bit for bit, the loops that add every location,
+    and every vertex of a node, one at a time."""
+    # probabilities in tenths make the sums depend on their order
+    cases = [
+        draw_case(seed, max_vertices=16, max_locations=10, prob_denominator=10)
+        for seed in range(40)
+    ]
+    cases += [
+        reduce_instance(
+            draw_case(seed, edge_locations=True, prob_denominator=10)
+        ).reduced
+        for seed in range(40)
+    ]
+    # several locations on one vertex: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    shared = (Location(0, 0.1), Location(0, 0.2), Location(0, 0.3), Location(1, 0.4))
+    cases.append(
+        build_instance(_two_vertex_graph(), [UncertainPoint("P", 1.0, shared)])
+    )
+    for inst in cases:
+        want = np.zeros((inst.graph.vertex_count, inst.n))
+        for k, p in enumerate(inst.points):
+            for loc in p.locations:
+                want[loc.place, k] += loc.prob
+        assert np.array_equal(inst.vertex_mass, want)
+        tree = inst.graph.skeleton
+        want = np.zeros((len(tree), inst.n))
+        for node in range(len(tree)):
+            for v in tree.node_vertices[node]:
+                want[node] += inst.vertex_mass[v]
+        assert np.array_equal(inst.node_mass, want)
 
 
 def test_vertex_mass_requires_vertex_constrained_input():
