@@ -557,6 +557,10 @@ def decide(inst: Instance, lam: float) -> Verdict:
     """Whether two centers can serve every point within ``lam``."""
     if math.isnan(lam):
         raise ValidationError("radius is NaN")
+    if lam < -inst.eps:
+        # no distance is negative; at -inf the slack below would be inf and
+        # every comparison against lam + tol NaN
+        return Verdict(False)
     if not inst.is_vertex_constrained:
         from ucactus.reduction import reduce_instance
 

@@ -53,7 +53,9 @@ class Edge:
 
 
 class CactusGraph:
-    """A validated connected cactus.  Construct via :func:`validate_cactus`."""
+    """A connected cactus.  Outside input comes through
+    :func:`validate_cactus`; the reduction builds its output directly.  The
+    cycle decomposition proves both properties when it is first read."""
 
     def __init__(self, names: list[str], edges: list[Edge]) -> None:
         self.names = names
@@ -169,23 +171,8 @@ def validate_cactus(
         seen_pairs.add(pair)
         edges.append(Edge(len(edges), u, v, float(length)))
     graph = CactusGraph(names, edges)
-    _check_connected(graph)
-    graph.cycles  # decomposition raises SharedCycleEdge on non-cactus input
+    graph.cycles  # the decomposition raises NotConnected or SharedCycleEdge
     return graph
-
-
-def _check_connected(graph: CactusGraph) -> None:
-    seen = [False] * graph.vertex_count
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for _, w in graph.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
-        raise NotConnected("graph is not connected")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +195,7 @@ class Cycle:
     forward: tuple[bool, ...]
     pos: tuple[float, ...]
     perimeter: float
-    _vpos: dict[int, float] = field(default_factory=dict)
+    _vpos: dict[int, float] = field(default_factory=dict, compare=False, repr=False)
 
     def vertex_coord(self, v: int) -> float:
         if not self._vpos:
@@ -246,6 +233,8 @@ class CycleDecomposition:
 
 
 def _decompose(graph: CactusGraph) -> CycleDecomposition:
+    """One DFS from vertex 0: each back edge closes a cycle, an edge closed
+    twice raises SharedCycleEdge and an unreached vertex NotConnected."""
     n = graph.vertex_count
     depth = [-1] * n
     parent_edge = [-1] * n
@@ -291,6 +280,8 @@ def _decompose(graph: CactusGraph) -> CycleDecomposition:
                     )
                 edge_cycle[e] = cid
             raw_cycles.append((verts, edges))
+    if -1 in depth:
+        raise NotConnected("graph is not connected")
 
     cycles = [
         _canonical_cycle(graph, cid, verts, edges)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import CactusGraph, Cycle, GraphPoint, validate_cactus
-from ucactus.uncertain import Instance, Location, UncertainPoint, build_instance
+from ucactus.graph import CactusGraph, Cycle, Edge, GraphPoint
+from ucactus.uncertain import Instance, Location, UncertainPoint
 
 _SNAP = 1e-12
 
@@ -331,10 +331,13 @@ def _joined(edges: list[_Edge], walk: list[int], chain: list[int]) -> _Edge:
 def _finish(
     inst: Instance, split: _Split, survivors: list[int], edges: list[_Edge]
 ) -> Reduction:
+    # a cactus by construction: its decomposition, which the skeleton reads,
+    # still proves that, and the tests check it against validate_cactus
     new_index = {v: i for i, v in enumerate(survivors)}
-    names = [f"v{i}" for i in range(len(survivors))]
-    spec = [(names[new_index[e.u]], names[new_index[e.v]], e.length) for e in edges]
-    graph = validate_cactus(names, spec)
+    graph = CactusGraph(
+        [f"v{i}" for i in range(len(survivors))],
+        [Edge(i, new_index[e.u], new_index[e.v], e.length) for i, e in enumerate(edges)],
+    )
 
     points = []
     empty = set(range(len(survivors)))
@@ -350,7 +353,7 @@ def _finish(
         pad = tuple(Location(v, 0.0) for v in sorted(empty))
         points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
 
-    reduced = build_instance(graph, points, inst.eps)
+    reduced = Instance(graph, points, inst.eps)
     vertex_origin = [split.origin(v) for v in survivors]
     edge_paths = [e.path for e in edges]
     return Reduction(inst, reduced, False, vertex_origin, edge_paths)

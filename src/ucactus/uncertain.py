@@ -43,7 +43,8 @@ class UncertainPoint:
 
 
 class Instance:
-    """A cactus plus uncertain points.  Construct via :func:`build_instance`."""
+    """A cactus plus uncertain points.  Outside input comes through
+    :func:`build_instance`; the reduction builds its output directly."""
 
     def __init__(
         self, graph: CactusGraph, points: Sequence[UncertainPoint], eps: float

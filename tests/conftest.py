@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from ucactus.graph import CactusGraph, validate_cactus
 from ucactus.io import random_instance
@@ -76,4 +77,17 @@ def draw_case(
         n_points=rng.randint(1, max_points),
         n_locations=rng.randint(1, max_locations),
         **extra,
+    )
+
+
+@st.composite
+def mid_size_instances(draw, edge_locations=st.booleans()) -> Instance:
+    """Random instances of 30-60 vertices, past the oracle's size cap."""
+    return random_instance(
+        draw(st.integers(0, 2**16)),
+        n_vertices=draw(st.integers(30, 60)),
+        n_cycles=draw(st.integers(0, 8)),
+        n_points=draw(st.integers(1, 6)),
+        n_locations=draw(st.integers(1, 4)),
+        edge_locations=draw(edge_locations),
     )

@@ -15,6 +15,7 @@ from ucactus.decision import (
     DESCEND,
     DESCEND_TWO,
     FEASIBLE_SINGLE,
+    Verdict,
     _cycle_arcs,
     _interp_rows,
     coverage_witness,
@@ -219,6 +220,18 @@ def test_decide_rejects_a_nan_radius():
     with pytest.raises(ValidationError, match="NaN"):
         decide(inst, float("nan"))
     assert decide(inst, float("inf")).feasible
+
+
+@pytest.mark.parametrize("lam", [-math.inf, -1.0])
+def test_decide_rejects_a_negative_radius_as_the_oracle_does(lam):
+    weightless = build_instance(
+        validate_cactus(["x", "y"], [("x", "y", 1.0)]),
+        [UncertainPoint("R", 0.0, (Location(0, 1.0),))],
+    )
+    cases = [draw_case(seed, edge_locations=seed % 2 == 1) for seed in range(20)]
+    for inst in [weightless, *cases]:
+        assert oracle_decide(inst, lam) == (False, None)
+        assert decide(inst, lam) == Verdict(False)
 
 
 def test_decide_stays_within_its_probe_budget():

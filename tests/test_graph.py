@@ -47,6 +47,25 @@ def test_rejects_disconnected_graph():
         validate_cactus(["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)])
 
 
+@pytest.mark.parametrize(
+    "first, error, message",
+    [
+        ("a", SharedCycleEdge, "edge 'b'-'c' lies on two cycles"),
+        ("x", NotConnected, "graph is not connected"),
+    ],
+)
+def test_disconnected_non_cactus_fails_on_what_the_walk_meets_first(
+    first, error, message
+):
+    # one DFS from the first vertex checks both: a shared cycle edge in its
+    # component stops the walk, one elsewhere leaves vertices unreached
+    names = ["a", "b", "c", "d", "x", "y"]
+    names.remove(first)
+    spec = [("a", "b", 1), ("b", "c", 1), ("c", "a", 1), ("b", "d", 1), ("d", "c", 1)]
+    with pytest.raises(error, match=message):
+        validate_cactus([first, *names], spec + [("x", "y", 1)])
+
+
 def test_rejects_zero_length_edge():
     with pytest.raises(NonPositiveEdgeLength, match="edge 'a'-'b' has length 0.0"):
         validate_cactus(["a", "b"], [("a", "b", 0.0)])
@@ -89,6 +108,9 @@ def test_triangle_with_pendant_decomposition():
     assert tuple(cyc.vertices) == (0, 1, 2)
     assert cyc.perimeter == 3.0
     assert list(g.cycles.edge_cycle) == [0, 0, 0, None]
+    # the coordinate cache is not part of a cycle's value
+    assert cyc.vertex_coord(2) == 2.0
+    assert tri_graph().cycles == g.cycles
 
 
 def test_skeleton_is_a_tree():

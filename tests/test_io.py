@@ -202,6 +202,14 @@ def test_cli_decide_reports_feasibility_not_via_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["feasible"] is False
 
 
+@pytest.mark.parametrize("lam", ["-inf", "-1"])
+def test_cli_decide_reports_a_negative_radius_infeasible(tmp_path, capsys, lam):
+    assert main(["decide", _write_tri(tmp_path), f"--lambda={lam}"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["feasible"] is False
+    assert out["centers"] is None
+
+
 def test_cli_decide_rejects_a_nan_radius(tmp_path, capsys):
     assert main(["decide", _write_tri(tmp_path), "--lambda", "nan"]) == 2
     assert "NaN" in capsys.readouterr().err

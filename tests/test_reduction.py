@@ -3,16 +3,24 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_case, square_instance, tri_graph, tri_instance
+from conftest import (
+    draw_case,
+    mid_size_instances,
+    square_instance,
+    tri_graph,
+    tri_instance,
+)
 from ucactus import reduction
+from ucactus.decision import decide
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
-from ucactus.io import random_instance
+from ucactus.io import instance_to_dict, parse_instance, random_instance
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
 from ucactus.reduction import reduce_instance
@@ -188,16 +196,26 @@ def test_lift_source_is_the_point_lift_point_maps():
     assert ident.lift_source(near_u) == near_u
 
 
-def test_reduction_validates_only_the_reduced_graph(monkeypatch):
+def test_validate_cactus_runs_once_per_solve_and_decide(monkeypatch):
+    # outside input is validated at parse; the reduced network is not
+    # validated again at run time
     calls = []
-    inner = reduction.validate_cactus
-    monkeypatch.setattr(
-        reduction, "validate_cactus", lambda *a: calls.append(1) or inner(*a)
-    )
+
+    def counted(*args):
+        calls.append(1)
+        return validate_cactus(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ucactus") and hasattr(module, "validate_cactus"):
+            monkeypatch.setattr(module, "validate_cactus", counted)
     for seed in range(20):
+        doc = instance_to_dict(draw_case(seed, edge_locations=True))
         calls.clear()
-        red = reduce_instance(draw_case(seed, edge_locations=True))
-        assert len(calls) == (0 if red.identity else 1)
+        star = solve(parse_instance(doc)).value
+        assert len(calls) == 1
+        calls.clear()
+        assert decide(parse_instance(doc), star).feasible
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +419,20 @@ def assert_same_reduction(got, want):
         assert abs(a - b) <= 1e-12 * max(1.0, b)
 
 
+def assert_passes_validation(red):
+    """The reduced network and points, built without validation, pass the
+    checks that outside input passes, and ``validate_cactus`` decomposes the
+    network as the reduced graph does itself."""
+    g = red.reduced.graph
+    checked = validate_cactus(
+        g.names, [(g.names[e.u], g.names[e.v], e.length) for e in g.edges]
+    )
+    assert checked.edges == g.edges
+    # compares cycles, edge_cycle and vertex_cycles
+    assert checked.cycles == g.cycles
+    build_instance(g, red.reduced.points, red.reduced.eps)
+
+
 # ---------------------------------------------------------------------------
 # the one-pass worklist against the fixpoint
 
@@ -413,6 +445,7 @@ def test_one_pass_matches_the_fixpoint_on_random_draws(max_vertices, edge_locati
         inst = draw_case(seed, max_vertices=max_vertices, edge_locations=edge_locations)
         got = reduce_instance(inst)
         assert_same_reduction(got, fixpoint_reduce(inst))
+        assert_passes_validation(got)
         reduced += not got.identity
     assert reduced >= 800
 
@@ -426,23 +459,12 @@ def test_one_pass_matches_the_fixpoint_on_large_draws():
         got = reduce_instance(inst)
         assert got.reduced.graph.vertex_count < 400
         assert_same_reduction(got, fixpoint_reduce(inst))
+        assert_passes_validation(got)
 
 
 # ---------------------------------------------------------------------------
 # metamorphic properties beyond the oracle's size: a massless addition moves
 # neither the optimum nor the reduced vertex count
-
-
-@st.composite
-def _mid_size_instances(draw):
-    return random_instance(
-        draw(st.integers(0, 2**16)),
-        n_vertices=draw(st.integers(30, 60)),
-        n_cycles=draw(st.integers(0, 8)),
-        n_points=draw(st.integers(1, 6)),
-        n_locations=draw(st.integers(1, 4)),
-        edge_locations=draw(st.booleans()),
-    )
 
 
 _LENGTHS = st.lists(st.integers(1, 9).map(float), min_size=1, max_size=4)
@@ -460,7 +482,7 @@ def _assert_same_optimum(inst, changed):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(_mid_size_instances(), st.data())
+@given(mid_size_instances(), st.data())
 def test_subdividing_an_edge_changes_nothing(inst, data):
     g = inst.graph
     e = g.edges[data.draw(st.integers(0, len(g.edges) - 1))]
@@ -482,7 +504,7 @@ def test_subdividing_an_edge_changes_nothing(inst, data):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(_mid_size_instances(), st.data())
+@given(mid_size_instances(), st.data())
 def test_a_massless_pendant_path_changes_nothing(inst, data):
     g = inst.graph
     lengths = data.draw(_LENGTHS)
@@ -495,7 +517,7 @@ def test_a_massless_pendant_path_changes_nothing(inst, data):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(_mid_size_instances(), st.data())
+@given(mid_size_instances(), st.data())
 def test_a_massless_pendant_cycle_changes_nothing(inst, data):
     g = inst.graph
     lengths = data.draw(_LENGTHS) + data.draw(_LENGTHS) + [1.0]
