@@ -17,7 +17,7 @@ from ucactus.io import (
     read_instance,
     write_instance,
 )
-from ucactus.optimizer import Solution, candidate_values, find_critical_pair, solve
+from ucactus.optimizer import Solution, solve
 from ucactus.oracle import (
     oracle_decide,
     oracle_median,
@@ -53,10 +53,8 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "build_instance",
-    "candidate_values",
     "decide",
     "expected_distance",
-    "find_critical_pair",
     "instance_to_dict",
     "median",
     "objective",

@@ -150,6 +150,7 @@ def _cmd_verify(args) -> int:
             n_cycles=rng.randint(0, min(2, (n_vertices - 1) // 2)),
             n_points=rng.randint(1, 4),
             n_locations=rng.randint(1, 3),
+            edge_locations=t % 2 == 1,
         )
         got = solve(inst).value
         want, _ = oracle_solve(inst)

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from ucactus.graph import CactusGraph, validate_cactus
-from ucactus.io import random_instance
+from ucactus.io import parse_instance, random_instance
 from ucactus.uncertain import Instance, Location, UncertainPoint, build_instance
+
+# the benchmark's instance generators use nothing from ucactus
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 def tri_graph() -> CactusGraph:
@@ -91,3 +97,17 @@ def mid_size_instances(draw, edge_locations=st.booleans()) -> Instance:
         n_locations=draw(st.integers(1, 4)),
         edge_locations=draw(edge_locations),
     )
+
+
+@st.composite
+def benchmark_shaped_instances(draw) -> Instance:
+    """Instances from the benchmark's generators: a tree-like cactus of
+    60-120 vertices with 40 points of 8 locations, or three rings of 8
+    vertices with 10-40 points of 4 locations."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        data = gen.tree_like(rng, draw(st.integers(60, 120)))
+    else:
+        n_points = draw(st.integers(10, 40))
+        data = gen.rings(rng, n_rings=3, ring_size=8, n_points=n_points)
+    return parse_instance(data)

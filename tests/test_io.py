@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import draw_case, tri_instance
+from ucactus import cli
 from ucactus.cli import main
 from ucactus.decision import one_center
 from ucactus.errors import FormatError, InfeasibleParams, ValidationError
@@ -332,10 +333,20 @@ def test_cli_gen_then_solve(tmp_path, capsys):
     assert out["lambda_star"] >= 0.0
 
 
-def test_cli_verify_cross_checks_the_solver(capsys):
+def test_cli_verify_cross_checks_the_solver(capsys, monkeypatch):
+    # every odd trial places locations inside edges, so the solver's
+    # reduce-and-lift path meets the oracle too
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(kwargs["edge_locations"])
+        return random_instance(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "random_instance", recording)
     assert main(["verify", "--trials", "3", "--seed", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mismatches"] == []
+    assert drawn == [False, True, False]
 
 
 def test_cli_missing_file_is_an_input_error(tmp_path, capsys):

@@ -1,23 +1,24 @@
-"""Locating the critical pair of regions and extracting the exact optimum."""
+"""The bracket search from the lower bound and the exact optimum it finds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import draw_case, tri_instance
-from ucactus.decision import DESCEND_TWO, decide, one_center
+from conftest import draw_case
+from ucactus import optimizer
+from ucactus.decision import decide, one_center
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.optimizer import (
-    CRITICAL_HERE,
-    SOLVED,
+    _base_values,
+    _merge_close,
+    _segments,
     candidate_values,
     find_critical_pair,
-    locate_critical_articulation,
-    locate_critical_cycle,
     solve,
 )
 from ucactus.oracle import oracle_solve
+from ucactus.plf import crossings
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Location,
@@ -87,62 +88,90 @@ def test_single_point_optimum_is_its_weighted_median():
 
 
 # ---------------------------------------------------------------------------
-# locating the critical regions
+# the bracket search
 
 
 def test_star_resolves_at_the_hub():
+    # one center takes two leaves from the hub; no two leaves' profiles
+    # cross, so the bracket's upper end is the optimum
     inst = _star_instance()
-    hub = inst.graph.skeleton.node_of_vertex[0]
-    out = locate_critical_articulation(inst, hub)
-    assert (out.kind, out.value) == (SOLVED, 1.0)
     fr = find_critical_pair(inst)
-    assert (fr.value, fr.regions) == (1.0, None)
+    assert (fr.value, fr.bracket) == (None, (0.0, 1.0))
+    assert list(candidate_values(inst, *fr.bracket)) == [1.0]
     assert solve(inst).value == 1.0
 
 
-def test_locate_descends_both_ways_from_the_hinge(tri):
-    out = locate_critical_articulation(tri, 0)
-    assert out.kind == DESCEND_TWO
-    assert (out.primary, out.secondary) == (1, 2)
-
-
-def test_locate_pins_the_cycle_and_the_pendant(tri):
-    out = locate_critical_cycle(tri, 2)
-    assert out.kind == CRITICAL_HERE
-    assert (out.primary, out.secondary) == (2, 1)
-
-
-def test_find_critical_pair_on_fixed_instance(tri):
+def test_find_critical_pair_on_fixed_instance(tri, square):
+    # P1's median value 0.5 is the lower bound, and a center at d frees the
+    # other for P1
     fr = find_critical_pair(tri)
-    assert fr.value is None
-    assert fr.regions == (("edge", 3), ("cycle", 0))
+    assert (fr.value, fr.bracket) == (0.5, None)
+    assert fr.verdict.feasible
+    # four certain corners: the bound 0 is infeasible, and the side length
+    # is the smallest feasible base value
+    fr = find_critical_pair(square)
+    assert (fr.value, fr.bracket) == (None, (0.0, 1.0))
+    assert fr.verdict.feasible
 
 
-def test_candidate_values_on_fixed_regions(tri):
-    got = candidate_values(tri, ("cycle", 0), ("edge", 3))
-    assert list(got) == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+def test_candidate_values_inside_the_bracket(square):
+    # neighbouring corners' profiles cross at the middle of each side
+    assert list(candidate_values(square, 0.0, 1.0)) == [0.5, 1.0]
+    assert solve(square).value == 0.5
 
 
-def test_critical_regions_carry_the_optimum_or_fail_detectably():
-    # the pair grid may miss when localisation was fooled; the miss must
-    # then be visible (a feasible value just below the grid answer) so the
-    # all-regions safety net takes over
-    from ucactus.optimizer import _candidate_values_wide, _smallest_feasible
-
-    for seed in range(50):
-        inst = draw_case(seed, max_vertices=10, max_points=4)
+@pytest.mark.parametrize("edge_locations, draws", [(False, 50), (True, 25)])
+def test_base_values_and_crossings_carry_the_optimum(edge_locations, draws):
+    for seed in range(draws):
+        inst = draw_case(
+            seed, max_vertices=10, max_points=4, edge_locations=edge_locations
+        )
         star, _ = oracle_solve(inst)
-        fr = find_critical_pair(inst)
-        if fr.value is not None:
-            assert fr.value == pytest.approx(star, abs=1e-9), seed
+        work = reduce_instance(inst).reduced
+        family = np.concatenate([_base_values(work), crossings(*_segments(work))[1]])
+        assert np.min(np.abs(family - star)) <= 1e-9 * max(1.0, star), seed
+
+
+def test_pruned_crossings_are_the_unpruned_ones_inside_the_bracket():
+    inside = 0
+    for seed in range(60):
+        inst = draw_case(
+            seed, max_vertices=10, max_points=4, edge_locations=seed % 2 == 1
+        )
+        work = reduce_instance(inst).reduced
+        fr = find_critical_pair(work)
+        if fr.bracket is None:
             continue
-        grid = candidate_values(inst, *fr.regions)
-        if np.any(np.abs(grid - star) <= 1e-9 * max(1.0, star)):
-            continue
-        lam1 = _smallest_feasible(inst, grid)
-        assert decide(inst, lam1 - 10.0 * inst.eps * max(1.0, lam1)).feasible, seed
-        wide = _candidate_values_wide(inst)
-        assert np.any(np.abs(wide - star) <= 1e-9 * max(1.0, star)), seed
+        down, up = fr.bracket
+        every = crossings(*_segments(work))[1]
+        want = _merge_close(every[(every > down) & (every < up)])
+        got = candidate_values(work, down, up)
+        assert list(got) == [*want, up], seed
+        inside += want.size
+    assert inside > 0
+
+
+def test_solve_decides_each_radius_once_and_keeps_the_optimum_witnesses(monkeypatch):
+    asked: list[float] = []
+
+    def counting(inst, lam):
+        asked.append(lam)
+        return decide(inst, lam)
+
+    monkeypatch.setattr(optimizer, "decide", counting)
+    settled = 0
+    for seed in range(40):
+        inst = draw_case(seed, edge_locations=seed % 2 == 1)
+        red = reduce_instance(inst)
+        asked.clear()
+        sol = solve(inst)
+        assert len(set(asked)) == len(asked), seed
+        if asked[0] == sol.value:
+            settled += 1
+            assert asked == [sol.value], seed
+        v = decide(red.reduced, sol.value)
+        assert sol.centers == tuple(red.lift_point(c) for c in v.centers), seed
+    assert 0 < settled < 40
 
 
 # ---------------------------------------------------------------------------

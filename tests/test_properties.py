@@ -1,5 +1,6 @@
 """Exactness beyond the oracle's size cap: certificates and metamorphic
-relations on 30-60 vertex draws with edge-interior locations."""
+relations on 30-60 vertex draws with edge-interior locations, and on
+smaller draws from the benchmark's generators."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mid_size_instances
+from conftest import benchmark_shaped_instances, mid_size_instances
 from ucactus.decision import decide
 from ucactus.graph import GraphPoint, validate_cactus
 from ucactus.optimizer import solve
@@ -63,31 +64,46 @@ def _rebuilt(
     return build_instance(graph, moved, inst.eps)
 
 
-@_DRAWS
-@given(_EDGE_DRAWS)
-def test_the_centers_attain_the_optimum_and_nothing_lower_is_feasible(inst):
+def _certified(inst: Instance) -> float:
+    """The optimum of ``inst``, checked: the returned centers attain it and
+    nothing lower is feasible."""
     sol = solve(inst)
     tol = inst.eps * max(1.0, sol.value)
     assert objective(inst, *sol.centers) <= sol.value + 2.0 * tol
     assert not decide(inst, sol.value - 10.0 * tol).feasible
+    return sol.value
+
+
+def _doubles(inst: Instance, lam: float, **scale: float) -> None:
+    """Rebuilt with ``scale``, ``inst`` has twice the optimum ``lam``."""
+    got = solve(_rebuilt(inst, **scale)).value
+    assert got == pytest.approx(2.0 * lam, rel=1e-9, abs=1e-12)
+
+
+@_DRAWS
+@given(_EDGE_DRAWS)
+def test_the_centers_attain_the_optimum_and_nothing_lower_is_feasible(inst):
+    _certified(inst)
 
 
 @_DRAWS
 @given(_EDGE_DRAWS)
 def test_doubling_every_length_doubles_the_optimum(inst):
-    want = 2.0 * solve(inst).value
-    assert solve(_rebuilt(inst, length_scale=2.0)).value == pytest.approx(
-        want, rel=1e-9, abs=1e-12
-    )
+    _doubles(inst, solve(inst).value, length_scale=2.0)
 
 
 @_DRAWS
 @given(_EDGE_DRAWS)
 def test_doubling_every_weight_doubles_the_optimum(inst):
-    want = 2.0 * solve(inst).value
-    assert solve(_rebuilt(inst, weight_scale=2.0)).value == pytest.approx(
-        want, rel=1e-9, abs=1e-12
-    )
+    _doubles(inst, solve(inst).value, weight_scale=2.0)
+
+
+@_DRAWS
+@given(benchmark_shaped_instances())
+def test_benchmark_shaped_draws_are_certified_and_scale(inst):
+    lam = _certified(inst)
+    _doubles(inst, lam, length_scale=2.0)
+    _doubles(inst, lam, weight_scale=2.0)
 
 
 @_DRAWS
