@@ -114,7 +114,7 @@ def _cmd_reduce(args) -> int:
             {
                 "identity": red.identity,
                 "vertices": [inst.graph.vertex_count, red.reduced.graph.vertex_count],
-                "edges": [len(inst.graph.edges), len(red.reduced.graph.edges)],
+                "edges": [inst.graph.edge_count, red.reduced.graph.edge_count],
             }
         )
     else:

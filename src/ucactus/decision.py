@@ -218,11 +218,12 @@ def coverage_witness(
     )
     edv = inst.ed_at_vertices
 
-    if not g.edges:
+    if not g.edge_count:
         return g.vertex_point(0) if np.all(edv[0, idx] <= thr) else None
 
-    bu, bv, bl, bid = g.bridge_table
+    bid = g.bridges
     if bid.size:
+        bu, bv, bl = g.u[bid], g.v[bid], g.length[bid]
         y0 = edv[np.ix_(bu, idx)]
         slope = (edv[np.ix_(bv, idx)] - y0) / bl[:, None]
         span = thr[None, :] - y0
@@ -285,22 +286,22 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
     covers, and the rest must fit a single center anywhere.
     """
     g = inst.graph
-    e = g.edges[edge]
+    u, v, length = g.edge(edge)
     if g.cycles.edge_cycle[edge] is not None:
         raise InternalInvariantError("edge terminal on a cycle edge")
     tol = _tol(inst, lam)
     peps = inst.eps
     tree = g.skeleton
     # mass on the u side once the edge is cut
-    side_u = component_mass(inst, tree.node_of_vertex[e.v], tree.node_of_vertex[e.u])
+    side_u = component_mass(inst, tree.node_of_vertex[v], tree.node_of_vertex[u])
 
-    y0 = inst.weights * inst.ed_at_vertices[e.u]
-    y1 = inst.weights * inst.ed_at_vertices[e.v]
-    slope = (y1 - y0) / e.length
+    y0 = inst.weights * inst.ed_at_vertices[u]
+    y1 = inst.weights * inst.ed_at_vertices[v]
+    slope = (y1 - y0) / length
 
     for from_u in (True, False):
         heavy = side_u >= 0.5 - peps if from_u else 1.0 - side_u >= 0.5 - peps
-        t = e.length if from_u else 0.0
+        t = length if from_u else 0.0
         for k in np.flatnonzero(heavy):
             # the on-edge center stays within this majority point's reach;
             # points unreachable anywhere on the edge fall to the residual
@@ -309,8 +310,8 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
                     t = min(t, (lam + tol - y0[k]) / slope[k])
             else:
                 if slope[k] < 0 and y1[k] <= lam + tol:
-                    t = max(t, e.length + (lam + tol - y1[k]) / slope[k])
-        t = float(np.clip(t, 0.0, e.length))
+                    t = max(t, length + (lam + tol - y1[k]) / slope[k])
+        t = float(np.clip(t, 0.0, length))
         at_t = y0 + slope * t
         # double slack: t sits on a tolerance boundary, so re-evaluation
         # may land an ulp above it
@@ -506,22 +507,21 @@ def one_center(inst: Instance) -> tuple[GraphPoint, float]:
         return red.lift_point(center), value
     weights = inst.weights
     g = inst.graph
-    if not np.any(weights > 0) or not g.edges:
+    if not np.any(weights > 0) or not g.edge_count:
         return g.vertex_point(0), 0.0
     best: tuple[float, GraphPoint] | None = None
 
-    for e in g.edges:
-        if g.cycles.edge_cycle[e.id] is not None:
-            continue
-        y0 = weights * inst.ed_at_vertices[e.u]
-        y1 = weights * inst.ed_at_vertices[e.v]
-        ts = _envelope_candidates(y0, y1, e.length)
+    for e in g.bridges.tolist():
+        u, v, length = g.edge(e)
+        y0 = weights * inst.ed_at_vertices[u]
+        y1 = weights * inst.ed_at_vertices[v]
+        ts = _envelope_candidates(y0, y1, length)
         env = np.max(
-            y0[None, :] + (ts[:, None] / e.length) * (y1 - y0)[None, :], axis=1
+            y0[None, :] + (ts[:, None] / length) * (y1 - y0)[None, :], axis=1
         )
         i = int(np.argmin(env))
         if best is None or env[i] < best[0]:
-            best = (float(env[i]), GraphPoint(e.id, float(ts[i])))
+            best = (float(env[i]), GraphPoint(e, float(ts[i])))
 
     for cyc in g.cycles.cycles:
         xs, ys = cycle_profiles(inst, cyc.id)

@@ -1,8 +1,11 @@
 """Cactus graph model: validation, cycle decomposition, skeleton tree, metric.
 
 Vertices are dense integers internally; external names live in
-``CactusGraph.names``.  A point on the network is a ``GraphPoint``: an edge id
-plus an offset from the edge's ``u`` endpoint.
+``CactusGraph.names``.  A network is one edge table, ``u``/``v``/``length``
+arrays indexed by edge id, and one half-edge index that the cycle
+decomposition, the Dijkstra matrix and the skeleton all read.  A point on
+the network is a ``GraphPoint``: an edge id plus an offset from the edge's
+``u`` endpoint, both Python numbers.
 
 The skeleton tree is rooted once, when it is built; every component query
 (what one removed node cuts off, which way a target lies, a centroid) reads
@@ -13,8 +16,9 @@ complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -41,40 +45,38 @@ class GraphPoint:
     t: float
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    id: int
-    u: int
-    v: int
-    length: float
-
-    def other(self, w: int) -> int:
-        return self.v if w == self.u else self.u
-
-
 class CactusGraph:
-    """A connected cactus.  Outside input comes through
-    :func:`validate_cactus`; the reduction builds its output directly.  The
-    cycle decomposition proves both properties when it is first read."""
+    """A connected cactus held as one edge table: edge ``i`` joins ``u[i]``
+    and ``v[i]`` and has length ``length[i]``.  Positions
+    ``indptr[x]:indptr[x + 1]`` of ``nbr`` (the far end) and ``half_edge``
+    (the edge id) list the edges at vertex ``x`` in id order.  Outside input
+    comes through :func:`validate_cactus`; the reduction builds its output
+    directly.  The cycle decomposition proves connectivity and cactus-ness
+    when it is first read."""
 
-    def __init__(self, names: list[str], edges: list[Edge]) -> None:
+    def __init__(
+        self, names: list[str], u: np.ndarray, v: np.ndarray, length: np.ndarray
+    ) -> None:
         self.names = names
-        self.edges = edges
+        self.u, self.v, self.length = u, v, length
         self.vertex_count = len(names)
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in names]
-        for e in edges:
-            self.adj[e.u].append((e.id, e.v))
-            self.adj[e.v].append((e.id, e.u))
+        self.edge_count = len(length)
+        self.indptr, self.nbr, self.half_edge = half_edge_index(len(names), u, v)
         self.vertex_id = {name: i for i, name in enumerate(names)}
+
+    def edge(self, i: int) -> tuple[int, int, float]:
+        """``u``, ``v`` and length of edge ``i`` as Python numbers."""
+        return int(self.u[i]), int(self.v[i]), float(self.length[i])
 
     @cached_property
     def adjacency(self) -> csr_matrix:
-        """Sparse symmetric adjacency matrix weighted by edge length."""
+        """The half-edge index as a sparse matrix weighted by edge length,
+        each row's columns sorted, the order Dijkstra relaxes them in."""
         n = self.vertex_count
-        rows = [e.u for e in self.edges] + [e.v for e in self.edges]
-        cols = [e.v for e in self.edges] + [e.u for e in self.edges]
-        data = [e.length for e in self.edges] * 2
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
+        data = self.length[self.half_edge]
+        m = csr_matrix((data, self.nbr, self.indptr), shape=(n, n), copy=True)
+        m.sort_indices()
+        return m
 
     @cached_property
     def vertex_distances(self) -> np.ndarray:
@@ -95,82 +97,92 @@ class CactusGraph:
         check_point(self, p)
         if p.edge < 0:
             return np.zeros(self.vertex_count)
-        e = self.edges[p.edge]
-        d = self.distance_rows([e.u, e.v])
-        return np.minimum(p.t + d[0], (e.length - p.t) + d[1])
+        u, v, length = self.edge(p.edge)
+        d = self.distance_rows([u, v])
+        return np.minimum(p.t + d[0], (length - p.t) + d[1])
 
     @cached_property
     def cycles(self) -> CycleDecomposition:
         return _decompose(self)
 
     @cached_property
-    def bridge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``u``, ``v``, length and id arrays of the out-of-cycle edges."""
-        free = [e for e in self.edges if self.cycles.edge_cycle[e.id] is None]
-        return (
-            np.array([e.u for e in free], dtype=int),
-            np.array([e.v for e in free], dtype=int),
-            np.array([e.length for e in free]),
-            np.array([e.id for e in free], dtype=int),
-        )
+    def bridges(self) -> np.ndarray:
+        """Ids of the out-of-cycle edges, ascending."""
+        return np.flatnonzero([c is None for c in self.cycles.edge_cycle])
 
     @cached_property
     def skeleton(self) -> SkeletonTree:
         return _build_skeleton(self)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def vertex_point(self, v: int) -> GraphPoint:
-        """A canonical GraphPoint sitting exactly on vertex ``v``."""
-        if not self.adj[v]:
+        """A canonical GraphPoint on vertex ``v``, on its lowest-id edge."""
+        if self.indptr[v] == self.indptr[v + 1]:
             # isolated single-vertex graph; edge id -1 is understood by the
             # distance routines as "the lone vertex"
             return GraphPoint(-1, 0.0)
-        eid, _ = min(self.adj[v])
-        e = self.edges[eid]
-        return GraphPoint(eid, 0.0 if e.u == v else e.length)
+        eid = int(self.half_edge[self.indptr[v]])
+        u, _, length = self.edge(eid)
+        return GraphPoint(eid, 0.0 if u == v else length)
 
     def point_on_vertex(self, p: GraphPoint) -> int | None:
         """The vertex ``p`` coincides with, or None for interior points."""
         if p.edge < 0:
             return 0
-        e = self.edges[p.edge]
+        u, v, length = self.edge(p.edge)
         if p.t <= _POS_EPS:
-            return e.u
-        if p.t >= e.length - _POS_EPS:
-            return e.v
+            return u
+        if p.t >= length - _POS_EPS:
+            return v
         return None
+
+
+def half_edge_index(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``indptr``, ``nbr`` and ``half_edge`` of the edges ``u[i]``-``v[i]``.
+    Half-edge 2i leaves u[i] and 2i + 1 leaves v[i]; a stable sort by the
+    vertex left keeps each vertex's edges in id order."""
+    tail = np.column_stack([u, v]).ravel()
+    order = np.argsort(tail, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+    return indptr, np.column_stack([v, u]).ravel()[order], order // 2
 
 
 def validate_cactus(
     names: Sequence[str], edge_spec: Sequence[tuple[str, str, float]]
 ) -> CactusGraph:
-    """Build a :class:`CactusGraph`, checking connectivity and cactus-ness."""
+    """Build a :class:`CactusGraph`, checking connectivity and cactus-ness.
+
+    Each edge check runs over all edges at once and reports its first
+    faulty edge; they run in the order unknown endpoint, self-loop,
+    non-finite length, non-positive length, parallel pair."""
     names = list(names)
     if len(set(names)) != len(names):
         raise ValidationError("duplicate vertex names")
     if not names:
         raise ValidationError("graph needs at least one vertex")
     index = {name: i for i, name in enumerate(names)}
-    edges: list[Edge] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for u_name, v_name, length in edge_spec:
-        if u_name not in index or v_name not in index:
-            raise ValidationError(f"edge endpoint {u_name!r} or {v_name!r} unknown")
-        u, v = index[u_name], index[v_name]
-        if u == v:
-            raise ValidationError(f"self-loop at {u_name!r}")
-        if not math.isfinite(length):
-            raise ValidationError(f"edge {u_name!r}-{v_name!r} has non-finite length {length}")
-        if length <= 0:
-            raise NonPositiveEdgeLength(f"edge {u_name!r}-{v_name!r} has length {length}")
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
-            raise ValidationError(f"parallel edge {u_name!r}-{v_name!r}")
-        seen_pairs.add(pair)
-        edges.append(Edge(len(edges), u, v, float(length)))
-    graph = CactusGraph(names, edges)
+    m = len(edge_spec)
+    u_names, v_names, lengths = zip(*edge_spec) if m else ((), (), ())
+    u = np.fromiter(map(index.get, u_names, repeat(-1)), np.intp, m)
+    v = np.fromiter(map(index.get, v_names, repeat(-1)), np.intp, m)
+    length = np.array(lengths, dtype=float)
+    # every edge but the first of its vertex pair is a parallel one
+    parallel = np.ones(m, dtype=bool)
+    pair = np.minimum(u, v) * len(names) + np.maximum(u, v)
+    parallel[np.unique(pair, return_index=True)[1]] = False
+    checks = (
+        ((u < 0) | (v < 0), ValidationError, "edge endpoint {0!r} or {1!r} unknown"),
+        (u == v, ValidationError, "self-loop at {0!r}"),
+        (~np.isfinite(length), ValidationError, "edge {0!r}-{1!r} has non-finite length {2}"),
+        (length <= 0, NonPositiveEdgeLength, "edge {0!r}-{1!r} has length {2}"),
+        (parallel, ValidationError, "parallel edge {0!r}-{1!r}"),
+    )
+    for bad, error, message in checks:
+        if bad.any():
+            raise error(message.format(*edge_spec[np.argmax(bad)]))
+    total = sum(lengths)
+    if not math.isfinite(total):
+        raise ValidationError(f"total edge length {total} is not finite")
+    graph = CactusGraph(names, u, v, length)
     graph.cycles  # the decomposition raises NotConnected or SharedCycleEdge
     return graph
 
@@ -195,12 +207,9 @@ class Cycle:
     forward: tuple[bool, ...]
     pos: tuple[float, ...]
     perimeter: float
-    _vpos: dict[int, float] = field(default_factory=dict, compare=False, repr=False)
 
     def vertex_coord(self, v: int) -> float:
-        if not self._vpos:
-            self._vpos.update(zip(self.vertices, self.pos))
-        return self._vpos[v]
+        return self.pos[self.vertices.index(v)]
 
     def coord_point(self, graph: CactusGraph, x: float) -> GraphPoint:
         """The point at arc coordinate ``x``, taken modulo the perimeter."""
@@ -210,7 +219,7 @@ class Cycle:
             end = self.pos[i + 1] if i + 1 < c else self.perimeter
             if x <= end + _POS_EPS:
                 off = min(x - self.pos[i], end - self.pos[i])
-                length = graph.edges[self.edges[i]].length
+                length = float(graph.length[self.edges[i]])
                 t = off if self.forward[i] else length - off
                 return GraphPoint(self.edges[i], min(max(t, 0.0), length))
         raise AssertionError("coordinate outside ring")
@@ -228,30 +237,30 @@ class CycleDecomposition:
     edge_cycle: list[int | None]
     vertex_cycles: list[tuple[int, ...]]
 
-    def on_cycle(self, v: int) -> bool:
-        return bool(self.vertex_cycles[v])
-
 
 def _decompose(graph: CactusGraph) -> CycleDecomposition:
     """One DFS from vertex 0: each back edge closes a cycle, an edge closed
     twice raises SharedCycleEdge and an unreached vertex NotConnected."""
     n = graph.vertex_count
+    indptr, nbr = graph.indptr.tolist(), graph.nbr.tolist()
+    half_edge = graph.half_edge.tolist()
     depth = [-1] * n
     parent_edge = [-1] * n
     parent_vertex = [-1] * n
-    scan = [0] * n
-    edge_cycle: list[int | None] = [None] * len(graph.edges)
+    scan = indptr[:-1]  # the next half-edge of each vertex to look at
+    edge_cycle: list[int | None] = [None] * graph.edge_count
     raw_cycles: list[tuple[list[int], list[int]]] = []
 
     depth[0] = 0
     stack = [0]
     while stack:
         v = stack[-1]
-        if scan[v] == len(graph.adj[v]):
+        h = scan[v]
+        if h == indptr[v + 1]:
             stack.pop()
             continue
-        eid, w = graph.adj[v][scan[v]]
-        scan[v] += 1
+        scan[v] = h + 1
+        eid, w = half_edge[h], nbr[h]
         if eid == parent_edge[v]:
             continue
         if depth[w] == -1:
@@ -274,10 +283,8 @@ def _decompose(graph: CactusGraph) -> CycleDecomposition:
             cid = len(raw_cycles)
             for e in edges:
                 if edge_cycle[e] is not None:
-                    raise SharedCycleEdge(
-                        f"edge {graph.names[graph.edges[e].u]!r}-"
-                        f"{graph.names[graph.edges[e].v]!r} lies on two cycles"
-                    )
+                    a, b = graph.names[graph.u[e]], graph.names[graph.v[e]]
+                    raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
                 edge_cycle[e] = cid
             raw_cycles.append((verts, edges))
     if -1 in depth:
@@ -309,11 +316,12 @@ def _canonical_cycle(
     else:
         verts = verts[i0:] + verts[:i0]
         edges = edges[i0:] + edges[:i0]
-    forward = tuple(graph.edges[e].u == verts[i] for i, e in enumerate(edges))
+    forward = tuple(u == x for u, x in zip(graph.u[edges].tolist(), verts))
+    lengths = graph.length[edges].tolist()
     pos = [0.0]
-    for e in edges[:-1]:
-        pos.append(pos[-1] + graph.edges[e].length)
-    perimeter = pos[-1] + graph.edges[edges[-1]].length
+    for length in lengths[:-1]:
+        pos.append(pos[-1] + length)
+    perimeter = pos[-1] + lengths[-1]
     return Cycle(cid, tuple(verts), tuple(edges), forward, tuple(pos), perimeter)
 
 
@@ -437,11 +445,12 @@ class SplitComponent:
 def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
     dec = graph.cycles
     n = graph.vertex_count
+    degree = np.diff(graph.indptr).tolist()
     node_of_vertex: list[int | None] = [None] * n
     nodes: list[SkelNode] = []
     for v in range(n):
-        if dec.on_cycle(v):
-            if graph.degree(v) >= 3:
+        if dec.vertex_cycles[v]:
+            if degree[v] >= 3:
                 node_of_vertex[v] = len(nodes)
                 nodes.append(SkelNode(len(nodes), "hinge", v))
         else:
@@ -462,12 +471,13 @@ def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
                 node_vertices[node_of_cycle[cyc.id]].append(v)
 
     links: list[list[TreeLink]] = [[] for _ in nodes]
-    for e in graph.edges:
-        if dec.edge_cycle[e.id] is None:
-            a, b = node_of_vertex[e.u], node_of_vertex[e.v]
-            assert a is not None and b is not None
-            links[a].append(TreeLink(b, e.length, e.id))
-            links[b].append(TreeLink(a, e.length, e.id))
+    bid = graph.bridges
+    rows = zip(*(x.tolist() for x in (bid, graph.u[bid], graph.v[bid], graph.length[bid])))
+    for e, u, v, length in rows:
+        a, b = node_of_vertex[u], node_of_vertex[v]
+        assert a is not None and b is not None
+        links[a].append(TreeLink(b, length, e))
+        links[b].append(TreeLink(a, length, e))
     for cyc in dec.cycles:
         cnode = node_of_cycle[cyc.id]
         for v in cyc.vertices:
@@ -492,12 +502,12 @@ def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
 def check_point(graph: CactusGraph, p: GraphPoint) -> None:
     """Raise :class:`InvalidPoint` unless ``p`` lies on an edge of ``graph``."""
     if p.edge < 0:
-        if graph.edges:
+        if graph.edge_count:
             raise InvalidPoint("vertex sentinel point used on a non-trivial graph")
         return
-    if not 0 <= p.edge < len(graph.edges):
+    if not 0 <= p.edge < graph.edge_count:
         raise InvalidPoint(f"no edge {p.edge}")
-    if not -_POS_EPS <= p.t <= graph.edges[p.edge].length + _POS_EPS:
+    if not -_POS_EPS <= p.t <= graph.length[p.edge] + _POS_EPS:
         raise InvalidPoint(f"offset {p.t} outside edge {p.edge}")
 
 
@@ -508,8 +518,8 @@ def distance_via(
     through an end of ``p``'s edge, or along that edge when ``q`` shares it."""
     if p.edge < 0:
         return float(dq[0])
-    e = graph.edges[p.edge]
-    d = min(p.t + dq[e.u], (e.length - p.t) + dq[e.v])
+    u, v, length = graph.edge(p.edge)
+    d = min(p.t + dq[u], (length - p.t) + dq[v])
     if p.edge == q.edge:
         d = min(d, abs(p.t - q.t))
     return float(d)

@@ -38,11 +38,12 @@ def _fmt(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _number(value: Any, what: str) -> float:
+def _number(value: Any, what: str, *args: Any) -> float:
+    """``value`` as a float; ``what.format(*args)`` names it in an error."""
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{what} is not a number: {value!r}") from exc
+        raise FormatError(f"{what.format(*args)} is not a number: {value!r}") from exc
 
 
 def _list(value: Any, what: str) -> list | tuple:
@@ -70,7 +71,7 @@ def parse_instance(data: Any) -> Instance:
         u, v, length = row
         if not isinstance(u, str) or not isinstance(v, str):
             raise FormatError(f"bad edge entry {row!r}")
-        spec.append((u, v, _number(length, f"length of edge {u!r}-{v!r}")))
+        spec.append((u, v, _number(length, "length of edge {!r}-{!r}", u, v)))
     graph = validate_cactus(names, spec)
 
     points = []
@@ -83,13 +84,13 @@ def parse_instance(data: Any) -> Instance:
             loc_rows = row["locations"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"uncertain point missing key: {exc}") from exc
-        weight = _number(weight, f"weight of point {label!r}")
+        weight = _number(weight, "weight of point {!r}", label)
         locs = []
         for pair in _list(loc_rows, f"locations of point {label!r}"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise FormatError(f"bad location entry {pair!r}")
             where, prob = pair
-            prob = _number(prob, f"probability in point {label!r}")
+            prob = _number(prob, "probability in point {!r}", label)
             locs.append(Location(_parse_place(graph, where), prob))
         points.append(UncertainPoint(str(label), weight, tuple(locs)))
 
@@ -109,14 +110,16 @@ def _parse_place(graph: CactusGraph, where: Any) -> int | GraphPoint:
         u, v = graph.vertex_id[u_name], graph.vertex_id[v_name]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad location place {where!r}") from exc
-    for eid, other in graph.adj[u]:
-        if other == v:
-            e = graph.edges[eid]
-            t = _number(t, f"offset on edge {u_name!r}-{v_name!r}")
-            if not 0.0 <= t <= e.length:
-                raise FormatError(f"offset {t} outside edge {u_name!r}-{v_name!r}")
-            return GraphPoint(eid, t if e.u == u else e.length - t)
-    raise FormatError(f"no edge {u_name!r}-{v_name!r}")
+    lo, hi = graph.indptr[u], graph.indptr[u + 1]
+    nbrs = graph.nbr[lo:hi].tolist()
+    if v not in nbrs:
+        raise FormatError(f"no edge {u_name!r}-{v_name!r}")
+    eid = int(graph.half_edge[lo + nbrs.index(v)])
+    a, _, length = graph.edge(eid)
+    t = _number(t, "offset on edge {!r}-{!r}", u_name, v_name)
+    if not 0.0 <= t <= length:
+        raise FormatError(f"offset {t} outside edge {u_name!r}-{v_name!r}")
+    return GraphPoint(eid, t if a == u else length - t)
 
 
 def read_instance(path: str | Path) -> Instance:
@@ -136,15 +139,17 @@ def place_to_json(graph: CactusGraph, place: int | GraphPoint) -> Any:
     v = graph.point_on_vertex(place)
     if v is not None:
         return graph.names[v]
-    e = graph.edges[place.edge]
-    return [graph.names[e.u], graph.names[e.v], _fmt(place.t)]
+    u, v, _ = graph.edge(place.edge)
+    return [graph.names[u], graph.names[v], _fmt(place.t)]
 
 
 def instance_to_dict(inst: Instance) -> dict:
     g = inst.graph
     return {
         "vertices": list(g.names),
-        "edges": [[g.names[e.u], g.names[e.v], _fmt(e.length)] for e in g.edges],
+        "edges": [
+            [g.names[u], g.names[v], _fmt(x)] for u, v, x in map(g.edge, range(g.edge_count))
+        ],
         "uncertain_points": [
             {
                 "id": p.label,
@@ -224,9 +229,9 @@ def random_instance(
             prob = (bounds[j + 1] - bounds[j]) / denom
             place: int | GraphPoint = v
             if edge_locations and spec and rng.random() < 0.35:
-                eid = rng.randrange(len(graph.edges))
-                e = graph.edges[eid]
-                place = GraphPoint(eid, round(rng.uniform(0.0, e.length), 3))
+                eid = rng.randrange(graph.edge_count)
+                length = float(graph.length[eid])
+                place = GraphPoint(eid, round(rng.uniform(0.0, length), 3))
             locs.append(Location(place, prob))
         points.append(UncertainPoint(f"P{k + 1}", float(rng.randint(1, 5)), tuple(locs)))
     return build_instance(graph, points, eps)

@@ -44,8 +44,8 @@ def find_critical_pair(inst: Instance) -> FindResult:
     verdict = decide(inst, low)
     if verdict.feasible:
         return FindResult(verdict, value=low)
-    vals = _merge_close(_base_values(inst))
-    vals = vals[vals > low]
+    vals = _base_values(inst)
+    vals = np.unique(vals[vals > low])
     i, verdict = _smallest_feasible(inst, vals)
     down = float(vals[i - 1]) if i else low
     return FindResult(verdict, bracket=(down, float(vals[i])))
@@ -53,17 +53,6 @@ def find_critical_pair(inst: Instance) -> FindResult:
 
 # ---------------------------------------------------------------------------
 # candidate values
-
-
-def _merge_close(vals: np.ndarray) -> np.ndarray:
-    vals = np.unique(vals[vals >= 0.0])
-    if vals.size <= 1:
-        return vals
-    keep = [0]
-    for i in range(1, vals.size):
-        if vals[i] - vals[keep[-1]] > 1e-12 * max(1.0, vals[i]):
-            keep.append(i)
-    return vals[keep]
 
 
 def _base_values(inst: Instance) -> np.ndarray:
@@ -82,9 +71,8 @@ def _segments(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     each profile is linear in between."""
     g = inst.graph
     ys = inst.ed_at_vertices * inst.weights
-    bridges = [e for e in g.edges if g.cycles.edge_cycle[e.id] is None]
-    starts = [ys[[e.u for e in bridges]]]
-    ends = [ys[[e.v for e in bridges]]]
+    starts = [ys[g.u[g.bridges]]]
+    ends = [ys[g.v[g.bridges]]]
     for cyc in g.cycles.cycles:
         prof = cycle_profiles(inst, cyc.id)[1] * inst.weights
         starts.append(prof[:-1])
@@ -94,7 +82,7 @@ def _segments(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def candidate_values(inst: Instance, down: float, up: float) -> np.ndarray:
     """Every crossing of two point profiles on one bridge edge or cycle
-    piece strictly inside (down, up), sorted and merged, followed by
+    piece strictly inside (down, up), sorted and distinct, followed by
     ``up``."""
     y0, y1 = _segments(inst)
     # a crossing lies in both segments' value ranges, so a segment whose
@@ -111,7 +99,7 @@ def candidate_values(inst: Instance, down: float, up: float) -> np.ndarray:
     a1 = np.take_along_axis(y1[rows], order, axis=1)
     a0[pad] = a1[pad] = np.nan
     vals = crossings(a0, a1)[1]
-    return np.append(_merge_close(vals[(vals > down) & (vals < up)]), up)
+    return np.append(np.unique(vals[(vals > down) & (vals < up)]), up)
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,16 @@ class _EdgeView:
     def __init__(self, inst: Instance, edge: int) -> None:
         g = inst.graph
         dist = g.vertex_distances
-        e = g.edges[edge]
+        u, v, self.length = g.edge(edge)
         self.edge = edge
-        self.length = e.length
         self.arms: list[_LocArm] = []
         for k, p in enumerate(inst.points):
             for loc in p.locations:
                 pt = location_point(g, loc)
-                pe = g.edges[pt.edge]  # the graph has edges, so pt.edge >= 0
-                dvec = np.minimum(pt.t + dist[pe.u], (pe.length - pt.t) + dist[pe.v])
+                pu, pv, plength = g.edge(pt.edge)  # the graph has edges
+                dvec = np.minimum(pt.t + dist[pu], (plength - pt.t) + dist[pv])
                 s = pt.t if pt.edge == edge else None
-                self.arms.append(_LocArm(k, loc.prob, dvec[e.u], dvec[e.v], s))
+                self.arms.append(_LocArm(k, loc.prob, dvec[u], dvec[v], s))
         self.breaks = self._breakpoints()
         self.n = inst.n
         self.weights = inst.weights
@@ -108,7 +107,7 @@ class _EdgeView:
 
 def _views(inst: Instance) -> list[_EdgeView]:
     return inst.memo(
-        "oracle_views", lambda: [_EdgeView(inst, e.id) for e in inst.graph.edges]
+        "oracle_views", lambda: [_EdgeView(inst, e) for e in range(inst.graph.edge_count)]
     )
 
 
@@ -135,7 +134,7 @@ def _decide_candidates(inst: Instance, lam: float) -> list[GraphPoint]:
     for view in _views(inst):
         ts = sorted(set(view.breaks.tolist()) | set(_level_positions(view, lam, tol)))
         cands.extend(GraphPoint(view.edge, t) for t in ts)
-    if not inst.graph.edges:
+    if not inst.graph.edge_count:
         cands.append(inst.graph.vertex_point(0))
     return cands
 

@@ -10,8 +10,12 @@ worklist pass, with no position removed that could host a better center:
 * every chain between survivors (vertices holding mass or of degree three
   or more) becomes one reduced edge.
 
-Ring membership and ring order come from the original graph's cycle
-decomposition.  What remains is padded so every vertex holds a location.
+The split cactus is an edge table with a half-edge index, as a
+``CactusGraph`` is: one sort of the edge ends and the snapped interior cuts
+by (edge, offset) numbers its vertices and edges, and the worklist walks
+its index.  Ring membership and ring order come from the original graph's
+cycle decomposition.  What remains is padded so every vertex holds a
+location.
 The returned object lifts positions on the reduced graph back to the
 original one; expected distances are preserved exactly, so solution values
 need no lifting.
@@ -21,8 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import CactusGraph, Cycle, Edge, GraphPoint
+from ucactus.graph import CactusGraph, Cycle, GraphPoint, half_edge_index
 from ucactus.uncertain import Instance, Location, UncertainPoint
 
 _SNAP = 1e-12
@@ -32,43 +38,39 @@ _Seg = tuple[int, float, float]
 
 
 @dataclass(slots=True)
-class _Edge:
-    """An edge of the split cactus, or a reduced edge: a walk from ``u`` to
-    ``v`` along the runs of ``path``."""
-
-    u: int
-    v: int
-    length: float
-    path: list[_Seg]
-
-    def other(self, w: int) -> int:
-        return self.v if w == self.u else self.u
-
-    def oriented(self, start: int) -> list[_Seg]:
-        if start == self.u:
-            return self.path
-        return [(e, b, a) for e, a, b in reversed(self.path)]
-
-
-@dataclass(slots=True)
 class _Split:
-    """The cactus with every interior location made a vertex.
+    """The cactus with every interior location made a vertex, as an edge
+    table with its half-edge index.
 
-    Original vertices keep their ids; split vertices follow, numbered edge
-    by edge, and ``cut_points`` holds their positions.  ``pieces[e]`` lists
-    the split edges of original edge ``e`` from its ``u`` end to its ``v``
-    end; ``placed[k]`` holds point ``k``'s (vertex, probability) pairs."""
+    Original vertices keep their ids; split vertices follow, numbered by
+    (edge, offset), and sit at offset ``cut_t`` of original edge
+    ``cut_edge``.  Original edge ``e`` becomes the split edges
+    ``first[e]:first[e + 1]``, from its ``u`` end to its ``v`` end; split
+    edge ``i`` joins ``u[i]`` to ``v[i]`` along original edge ``edge[i]``,
+    from offset ``t0[i]`` to ``t1[i]``.  ``placed[k]`` holds point ``k``'s
+    (vertex, probability) pairs."""
 
     graph: CactusGraph
     mass: list[bool]
-    cut_points: list[GraphPoint]
-    edges: list[_Edge]
-    pieces: list[list[int]]
+    cut_edge: list[int]
+    cut_t: list[float]
+    u: list[int]
+    v: list[int]
+    length: list[float]
+    edge: list[int]
+    t0: list[float]
+    t1: list[float]
+    first: list[int]
+    indptr: list[int]
+    nbr: list[int]
+    half_edge: list[int]
     placed: list[list[tuple[int, float]]]
 
     def origin(self, v: int) -> GraphPoint:
         n = self.graph.vertex_count
-        return self.graph.vertex_point(v) if v < n else self.cut_points[v - n]
+        if v < n:
+            return self.graph.vertex_point(v)
+        return GraphPoint(self.cut_edge[v - n], self.cut_t[v - n])
 
     def cycles_at(self, v: int) -> tuple[int, ...]:
         """Ids of the original cycles that vertex ``v`` lies on."""
@@ -76,7 +78,7 @@ class _Split:
         n = self.graph.vertex_count
         if v < n:
             return cycles.vertex_cycles[v]
-        c = cycles.edge_cycle[self.cut_points[v - n].edge]
+        c = cycles.edge_cycle[self.cut_edge[v - n]]
         return () if c is None else (c,)
 
     def ring(self, cyc: Cycle) -> tuple[list[int], list[int]]:
@@ -85,11 +87,18 @@ class _Split:
         verts: list[int] = []
         ring_edges: list[int] = []
         for v, e, forward in zip(cyc.vertices, cyc.edges, cyc.forward):
-            for i in self.pieces[e] if forward else reversed(self.pieces[e]):
+            pieces = range(self.first[e], self.first[e + 1])
+            for i in pieces if forward else reversed(pieces):
                 verts.append(v)
                 ring_edges.append(i)
-                v = self.edges[i].other(v)
+                v = self.u[i] + self.v[i] - v
         return verts, ring_edges
+
+    def oriented(self, i: int, start: int) -> _Seg:
+        """Split edge ``i`` as a run entered at its end ``start``."""
+        if start == self.u[i]:
+            return self.edge[i], self.t0[i], self.t1[i]
+        return self.edge[i], self.t1[i], self.t0[i]
 
 
 @dataclass(slots=True)
@@ -127,7 +136,7 @@ class Reduction:
             if p.t <= walked + span + _SNAP:
                 frac = min(max(p.t - walked, 0.0), span)
                 t = a + frac if b >= a else a - frac
-                length = self.original.graph.edges[eid].length
+                length = float(self.original.graph.length[eid])
                 return GraphPoint(eid, min(max(t, 0.0), length))
             walked += span
         raise InternalInvariantError("point beyond reduced edge path")
@@ -135,110 +144,91 @@ class Reduction:
 
 def reduce_instance(inst: Instance) -> Reduction:
     """Reduce ``inst`` to an equivalent vertex-constrained instance."""
-    if inst.is_vertex_constrained and _fully_occupied(inst):
+    # with mass on every vertex there is nothing to remove
+    if inst.is_vertex_constrained and inst.vertex_mass.any(axis=1).all():
         return Reduction(inst, inst, identity=True)
     split = _split(inst)
-    survivors, edges = _reduce(split)
-    return _finish(inst, split, survivors, edges)
-
-
-def _fully_occupied(inst: Instance) -> bool:
-    """True when every vertex carries positive probability mass, leaving
-    nothing for the reduction to remove."""
-    occupied = [False] * inst.graph.vertex_count
-    for p in inst.points:
-        for loc in p.locations:
-            if loc.is_vertex and loc.prob > 0.0:
-                occupied[loc.place] = True
-    return all(occupied)
+    survivors, chains = _reduce(split)
+    return _finish(inst, split, survivors, chains)
 
 
 def _split(inst: Instance) -> _Split:
     graph = inst.graph
+    n, m = graph.vertex_count, graph.edge_count
+    # every location with mass, with its point; a massless one may leave
+    # its site prunable
+    rows = [
+        (k, loc) for k, p in enumerate(inst.points) for loc in p.locations if loc.prob > 0.0
+    ]
+    site = np.array(
+        [loc.place if loc.is_vertex else -1 for _, loc in rows], dtype=np.intp
+    )
+    inside = np.flatnonzero(site < 0)
+
+    # snap near-endpoint offsets onto the endpoints; the rest cut their edge
+    e = np.array([rows[i][1].place.edge for i in inside], dtype=np.intp)
+    t = np.array([rows[i][1].place.t for i in inside], dtype=float)
+    snap = _SNAP * np.maximum(1.0, graph.length[e])
+    to_u, to_v = t <= snap, t >= graph.length[e] - snap
+    site[inside] = np.where(to_u, graph.u[e], np.where(to_v, graph.v[e], -1))
+    cut = np.flatnonzero(~to_u & ~to_v)
+    order = cut[np.lexsort((t[cut], e[cut]))]
+    # along each edge, an offset within snap of the last kept cut joins it
+    keep, last = [], (-1, 0.0)
+    for ei, ti, si in zip(e[order].tolist(), t[order].tolist(), snap[order].tolist()):
+        keep.append(ei != last[0] or ti - last[1] > si)
+        if keep[-1]:
+            last = (ei, ti)
+    kept = order[np.array(keep, dtype=bool)]
+    site[inside[order]] = n + np.cumsum(keep, dtype=np.intp) - 1
+    cut_edge, cut_t = e[kept], t[kept]
+
+    # the stations of every edge, its ends and its cuts, in (edge, offset)
+    # order; consecutive stations of one edge bound a split edge
+    st_edge = np.concatenate([np.arange(m), np.arange(m), cut_edge])
+    st_t = np.concatenate([np.zeros(m), graph.length, cut_t])
+    st_v = np.concatenate([graph.u, graph.v, n + np.arange(kept.size)])
+    by = np.lexsort((st_t, st_edge))
+    st_edge, st_t, st_v = st_edge[by], st_t[by], st_v[by]
+    a = np.flatnonzero(st_edge[:-1] == st_edge[1:])
+    u, v, t0, t1 = st_v[a], st_v[a + 1], st_t[a], st_t[a + 1]
+    first = np.concatenate([[0], np.cumsum(np.bincount(cut_edge, minlength=m) + 1)])
+
     placed: list[list[tuple[int, float]]] = [[] for _ in inst.points]
-
-    # split every edge at its interior locations, snapping near-endpoint
-    # offsets onto the endpoints
-    interior: dict[int, list[float]] = {}
-    loc_site: dict[tuple[int, int], tuple[str, int | float]] = {}
-    for k, p in enumerate(inst.points):
-        for li, loc in enumerate(p.locations):
-            if loc.prob <= 0.0:
-                continue  # carries nothing; its site may then be prunable
-            if loc.is_vertex:
-                loc_site[(k, li)] = ("vertex", loc.place)
-                continue
-            pt: GraphPoint = loc.place
-            e = graph.edges[pt.edge]
-            snap = _SNAP * max(1.0, e.length)
-            if pt.t <= snap:
-                loc_site[(k, li)] = ("vertex", e.u)
-            elif pt.t >= e.length - snap:
-                loc_site[(k, li)] = ("vertex", e.v)
-            else:
-                interior.setdefault(pt.edge, []).append(pt.t)
-                loc_site[(k, li)] = ("interior", pt.t)
-
-    cut_points: list[GraphPoint] = []
-    edges: list[_Edge] = []
-    pieces: list[list[int]] = []
-    split_vertex: dict[int, list[tuple[float, int]]] = {}
-    for e in graph.edges:
-        cuts: list[float] = []
-        for t in sorted(interior.get(e.id, ())):
-            if not cuts or t - cuts[-1] > _SNAP * max(1.0, e.length):
-                cuts.append(t)
-        stations: list[tuple[float, int]] = [(0.0, e.u)]
-        for t in cuts:
-            stations.append((t, graph.vertex_count + len(cut_points)))
-            cut_points.append(GraphPoint(e.id, t))
-        stations.append((e.length, e.v))
-        split_vertex[e.id] = stations[1:-1]
-        pieces.append(list(range(len(edges), len(edges) + len(cuts) + 1)))
-        for (t0, a), (t1, b) in zip(stations, stations[1:]):
-            edges.append(_Edge(a, b, t1 - t0, [(e.id, t0, t1)]))
-
-    for (k, li), site in loc_site.items():
-        prob = inst.points[k].locations[li].prob
-        if site[0] == "vertex":
-            placed[k].append((site[1], prob))
-        else:
-            pt = inst.points[k].locations[li].place
-            snap = _SNAP * max(1.0, graph.edges[pt.edge].length)
-            wv = next(
-                w for t, w in split_vertex[pt.edge] if abs(t - site[1]) <= snap
-            )
-            placed[k].append((wv, prob))
-
-    mass = [False] * (graph.vertex_count + len(cut_points))
-    for locs in placed:
-        for w, _ in locs:
-            mass[w] = True
-    return _Split(graph, mass, cut_points, edges, pieces, placed)
+    for (k, loc), w in zip(rows, site.tolist()):
+        placed[k].append((w, loc.prob))
+    mass = np.zeros(n + kept.size, dtype=bool)
+    mass[site] = True
+    table = (cut_edge, cut_t, u, v, t1 - t0, st_edge[a], t0, t1, first)
+    index = half_edge_index(mass.size, u, v)
+    return _Split(graph, mass.tolist(), *(x.tolist() for x in table + index), placed)
 
 
-def _reduce(split: _Split) -> tuple[list[int], list[_Edge]]:
-    """The survivors of the split cactus, in id order, and the reduced edges
-    that join them, each a chain of split edges walked in one piece; the
-    edges come in order of their lowest split edge and run its way.
+def _reduce(split: _Split) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """The survivors of the split cactus, in id order, and the chains of
+    split edges that join them, each as the vertices walked and the split
+    edges taken; the chains come in order of their lowest split edge and
+    run its way.
 
     Peeling a mass-free leaf or dropping a ring lowers degrees, which can
     make new leaves and rings to drop, so both run off one worklist.  Every
     removed position is dominated by a survivor: a peeled leaf by its
     neighbour, a dropped ring by its anchor, a longer arc by the shorter."""
-    mass, edges = split.mass, split.edges
-    adj: list[list[int]] = [[] for _ in mass]
-    for i, e in enumerate(edges):
-        adj[e.u].append(i)
-        adj[e.v].append(i)
-    deg = [len(a) for a in adj]
-    live = [True] * len(edges)
+    mass, length = split.mass, split.length
+    indptr, nbr, half_edge = split.indptr, split.nbr, split.half_edge
+    deg = [b - a for a, b in zip(indptr, indptr[1:])]
+    live = [True] * len(length)
     cycles = split.graph.cycles.cycles
     rings = [split.ring(cyc) for cyc in cycles]
     ring_live = [True] * len(cycles)
 
     def anchor(v: int) -> bool:
         return mass[v] or deg[v] >= 3
+
+    def live_half(v: int) -> int:
+        return next(
+            h for h in range(indptr[v], indptr[v + 1]) if live[half_edge[h]]
+        )
 
     def lower(v: int, by: int) -> None:
         was = anchor(v)
@@ -259,10 +249,10 @@ def _reduce(split: _Split) -> tuple[list[int], list[_Edge]]:
     while leaves or drops:
         if leaves:
             v = leaves.pop()
-            i = next(i for i in adj[v] if live[i])
-            live[i] = False
+            h = live_half(v)
+            live[half_edge[h]] = False
             deg[v] = 0
-            lower(edges[i].other(v), 1)
+            lower(nbr[h], 1)
             continue
         c = drops.pop()
         ring_live[c] = False
@@ -281,8 +271,8 @@ def _reduce(split: _Split) -> tuple[list[int], list[_Edge]]:
         if not ring_live[c] or anchors[c] != 2:
             continue
         i, j = (k for k, v in enumerate(verts) if anchor(v))
-        inner = sum(edges[e].length for e in ring_edges[i:j])
-        outer = sum(edges[e].length for e in ring_edges[j:] + ring_edges[:i])
+        inner = sum(length[e] for e in ring_edges[i:j])
+        outer = sum(length[e] for e in ring_edges[j:] + ring_edges[:i])
         if inner <= outer:
             drop_v, drop_e = verts[j + 1 :] + verts[:i], ring_edges[j:] + ring_edges[:i]
         else:
@@ -295,50 +285,49 @@ def _reduce(split: _Split) -> tuple[list[int], list[_Edge]]:
         deg[verts[j]] -= 1
 
     survivors = [v for v in range(len(mass)) if anchor(v)]
-    chains: list[tuple[int, list[int], list[int]]] = []
+    chains: list[tuple[list[int], list[int]]] = []
     for s in survivors:
-        for first in adj[s]:
-            if not live[first]:
+        for h in range(indptr[s], indptr[s + 1]):
+            if not live[half_edge[h]]:
                 continue
-            live[first] = False
-            walk, chain = [s], [first]
-            v = edges[first].other(s)
+            live[half_edge[h]] = False
+            walk, chain = [s], [half_edge[h]]
+            v = nbr[h]
             while not anchor(v):
-                i = next(i for i in adj[v] if live[i])
-                live[i] = False
+                step = live_half(v)
+                live[half_edge[step]] = False
                 walk.append(v)
-                chain.append(i)
-                v = edges[i].other(v)
+                chain.append(half_edge[step])
+                v = nbr[step]
             walk.append(v)
             # orient each chain along its first split edge
             low = chain.index(min(chain))
-            if walk[low] != edges[chain[low]].u:
+            if walk[low] != split.u[chain[low]]:
                 walk.reverse()
                 chain.reverse()
-            chains.append((min(chain), walk, chain))
-    chains.sort(key=lambda item: item[0])
-    return survivors, [_joined(edges, walk, chain) for _, walk, chain in chains]
-
-
-def _joined(edges: list[_Edge], walk: list[int], chain: list[int]) -> _Edge:
-    """One edge along the split edges ``chain``, entered at ``walk``."""
-    path: list[_Seg] = []
-    for v, i in zip(walk, chain):
-        path.extend(edges[i].oriented(v))
-    return _Edge(walk[0], walk[-1], sum(edges[i].length for i in chain), path)
+            chains.append((walk, chain))
+    chains.sort(key=lambda item: min(item[1]))
+    return survivors, chains
 
 
 def _finish(
-    inst: Instance, split: _Split, survivors: list[int], edges: list[_Edge]
+    inst: Instance,
+    split: _Split,
+    survivors: list[int],
+    chains: list[tuple[list[int], list[int]]],
 ) -> Reduction:
     # a cactus by construction: its decomposition, which the skeleton reads,
     # still proves that, and the tests check it against validate_cactus
-    new_index = {v: i for i, v in enumerate(survivors)}
+    renumber = np.zeros(len(split.mass), dtype=np.intp)
+    renumber[survivors] = np.arange(len(survivors))
     graph = CactusGraph(
         [f"v{i}" for i in range(len(survivors))],
-        [Edge(i, new_index[e.u], new_index[e.v], e.length) for i, e in enumerate(edges)],
+        renumber[[walk[0] for walk, _ in chains]],
+        renumber[[walk[-1] for walk, _ in chains]],
+        np.array([sum(split.length[i] for i in chain) for _, chain in chains]),
     )
 
+    new_index = renumber.tolist()
     points = []
     empty = set(range(len(survivors)))
     for k, p in enumerate(inst.points):
@@ -355,5 +344,7 @@ def _finish(
 
     reduced = Instance(graph, points, inst.eps)
     vertex_origin = [split.origin(v) for v in survivors]
-    edge_paths = [e.path for e in edges]
+    edge_paths = [
+        [split.oriented(i, x) for x, i in zip(walk, chain)] for walk, chain in chains
+    ]
     return Reduction(inst, reduced, False, vertex_origin, edge_paths)

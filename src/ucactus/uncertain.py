@@ -192,6 +192,12 @@ def build_instance(
             raise ValidationError(
                 f"point {p.label!r}: probabilities sum to {total!r}, not 1"
             )
+    # every weighted expected distance is at most this product
+    heaviest, span = max(p.weight for p in points), float(graph.length.sum())
+    if not math.isfinite(heaviest * span):
+        raise ValidationError(
+            f"largest weight {heaviest} times total edge length {span} is not finite"
+        )
     return Instance(graph, points, instance_eps(eps))
 
 

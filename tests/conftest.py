@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +17,23 @@ from ucactus.uncertain import Instance, Location, UncertainPoint, build_instance
 # the benchmark's instance generators use nothing from ucactus
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
+
+
+class EdgeRow(NamedTuple):
+    id: int
+    u: int
+    v: int
+    length: float
+
+
+def edge_row(graph: CactusGraph, i: int) -> EdgeRow:
+    """Edge ``i`` of the graph's edge table as Python numbers."""
+    return EdgeRow(i, *graph.edge(i))
+
+
+def edge_rows(graph: CactusGraph) -> list[EdgeRow]:
+    """The graph's edge table, one row per edge."""
+    return [edge_row(graph, i) for i in range(graph.edge_count)]
 
 
 def tri_graph() -> CactusGraph:

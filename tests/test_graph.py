@@ -9,8 +9,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import draw_case, tri_graph
+from conftest import draw_case, edge_rows, tri_graph
 from ucactus.io import random_instance
 from ucactus.errors import (
     InternalInvariantError,
@@ -86,6 +88,79 @@ def test_rejects_duplicate_names():
         validate_cactus(["a", "a"], [("a", "a", 1)])
 
 
+def reference_edge_checks(names, edge_spec) -> None:
+    """The per-edge loop that the vectorised checks of ``validate_cactus``
+    replaced: it raises on the first faulty edge, each edge's checks in the
+    order unknown endpoint, self-loop, non-finite length, non-positive
+    length, parallel pair."""
+    index = {name: i for i, name in enumerate(names)}
+    seen_pairs: set[tuple[int, int]] = set()
+    for u_name, v_name, length in edge_spec:
+        if u_name not in index or v_name not in index:
+            raise ValidationError(f"edge endpoint {u_name!r} or {v_name!r} unknown")
+        u, v = index[u_name], index[v_name]
+        if u == v:
+            raise ValidationError(f"self-loop at {u_name!r}")
+        if not math.isfinite(length):
+            raise ValidationError(f"edge {u_name!r}-{v_name!r} has non-finite length {length}")
+        if length <= 0:
+            raise NonPositiveEdgeLength(f"edge {u_name!r}-{v_name!r} has length {length}")
+        pair = (min(u, v), max(u, v))
+        if pair in seen_pairs:
+            raise ValidationError(f"parallel edge {u_name!r}-{v_name!r}")
+        seen_pairs.add(pair)
+
+
+_FAULTS = ("unknown", "self-loop", "nan", "inf", "-inf", "non-positive", "parallel")
+
+
+@st.composite
+def one_fault_specs(draw):
+    """Vertex names and the edges of a random tree with exactly one faulty
+    edge, at a random position."""
+    n = draw(st.integers(2, 12))
+    names = [f"v{i}" for i in range(n)]
+    lengths = st.floats(0.1, 10.0) | st.integers(1, 9)
+    spec = [
+        (names[draw(st.integers(0, i - 1))], names[i], draw(lengths)) for i in range(1, n)
+    ]
+    spec = draw(st.permutations(spec))
+    fault = draw(st.sampled_from(_FAULTS))
+    at = draw(st.integers(0, len(spec) - 1))
+    u, v, length = spec[at]
+    if fault == "parallel":
+        # the copy may land before or after the edge it repeats
+        pos = draw(st.integers(0, len(spec)))
+        copy = draw(st.sampled_from([(u, v), (v, u)]))
+        spec.insert(pos, (*copy, draw(lengths)))
+        return names, spec
+    if fault == "unknown":
+        if draw(st.booleans()):
+            u = "zz"
+        else:
+            v = "zz"
+    elif fault == "self-loop":
+        v = u
+    elif fault == "non-positive":
+        length = draw(st.floats(max_value=0.0, allow_nan=False) | st.integers(-9, 0))
+    else:
+        length = float(fault)
+    spec[at] = (u, v, length)
+    return names, spec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(one_fault_specs())
+def test_vectorised_checks_raise_as_the_per_edge_loop(case):
+    names, spec = case
+    with pytest.raises(ValidationError) as want:
+        reference_edge_checks(names, spec)
+    with pytest.raises(ValidationError) as got:
+        validate_cactus(names, spec)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -108,7 +183,6 @@ def test_triangle_with_pendant_decomposition():
     assert tuple(cyc.vertices) == (0, 1, 2)
     assert cyc.perimeter == 3.0
     assert list(g.cycles.edge_cycle) == [0, 0, 0, None]
-    # the coordinate cache is not part of a cycle's value
     assert cyc.vertex_coord(2) == 2.0
     assert tri_graph().cycles == g.cycles
 
@@ -310,7 +384,7 @@ def test_vertex_distance_matrix_matches_floyd_warshall():
         n = g.vertex_count
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
-        for e in g.edges:
+        for e in edge_rows(g):
             dist[e.u, e.v] = dist[e.v, e.u] = min(dist[e.u, e.v], e.length)
         for k in range(n):
             dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
@@ -325,7 +399,7 @@ def test_point_distance_is_a_metric_on_samples():
         rng = random.Random(seed)
         pts = [
             GraphPoint(e.id, rng.uniform(0.0, e.length))
-            for e in rng.choices(g.edges, k=4)
+            for e in rng.choices(edge_rows(g), k=4)
         ]
         for p in pts:
             assert point_distance(g, p, p) == pytest.approx(0.0, abs=1e-9)
@@ -341,7 +415,7 @@ def test_point_distance_is_a_metric_on_samples():
 def test_distances_from_agree_with_pairwise_queries():
     for g in [tri_graph()] + [draw_case(seed).graph for seed in range(10)]:
         dist = g.vertex_distances
-        for e in g.edges:
+        for e in edge_rows(g):
             p = GraphPoint(e.id, 0.37 * e.length)
             vec = g.distances_from(p)
             ref = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])

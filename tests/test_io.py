@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import draw_case, tri_instance
+from conftest import draw_case, edge_rows, tri_instance
 from ucactus import cli
 from ucactus.cli import main
 from ucactus.decision import one_center
@@ -127,7 +127,7 @@ def test_generator_output_shape():
         assert g.vertex_count == 10
         assert len(g.cycles.cycles) == 2
         assert inst.n == 3
-        for e in g.edges:
+        for e in edge_rows(g):
             assert e.length == int(e.length) and 1 <= e.length <= 10
         for p in inst.points:
             assert p.weight == int(p.weight) and 1 <= p.weight <= 5
@@ -139,7 +139,7 @@ def test_generator_output_shape():
 def test_generator_without_cycles_builds_a_tree():
     inst = random_instance(5, n_vertices=8, n_cycles=0, n_points=2)
     g = inst.graph
-    assert len(g.edges) == g.vertex_count - 1
+    assert g.edge_count == g.vertex_count - 1
     assert all(c is None for c in g.cycles.edge_cycle)
 
 
@@ -160,6 +160,30 @@ def _write_tri(tmp_path):
     path = tmp_path / "tri.json"
     write_instance(tri_instance(), path)
     return str(path)
+
+
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_output_is_standard_json(tmp_path, capsys):
+    for seed in range(12):
+        path = str(tmp_path / f"case{seed}.json")
+        write_instance(draw_case(seed, edge_locations=seed % 2 == 1), path)
+        assert main(["solve", path]) == 0
+        star = _strict_json(capsys.readouterr().out)["lambda_star"]
+        for lam in (0.5 * star, star, 1.1 * star):
+            assert main(["decide", path, "--lambda", repr(lam)]) == 0
+            _strict_json(capsys.readouterr().out)
+        assert main(["reduce", path]) == 0
+        _strict_json(capsys.readouterr().out)
+        assert main(["reduce", path, "-o", str(tmp_path / "red.json")]) == 0
+        _strict_json(capsys.readouterr().out)
 
 
 def test_cli_solve_reports_the_optimum(tmp_path, capsys):
@@ -218,7 +242,7 @@ def test_cli_decide_rejects_a_nan_radius(tmp_path, capsys):
 
 def _tri_doc(**changes):
     """The triangle instance as a document, with one field replaced; keys
-    are ``edge_length``, ``weight``, ``eps``, ``edges`` or ``locations``."""
+    are ``edge_length``, ``weight``, ``locations`` or a top-level key."""
     doc = instance_to_dict(tri_instance())
     if "edge_length" in changes:
         doc["edges"][0][2] = changes["edge_length"]
@@ -226,7 +250,7 @@ def _tri_doc(**changes):
         doc["uncertain_points"][0]["weight"] = changes["weight"]
     if "locations" in changes:
         doc["uncertain_points"][0]["locations"] = changes["locations"]
-    for key in ("eps", "edges"):
+    for key in ("eps", "vertices", "edges", "uncertain_points"):
         if key in changes:
             doc[key] = changes[key]
     return doc
@@ -247,6 +271,23 @@ BAD_INPUTS = [
     ("string-edge-length", {"edge_length": "long"}, [], "length of edge 'a'-'b' is not a number"),
     ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
     ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
+    # distances would overflow float64 (the first once summed along the path)
+    (
+        "overflowing-total-length",
+        {
+            "vertices": ["a", "b", "c"],
+            "edges": [["a", "b", 1e308], ["b", "c", 1e308]],
+            "uncertain_points": [{"id": "P1", "weight": 1.0, "locations": [["a", 1.0]]}],
+        },
+        [],
+        "total edge length inf is not finite",
+    ),
+    (
+        "overflowing-weighted-length",
+        {"edges": [["a", "b", 1e300], ["b", "c", 1e300], ["c", "d", 1e300]], "weight": 1e10},
+        ["--verify"],
+        "largest weight 10000000000.0 times total edge length 3e+300 is not finite",
+    ),
 ]
 
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import draw_case
+from conftest import draw_case, edge_row
 from ucactus import optimizer
 from ucactus.decision import decide, one_center
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.optimizer import (
     _base_values,
-    _merge_close,
     _segments,
     candidate_values,
     find_critical_pair,
@@ -144,7 +143,7 @@ def test_pruned_crossings_are_the_unpruned_ones_inside_the_bracket():
             continue
         down, up = fr.bracket
         every = crossings(*_segments(work))[1]
-        want = _merge_close(every[(every > down) & (every < up)])
+        want = np.unique(every[(every > down) & (every < up)])
         got = candidate_values(work, down, up)
         assert list(got) == [*want, up], seed
         inside += want.size
@@ -240,7 +239,7 @@ def test_solve_never_builds_the_original_distance_matrix():
         assert "vertex_distances" not in g.__dict__
         sol = solve(inst)
         assert "vertex_distances" not in g.__dict__
-        q, inside = sol.centers[0], GraphPoint(0, 0.5 * g.edges[0].length)
+        q, inside = sol.centers[0], GraphPoint(0, 0.5 * edge_row(g, 0).length)
         calls = {
             "objective": lambda: objective(inst, *sol.centers),
             "expected_distance": lambda: expected_distance(inst, 0, inside),

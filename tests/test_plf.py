@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_case, square_instance, tri_instance
+from conftest import draw_case, edge_row, square_instance, tri_instance
 from ucactus.graph import validate_cactus
 from ucactus.plf import (
     coverage_set,
@@ -173,7 +173,7 @@ def test_coverage_set_equals_the_piece_loop_on_cycles():
 
 def _pendant_profile(inst):
     """Point 1's profile along the pendant edge c-d of the triangle instance."""
-    e = inst.graph.edges[3]
+    e = edge_row(inst.graph, 3)
     return np.array([0.0, e.length]), inst.ed_at_vertices[[e.u, e.v]][:, [1]]
 
 

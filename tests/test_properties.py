@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import benchmark_shaped_instances, mid_size_instances
+from conftest import benchmark_shaped_instances, edge_rows, mid_size_instances
 from ucactus.decision import decide
 from ucactus.graph import GraphPoint, validate_cactus
 from ucactus.optimizer import solve
@@ -38,15 +38,16 @@ def _rebuilt(
     its vertices, edges and points listed in shuffled order."""
     g = inst.graph
     verts = list(range(g.vertex_count))
-    edges = list(range(len(g.edges)))
+    edges = list(range(g.edge_count))
     points = list(range(inst.n))
     if rng is not None:
         for order in (verts, edges, points):
             rng.shuffle(order)
     vertex_to = {v: i for i, v in enumerate(verts)}
     edge_to = {e: i for i, e in enumerate(edges)}
+    rows = edge_rows(g)
     spec = [
-        (g.names[g.edges[e].u], g.names[g.edges[e].v], length_scale * g.edges[e].length)
+        (g.names[rows[e].u], g.names[rows[e].v], length_scale * rows[e].length)
         for e in edges
     ]
     moved = []

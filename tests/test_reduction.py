@@ -6,12 +6,15 @@ import random
 import sys
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     draw_case,
+    edge_row,
+    edge_rows,
     mid_size_instances,
     square_instance,
     tri_graph,
@@ -19,12 +22,13 @@ from conftest import (
 )
 from ucactus import reduction
 from ucactus.decision import decide
-from ucactus.graph import GraphPoint, point_distance, validate_cactus
+from ucactus.graph import CactusGraph, GraphPoint, point_distance, validate_cactus
 from ucactus.io import instance_to_dict, parse_instance, random_instance
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
+    Instance,
     Location,
     UncertainPoint,
     build_instance,
@@ -48,7 +52,7 @@ def test_unloaded_vertex_survives_when_structural():
     g = red.reduced.graph
     assert not red.identity
     assert g.vertex_count == 4
-    assert [(e.u, e.v, e.length) for e in g.edges] == [
+    assert [(e.u, e.v, e.length) for e in edge_rows(g)] == [
         (0, 1, 1.0),
         (1, 2, 1.0),
         (2, 0, 1.0),
@@ -69,7 +73,7 @@ def test_interior_location_splits_its_edge():
     g = red.reduced.graph
     # the emptied stub past the split point is pruned with the old pendant tip
     assert g.vertex_count == 4
-    assert sorted(e.length for e in g.edges) == [1.0, 1.0, 1.0, 1.0]
+    assert sorted(e.length for e in edge_rows(g)) == [1.0, 1.0, 1.0, 1.0]
     assert red.reduced.is_vertex_constrained
     assert red.vertex_origin[3] == GraphPoint(3, 1.0)
     assert red.lift_point(GraphPoint(3, 1.0)) == GraphPoint(3, 1.0)
@@ -123,7 +127,7 @@ def test_empty_two_hinge_cycle_collapses_to_its_short_arc():
     rg = red.reduced.graph
     # 1 to the cycle, 2 around its short side, 2 onward
     assert rg.vertex_count == 2
-    assert [e.length for e in rg.edges] == [5.0]
+    assert [e.length for e in edge_rows(rg)] == [5.0]
     assert oracle_solve(red.reduced)[0] == oracle_solve(inst)[0] == 0.0
 
 
@@ -178,8 +182,8 @@ def test_reducing_twice_changes_nothing_more():
         once = reduce_instance(inst).reduced
         twice = reduce_instance(once).reduced
         assert twice.graph.vertex_count == once.graph.vertex_count
-        assert sorted(e.length for e in twice.graph.edges) == sorted(
-            e.length for e in once.graph.edges
+        assert sorted(e.length for e in edge_rows(twice.graph)) == sorted(
+            e.length for e in edge_rows(once.graph)
         )
 
 
@@ -187,13 +191,37 @@ def test_lift_source_is_the_point_lift_point_maps():
     inst = draw_case(3, max_points=3, edge_locations=True)
     red = reduce_instance(inst)
     rg = red.reduced.graph
-    e = rg.edges[0]
+    e = edge_row(rg, 0)
     near_u, inside = GraphPoint(e.id, 1e-10), GraphPoint(e.id, 0.5 * e.length)
     assert red.lift_source(near_u) == rg.vertex_point(e.u)
     assert red.lift_point(near_u) == red.lift_point(rg.vertex_point(e.u))
     assert red.lift_source(inside) == inside
     ident = reduce_instance(square_instance())
     assert ident.lift_source(near_u) == near_u
+
+
+def test_handed_out_points_hold_python_numbers():
+    # the edge table is numpy; ids and offsets leave the package as int/float
+    def assert_python(points):
+        for p in points:
+            assert type(p.edge) is int and type(p.t) is float, p
+
+    for seed in range(60):
+        inst = draw_case(seed, edge_locations=True)
+        sol = solve(inst)
+        assert_python(sol.centers)
+        for lam in (0.5 * sol.value, sol.value, 1.1 * sol.value):
+            v = decide(inst, lam)
+            assert_python(v.centers or ())
+        red = reduce_instance(inst)
+        rg = red.reduced.graph
+        assert_python(red.vertex_origin)
+        assert_python(red.lift_point(rg.vertex_point(x)) for x in range(rg.vertex_count))
+        assert_python(
+            red.lift_point(GraphPoint(e.id, f * e.length))
+            for e in edge_rows(rg)
+            for f in (0.25, 0.5)
+        )
 
 
 def test_validate_cactus_runs_once_per_solve_and_decide(monkeypatch):
@@ -382,11 +410,129 @@ def _contract_paths(verts: dict[int, bool], edges: dict[int, _WEdge]) -> bool:
     return changed
 
 
+# ---------------------------------------------------------------------------
+# reference split: a loop over every edge that numbers the split vertices
+# and split edges edge by edge, with one object per split edge
+
+
+@dataclass(slots=True)
+class _Edge:
+    """An edge of the split cactus: a walk from ``u`` to ``v`` along the
+    runs of ``path``."""
+
+    u: int
+    v: int
+    length: float
+    path: list
+
+
+@dataclass(slots=True)
+class _RefSplit:
+    graph: object
+    mass: list[bool]
+    cut_points: list[GraphPoint]
+    edges: list[_Edge]
+    placed: list[list[tuple[int, float]]]
+
+    def origin(self, v: int) -> GraphPoint:
+        n = self.graph.vertex_count
+        return self.graph.vertex_point(v) if v < n else self.cut_points[v - n]
+
+
+def reference_split(inst) -> _RefSplit:
+    graph = inst.graph
+    rows = edge_rows(graph)
+    snap_unit = reduction._SNAP
+    placed: list[list[tuple[int, float]]] = [[] for _ in inst.points]
+
+    # split every edge at its interior locations, snapping near-endpoint
+    # offsets onto the endpoints
+    interior: dict[int, list[float]] = {}
+    loc_site: dict[tuple[int, int], tuple[str, int | float]] = {}
+    for k, p in enumerate(inst.points):
+        for li, loc in enumerate(p.locations):
+            if loc.prob <= 0.0:
+                continue
+            if loc.is_vertex:
+                loc_site[(k, li)] = ("vertex", loc.place)
+                continue
+            pt = loc.place
+            e = rows[pt.edge]
+            snap = snap_unit * max(1.0, e.length)
+            if pt.t <= snap:
+                loc_site[(k, li)] = ("vertex", e.u)
+            elif pt.t >= e.length - snap:
+                loc_site[(k, li)] = ("vertex", e.v)
+            else:
+                interior.setdefault(pt.edge, []).append(pt.t)
+                loc_site[(k, li)] = ("interior", pt.t)
+
+    cut_points: list[GraphPoint] = []
+    edges: list[_Edge] = []
+    split_vertex: dict[int, list[tuple[float, int]]] = {}
+    for e in rows:
+        cuts: list[float] = []
+        for t in sorted(interior.get(e.id, ())):
+            if not cuts or t - cuts[-1] > snap_unit * max(1.0, e.length):
+                cuts.append(t)
+        stations: list[tuple[float, int]] = [(0.0, e.u)]
+        for t in cuts:
+            stations.append((t, graph.vertex_count + len(cut_points)))
+            cut_points.append(GraphPoint(e.id, t))
+        stations.append((e.length, e.v))
+        split_vertex[e.id] = stations[1:-1]
+        for (t0, a), (t1, b) in zip(stations, stations[1:]):
+            edges.append(_Edge(a, b, t1 - t0, [(e.id, t0, t1)]))
+
+    for (k, li), site in loc_site.items():
+        prob = inst.points[k].locations[li].prob
+        if site[0] == "vertex":
+            placed[k].append((site[1], prob))
+        else:
+            pt = inst.points[k].locations[li].place
+            snap = snap_unit * max(1.0, rows[pt.edge].length)
+            wv = next(
+                w for t, w in split_vertex[pt.edge] if abs(t - site[1]) <= snap
+            )
+            placed[k].append((wv, prob))
+
+    mass = [False] * (graph.vertex_count + len(cut_points))
+    for locs in placed:
+        for w, _ in locs:
+            mass[w] = True
+    return _RefSplit(graph, mass, cut_points, edges, placed)
+
+
+def _reference_finish(inst, split, survivors, edges) -> reduction.Reduction:
+    new_index = {v: i for i, v in enumerate(survivors)}
+    graph = CactusGraph(
+        [f"v{i}" for i in range(len(survivors))],
+        np.array([new_index[e.u] for e in edges], dtype=np.intp),
+        np.array([new_index[e.v] for e in edges], dtype=np.intp),
+        np.array([e.length for e in edges], dtype=float),
+    )
+    points = []
+    empty = set(range(len(survivors)))
+    for k, p in enumerate(inst.points):
+        locs = [Location(new_index[w], prob) for w, prob in split.placed[k]]
+        empty -= {new_index[w] for w, _ in split.placed[k]}
+        points.append(UncertainPoint(p.label, p.weight, tuple(locs)))
+    if empty:
+        first = points[0]
+        pad = tuple(Location(v, 0.0) for v in sorted(empty))
+        points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
+    reduced = Instance(graph, points, inst.eps)
+    origin = [split.origin(v) for v in survivors]
+    return reduction.Reduction(inst, reduced, False, origin, [e.path for e in edges])
+
+
 def fixpoint_reduce(inst):
-    """``reduce_instance`` with the fixpoint above in place of the worklist."""
-    if inst.is_vertex_constrained and reduction._fully_occupied(inst):
-        return reduce_instance(inst)
-    split = reduction._split(inst)
+    """``reduce_instance`` with the reference split and the fixpoint above
+    in place of the package's split and worklist."""
+    red = reduce_instance(inst)
+    if red.identity:
+        return red
+    split = reference_split(inst)
     verts = dict(enumerate(split.mass))
     cycle_of = split.graph.cycles.edge_cycle
     edges = {
@@ -394,10 +540,32 @@ def fixpoint_reduce(inst):
         for i, e in enumerate(split.edges)
     }
     _prune(verts, edges)
-    kept = [
-        reduction._Edge(e.u, e.v, e.length, e.path) for _, e in sorted(edges.items())
+    return _reference_finish(inst, split, sorted(verts), [e for _, e in sorted(edges.items())])
+
+
+def assert_same_split(inst):
+    """The package's split numbers vertices and split edges, and places the
+    locations, exactly as the reference does."""
+    if reduce_instance(inst).identity:
+        return
+    got, want = reduction._split(inst), reference_split(inst)
+    n = inst.graph.vertex_count
+    assert got.mass == want.mass
+    assert got.placed == want.placed
+    assert [got.origin(v) for v in range(n, len(got.mass))] == want.cut_points
+    assert [
+        (got.u[i], got.v[i], got.length[i], [got.oriented(i, got.u[i])])
+        for i in range(len(got.u))
+    ] == [(e.u, e.v, e.length, e.path) for e in want.edges]
+    want_at: list[list[tuple[int, int]]] = [[] for _ in want.mass]
+    for i, e in enumerate(want.edges):
+        want_at[e.u].append((i, e.v))
+        want_at[e.v].append((i, e.u))
+    got_at = [
+        [(got.half_edge[h], got.nbr[h]) for h in range(a, b)]
+        for a, b in zip(got.indptr, got.indptr[1:])
     ]
-    return reduction._finish(inst, split, sorted(verts), kept)
+    assert got_at == want_at
 
 
 def assert_same_reduction(got, want):
@@ -409,7 +577,7 @@ def assert_same_reduction(got, want):
 
     def edges(red):
         return sorted(
-            (min(e.u, e.v), max(e.u, e.v), e.length) for e in red.reduced.graph.edges
+            (min(e.u, e.v), max(e.u, e.v), e.length) for e in edge_rows(red.reduced.graph)
         )
 
     assert got.reduced.graph.vertex_count == want.reduced.graph.vertex_count
@@ -425,9 +593,11 @@ def assert_passes_validation(red):
     network as the reduced graph does itself."""
     g = red.reduced.graph
     checked = validate_cactus(
-        g.names, [(g.names[e.u], g.names[e.v], e.length) for e in g.edges]
+        g.names, [(g.names[e.u], g.names[e.v], e.length) for e in edge_rows(g)]
     )
-    assert checked.edges == g.edges
+    assert edge_rows(checked) == edge_rows(g)
+    for name in ("indptr", "nbr", "half_edge"):
+        assert list(getattr(checked, name)) == list(getattr(g, name))
     # compares cycles, edge_cycle and vertex_cycles
     assert checked.cycles == g.cycles
     build_instance(g, red.reduced.points, red.reduced.eps)
@@ -444,6 +614,7 @@ def test_one_pass_matches_the_fixpoint_on_random_draws(max_vertices, edge_locati
     for seed in range(1000):
         inst = draw_case(seed, max_vertices=max_vertices, edge_locations=edge_locations)
         got = reduce_instance(inst)
+        assert_same_split(inst)
         assert_same_reduction(got, fixpoint_reduce(inst))
         assert_passes_validation(got)
         reduced += not got.identity
@@ -458,6 +629,7 @@ def test_one_pass_matches_the_fixpoint_on_large_draws():
         )
         got = reduce_instance(inst)
         assert got.reduced.graph.vertex_count < 400
+        assert_same_split(inst)
         assert_same_reduction(got, fixpoint_reduce(inst))
         assert_passes_validation(got)
 
@@ -471,7 +643,7 @@ _LENGTHS = st.lists(st.integers(1, 9).map(float), min_size=1, max_size=4)
 
 
 def _spec(graph):
-    return [(graph.names[e.u], graph.names[e.v], e.length) for e in graph.edges]
+    return [(graph.names[e.u], graph.names[e.v], e.length) for e in edge_rows(graph)]
 
 
 def _assert_same_optimum(inst, changed):
@@ -485,7 +657,7 @@ def _assert_same_optimum(inst, changed):
 @given(mid_size_instances(), st.data())
 def test_subdividing_an_edge_changes_nothing(inst, data):
     g = inst.graph
-    e = g.edges[data.draw(st.integers(0, len(g.edges) - 1))]
+    e = edge_row(g, data.draw(st.integers(0, g.edge_count - 1)))
     cut = e.length * data.draw(st.floats(0.05, 0.95))
     spec = _spec(g)
     spec[e.id] = (g.names[e.u], "cut", cut)

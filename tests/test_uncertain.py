@@ -8,7 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import draw_case, square_instance, tri_graph, tri_instance
+from conftest import (
+    draw_case,
+    edge_row,
+    edge_rows,
+    square_instance,
+    tri_graph,
+    tri_instance,
+)
 from ucactus.errors import ValidationError
 from ucactus.graph import GraphPoint, point_distance, validate_cactus
 from ucactus.plf import cycle_profiles
@@ -123,7 +130,7 @@ def test_expected_distances_match_single_queries():
     for seed in range(10):
         inst = draw_case(seed, edge_locations=True)
         rng = random.Random(seed)
-        e = rng.choice(inst.graph.edges)
+        e = rng.choice(edge_rows(inst.graph))
         q = GraphPoint(e.id, rng.uniform(0.0, e.length))
         vec = expected_distances(inst, q)
         for k in range(inst.n):
@@ -134,7 +141,7 @@ def _matrix_distance(g, p, q):
     """Reference: the distance between two points read off the all-pairs
     vertex matrix."""
     dist = g.vertex_distances
-    ep, eq = g.edges[p.edge], g.edges[q.edge]
+    ep, eq = edge_row(g, p.edge), edge_row(g, q.edge)
     if p.edge == q.edge:
         around = dist[ep.u, ep.v] + min(
             p.t + (ep.length - q.t), (ep.length - p.t) + q.t
@@ -151,7 +158,7 @@ def test_interior_expected_distances_match_the_matrix_formula():
         kinds.add(inst.is_vertex_constrained)
         g = inst.graph
         queries = [g.vertex_point(v) for v in range(g.vertex_count)]
-        queries += [GraphPoint(e.id, 0.37 * e.length) for e in g.edges]
+        queries += [GraphPoint(e.id, 0.37 * e.length) for e in edge_rows(g)]
         for p in inst.points:
             for loc in p.locations:
                 if not loc.is_vertex:  # the location itself and its own edge
@@ -190,7 +197,7 @@ def _rescaled(inst, seed):
     g = inst.graph
     spec = [
         (g.names[e.u], g.names[e.v], e.length * rng.uniform(0.3, 1.7))
-        for e in g.edges
+        for e in edge_rows(g)
     ]
     return build_instance(validate_cactus(g.names, spec), inst.points)
 
@@ -252,14 +259,14 @@ def test_rerooted_ed_matches_the_reference_matrix():
             for x in range(len(tree))
             for link in tree.links[x]
         )
-        paths += bool(g.edges) and not g.cycles.cycles
+        paths += bool(g.edge_count) and not g.cycles.cycles
         dist, mass = g.vertex_distances, inst.vertex_mass
         assert close(inst.ed_at_vertices, dist @ mass)
         for cyc in g.cycles.cycles:
             xs, ys = cycle_profiles(inst, cyc.id)
             for x, row in zip(xs, ys):
                 p = cyc.coord_point(g, x)
-                e = g.edges[p.edge]
+                e = edge_row(g, p.edge)
                 d = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
                 assert close(row, d @ mass)
     assert roots == {"vertex", "hinge", "cycle"}
@@ -273,7 +280,7 @@ def test_objective_takes_the_better_center_per_point():
 
 def test_ed_at_vertices_on_pendant_edge():
     inst = tri_instance()
-    e = inst.graph.edges[3]
+    e = edge_row(inst.graph, 3)
     assert list(inst.ed_at_vertices[[e.u, e.v], 1]) == [2.0, 0.0]
 
 
@@ -284,7 +291,7 @@ def test_ed_at_vertices_interpolate_expected_distance_along_bridges():
         inst = draw_case(seed)
         g = inst.graph
         rng = random.Random(seed)
-        bridges = [e for e in g.edges if g.cycles.edge_cycle[e.id] is None]
+        bridges = [e for e in edge_rows(g) if g.cycles.edge_cycle[e.id] is None]
         for e in rng.choices(bridges, k=2) if bridges else []:
             k = rng.randrange(inst.n)
             ends = inst.ed_at_vertices[[e.u, e.v], k]
@@ -299,7 +306,7 @@ def test_expected_distance_is_affine_along_bridge_edges():
     for seed in range(15):
         inst = draw_case(seed)
         g = inst.graph
-        bridges = [e for e in g.edges if g.cycles.edge_cycle[e.id] is None]
+        bridges = [e for e in edge_rows(g) if g.cycles.edge_cycle[e.id] is None]
         rng = random.Random(seed)
         for e in rng.choices(bridges, k=3) if bridges else []:
             at_u = expected_distances(inst, g.vertex_point(e.u))
@@ -383,7 +390,7 @@ def test_median_is_no_worse_than_sampled_positions():
         vals = median_values(inst)
         rng = random.Random(seed)
         for _ in range(20):
-            e = rng.choice(inst.graph.edges)
+            e = rng.choice(edge_rows(inst.graph))
             q = GraphPoint(e.id, rng.uniform(0.0, e.length))
             ed = expected_distances(inst, q)
             assert np.all(vals <= ed + 1e-9)
