@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -35,7 +36,7 @@ def _reload_eps(inst, eps):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
+    json.dump(obj, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -66,7 +67,8 @@ def _cmd_decide(args) -> int:
     g = inst.graph
     _emit(
         {
-            "lambda": args.lam,
+            # standard JSON has no infinities; --lambda reads these back
+            "lambda": args.lam if math.isfinite(args.lam) else str(args.lam),
             "feasible": v.feasible,
             "centers": None
             if v.centers is None
@@ -147,7 +149,7 @@ def _cmd_verify(args) -> int:
         inst = random_instance(
             rng.randrange(2**32),
             n_vertices=n_vertices,
-            n_cycles=rng.randint(0, min(2, (n_vertices - 1) // 2)),
+            n_cycles=rng.randint(0, min(3, (n_vertices - 1) // 2)),
             n_points=rng.randint(1, 4),
             n_locations=rng.randint(1, 3),
             edge_locations=t % 2 == 1,

@@ -385,110 +385,26 @@ def decide_on_two_cycles(
 ) -> Verdict:
     """Terminal with one center on each of two cycles.
 
-    Points with their majority mass away from the second cycle can only be
-    reached there through its gateway hinge, so their admissible arcs all
-    contain it; slicing the second cycle into atomic arcs and sliding the
-    first center as close to its own gateway as each slice allows is
-    exhaustive.
+    A point is served when a center lies in its coverage arcs on that
+    center's cycle, so this is one stab of the two cycles' arc families.
     """
-    tree = inst.graph.skeleton
     g = inst.graph
+    tree = g.skeleton
     cyc1 = g.cycles.cycles[tree.nodes[node1].ref]
     cyc2 = g.cycles.cycles[tree.nodes[node2].ref]
-    tol = _tol(inst, lam)
-
-    # a cycle node's neighbours are its hinges
-    h1 = tree.step_toward(node1, node2)
-    h2 = tree.step_toward(node2, node1)
-    toward1 = component_mass(inst, h2, node1) + inst.node_mass[h2]
-    far = toward1 >= 0.5 - inst.eps  # majority mass beyond the second cycle
-
-    arcs2 = _cycle_arcs(inst, cyc2.id, lam)
-    h2_coord = cyc2.vertex_coord(tree.nodes[h2].ref)
-    reach2 = far & (
-        inst.weights * inst.ed_at_vertices[tree.nodes[h2].ref] <= lam + tol
-    )
-
-    ends = {0.0, cyc2.perimeter, h2_coord}
-    for k in np.flatnonzero(far):
-        for a, b in arcs2[k]:
-            ends.update((a, b))
-    ends_sorted = sorted(ends)
-    atoms: list[tuple[float, float]] = [(x, x) for x in ends_sorted]
-    atoms += list(zip(ends_sorted, ends_sorted[1:]))
-
     arcs1 = _cycle_arcs(inst, cyc1.id, lam)
-    h1_coord = cyc1.vertex_coord(tree.nodes[h1].ref)
-    far_idx = np.flatnonzero(far)
-    need_cache: set[frozenset[int]] = set()
-    xs_cand: list[float] = []
-    for a, b in atoms:
-        need = []
-        for k in far_idx:
-            if reach2[k] and _arc_contains(arcs2[k], a, b):
-                continue
-            need.append(int(k))
-        key = frozenset(need)
-        if key in need_cache:
-            continue
-        need_cache.add(key)
-        if any(not arcs1[k] for k in need):
-            continue
-        region = intersect_families([arcs1[k] for k in need]) if need else [
-            (0.0, cyc1.perimeter)
-        ]
-        if not region:
-            continue
-        xs_cand.extend(_closest_in_region(region, h1_coord, cyc1.perimeter))
-
-    xs1, ys1 = cycle_profiles(inst, cyc1.id)
-    seen: set[float] = set()
-    for x in xs_cand:
-        if x in seen:
-            continue
-        seen.add(x)
-        p1 = cyc1.coord_point(g, x)
-        vals = inst.weights * _interp_rows(xs1, ys1, x)
-        # double slack, as in the cycle terminal: x lies on an arc boundary
-        rest = np.flatnonzero(vals > lam + 2.0 * tol)
-        if rest.size == 0:
-            return Verdict(True, (p1, p1))
-        if any(not arcs2[k] for k in rest):
-            continue
-        q = stab_one([arcs2[k] for k in rest])
-        if q is not None:
-            return Verdict(True, (p1, cyc2.coord_point(g, q)))
-    return Verdict(False)
-
-
-def _arc_contains(
-    arcs: list[tuple[float, float]], a: float, b: float, slack: float = 1e-12
-) -> bool:
-    return any(lo - slack <= a and b <= hi + slack for lo, hi in arcs)
-
-
-def _closest_in_region(
-    region: list[tuple[float, float]], origin: float, perim: float
-) -> list[float]:
-    """Positions of the region nearest to ``origin`` going each way around."""
-    best_cw: tuple[float, float] | None = None
-    best_ccw: tuple[float, float] | None = None
-    for lo, hi in region:
-        if lo - 1e-12 <= origin <= hi + 1e-12:
-            return [origin]
-        for x in (lo, hi):
-            cw = (x - origin) % perim
-            ccw = (origin - x) % perim
-            if best_cw is None or cw < best_cw[0]:
-                best_cw = (cw, x)
-            if best_ccw is None or ccw < best_ccw[0]:
-                best_ccw = (ccw, x)
-    out = []
-    if best_cw:
-        out.append(best_cw[1])
-    if best_ccw and (not best_cw or best_ccw[1] != best_cw[1]):
-        out.append(best_ccw[1])
-    return out
+    alone = stab_one(arcs1)
+    if alone is not None:
+        p1 = cyc1.coord_point(g, alone)
+        return Verdict(True, (p1, p1))
+    # no center on the first cycle serves everyone alone, so the stab
+    # returns a true pair
+    hit = stab_two(arcs1, _cycle_arcs(inst, cyc2.id, lam))
+    if hit is None:
+        return Verdict(False)
+    return Verdict(
+        True, (cyc1.coord_point(g, hit[0]), cyc2.coord_point(g, hit[1]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ at the cycle's shared breakpoints.  A probe turns that matrix into every
 point's coverage intervals at a radius in one array pass, with no loop over
 points or pieces.
 
-The stabbing kernels sweep sorted endpoint events: ``side`` 0 opens an
-interval, 1 closes it, ``owner`` is the family.  Events are sorted by
-position with opens before closes at equal positions.
+Every stabbing question reads one cell matrix over the sorted distinct
+interval endpoints: which family covers each endpoint and each open gap
+between two endpoints.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from ucactus.uncertain import Instance, ring_mixture
 HAVE_COMPILED_KERNEL = False
 
 Interval = tuple[float, float]
+
+# first positions tried per product in stab_two, which bounds its memory
+_BLOCK = 128
 
 
 def cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,133 +117,88 @@ def coverage_set(
     return out
 
 
-def _event_arrays(
+def _cells(
     sets: Sequence[Sequence[Interval]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pos: list[float] = []
-    side: list[int] = []
-    owner: list[int] = []
-    for k, ivals in enumerate(sets):
-        for a, b in ivals:
-            pos.append(a)
-            side.append(0)
-            owner.append(k)
-            pos.append(b)
-            side.append(1)
-            owner.append(k)
-    pos_a = np.array(pos, dtype=np.float64)
-    side_a = np.array(side, dtype=np.int8)
-    owner_a = np.array(owner, dtype=np.intc)
-    order = np.lexsort((side_a, pos_a))
-    return pos_a[order], side_a[order], owner_a[order]
+    """The cell matrix of interval families.
+
+    Returns the sorted distinct endpoints, a mask of those that close some
+    interval, and ``hit[cell, family]``: whether the family covers the cell.
+    Cell ``2i`` is endpoint ``i`` and cell ``2i + 1`` the open gap after it.
+    """
+    n = len(sets)
+    ends = np.array(
+        [e for ivals in sets for ab in ivals for e in ab], dtype=np.float64
+    ).reshape(-1, 2)
+    fam = np.repeat(np.arange(n), [len(ivals) for ivals in sets])
+    xs = np.unique(ends)
+    lo, hi = np.searchsorted(xs, ends.T)
+    closes = np.zeros(xs.size, dtype=bool)
+    closes[hi] = True
+    # +1 at an interval's first cell, -1 past its last, summed down the cells
+    size = 2 * xs.size * n
+    diff = np.bincount(2 * lo * n + fam, minlength=size) - np.bincount(
+        (2 * hi + 1) * n + fam, minlength=size
+    )
+    hit = diff.reshape(2 * xs.size, n).cumsum(axis=0)[:-1] > 0
+    return xs, closes, hit
 
 
 def stab_one(sets: Sequence[Sequence[Interval]]) -> float | None:
-    """A single position inside every family of closed intervals, or None."""
-    pos, side, owner = _event_arrays(sets)
-    return stab_one_events(pos, side, owner, len(sets))
-
-
-def stab_two(sets: Sequence[Sequence[Interval]]) -> tuple[float, float] | None:
-    """Two positions jointly hitting every family, or None."""
-    pos, side, owner = _event_arrays(sets)
-    return stab_two_events(pos, side, owner, len(sets))
-
-
-def intersect_families(sets: Sequence[Sequence[Interval]]) -> list[Interval]:
-    """Common part of several interval families (each a disjoint union)."""
-    n = len(sets)
-    if n == 0:
-        return []
-    pos, side, owner = _event_arrays(sets)
-    out: list[Interval] = []
-    depth = 0
-    start = 0.0
-    for p, s in zip(pos.tolist(), side.tolist()):
-        if s == 0:
-            depth += 1
-            if depth == n:
-                start = p
-        else:
-            if depth == n:
-                out.append((start, p))
-            depth -= 1
-    return out
-
-
-def stab_one_events(
-    pos: np.ndarray, side: np.ndarray, owner: np.ndarray, n_sets: int
-) -> float | None:
-    """A position contained in every family's union, or None."""
-    if n_sets == 0:
+    """The leftmost position inside every family of closed intervals, or
+    None."""
+    if not sets:
         return 0.0
-    posl = pos.tolist()
-    sidel = side.tolist()
-    ownerl = owner.tolist()
-    open_cnt = [0] * n_sets
-    covered = 0
-    for j in range(len(posl)):
-        k = ownerl[j]
-        if sidel[j] == 0:
-            if open_cnt[k] == 0:
-                covered += 1
-                if covered == n_sets:
-                    return posl[j]
-            open_cnt[k] += 1
-        else:
-            open_cnt[k] -= 1
-            if open_cnt[k] == 0:
-                covered -= 1
-    return None
+    xs, _, hit = _cells(sets)
+    at = np.flatnonzero(hit[::2].all(axis=1))
+    return float(xs[at[0]]) if at.size else None
 
 
-def stab_two_events(
-    pos: np.ndarray, side: np.ndarray, owner: np.ndarray, n_sets: int
+def stab_two(
+    sets: Sequence[Sequence[Interval]],
+    other: Sequence[Sequence[Interval]] | None = None,
 ) -> tuple[float, float] | None:
     """Two positions jointly hitting every family, or None.
 
-    The first stabber can always slide right onto some interval's close
-    endpoint, so candidates range over distinct close positions; for each,
-    the families it misses must share a single position, found by one sweep.
-    That is O(M·(M+n)) for M events and n families.
+    Family ``k`` is hit when the first position lies in ``sets[k]`` or the
+    second in ``other[k]``; ``other`` defaults to ``sets``.  A first
+    position can slide right onto the close endpoint of an interval holding
+    it and a second left onto an endpoint, so the first ranges over the
+    close endpoints of ``sets`` in order, the second over the endpoints of
+    ``other``.  The first close endpoint that works wins, with the leftmost
+    second position, or itself when it hits every family alone.
     """
-    if n_sets == 0:
-        return (0.0, 0.0)
-    posl = pos.tolist()
-    sidel = side.tolist()
-    ownerl = owner.tolist()
-    M = len(posl)
-    open_cnt = [0] * n_sets
-    hit = [False] * n_sets
-    for ci in range(M):
-        if sidel[ci] != 1:
-            continue
-        if ci > 0 and sidel[ci - 1] == 1 and posl[ci - 1] == posl[ci]:
-            continue
-        x = posl[ci]
-        for k in range(n_sets):
-            open_cnt[k] = 0
-        for j in range(ci):
-            if sidel[j] == 0:
-                open_cnt[ownerl[j]] += 1
-            else:
-                open_cnt[ownerl[j]] -= 1
-        beta = 0
-        for k in range(n_sets):
-            h = open_cnt[k] > 0
-            hit[k] = h
-            if not h:
-                beta += 1
-        if beta == 0:
-            return (x, x)
-        alpha = 0
-        for j in range(M):
-            if hit[ownerl[j]]:
-                continue
-            if sidel[j] == 0:
-                alpha += 1
-                if alpha == beta:
-                    return (x, posl[j])
-            else:
-                alpha -= 1
+    other = sets if other is None else other
+    assert len(other) == len(sets)
+    xs, closes, hit = _cells(sets)
+    if not closes.any():  # the first position hits nothing
+        y = stab_one(other)
+        return None if y is None else (0.0, y)
+    firsts = xs[closes]
+    miss = ~hit[::2][closes]
+    ys, _, hit2 = _cells(other)
+    # column 0 is an idle second position, which hits nothing
+    miss2 = np.vstack([np.ones((1, len(sets)), dtype=bool), ~hit2[::2]])
+    for lo in range(0, len(firsts), _BLOCK):
+        # a pair fails when some family is missed by both positions
+        fail = miss[lo : lo + _BLOCK] @ miss2.T
+        row, col = np.nonzero(~fail)
+        if row.size:
+            x = float(firsts[lo + row[0]])
+            return (x, x) if col[0] == 0 else (x, float(ys[col[0] - 1]))
     return None
+
+
+def intersect_families(sets: Sequence[Sequence[Interval]]) -> list[Interval]:
+    """Common part of several interval families (each a disjoint union), as
+    its maximal closed intervals in order."""
+    if not sets:
+        return []
+    xs, _, hit = _cells(sets)
+    # a run of common cells starts and ends on an endpoint: a family covering
+    # a gap covers both endpoints beside it
+    common = np.concatenate([[False], hit.all(axis=1), [False]]).astype(np.int8)
+    edge = np.diff(common)
+    starts = np.flatnonzero(edge == 1) // 2
+    stops = (np.flatnonzero(edge == -1) - 1) // 2
+    return list(zip(xs[starts].tolist(), xs[stops].tolist()))

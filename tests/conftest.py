@@ -104,6 +104,22 @@ def draw_case(
     )
 
 
+def draw_many_cycles(seed: int) -> Instance:
+    """A random instance of 3-4 cycles within the oracle's 20-vertex cap;
+    about half reach the two-cycle terminal on a radius ladder around the
+    optimum."""
+    rng = random.Random(seed)
+    n_cycles = rng.randint(3, 4)
+    return random_instance(
+        seed,
+        n_vertices=rng.randint(2 * n_cycles + 1, 20),
+        n_cycles=n_cycles,
+        n_points=rng.randint(2, 5),
+        n_locations=rng.randint(1, 3),
+        edge_locations=seed % 2 == 1,
+    )
+
+
 @st.composite
 def mid_size_instances(draw, edge_locations=st.booleans()) -> Instance:
     """Random instances of 30-60 vertices, past the oracle's size cap."""

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import draw_case, tri_instance
+from conftest import draw_case, draw_many_cycles, tri_instance
+from ucactus import decision
 from ucactus.decision import decide, one_center
 from ucactus.io import random_instance
 from ucactus.optimizer import solve
@@ -60,6 +61,30 @@ def test_optimizer_matches_reference_on_500_instances(sweep):
 def test_decision_matches_reference_across_the_radius_ladder(sweep):
     _, disagreements, _ = sweep
     assert disagreements == []
+
+
+def test_two_cycle_terminal_matches_reference_across_the_radius_ladder(monkeypatch):
+    # draws of 3-4 cycles reach the terminal that places one center on each
+    # of two cycles; the 500-instance sweep rarely does
+    calls = []
+    terminal = decision.decide_on_two_cycles
+    monkeypatch.setattr(
+        decision, "decide_on_two_cycles", lambda *a: calls.append(a) or terminal(*a)
+    )
+    disagreements = []
+    reached = 0
+    for seed in range(120):
+        inst = draw_many_cycles(seed)
+        before = len(calls)
+        star, _ = oracle_solve(inst)
+        delta = max(1e-3, 1e-3 * star)
+        for lam in (0.5 * star, star - delta, star, star + delta, 2.0 * star):
+            want, _ = oracle_decide(inst, lam)
+            if decide(inst, lam).feasible != want:
+                disagreements.append((seed, lam, want))
+        reached += len(calls) > before
+    assert disagreements == []
+    assert reached >= 40, reached
 
 
 def test_every_witness_achieves_its_radius(sweep):

@@ -8,7 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import draw_case, square_instance, tri_instance
+from conftest import draw_case, draw_many_cycles, square_instance, tri_instance
+from ucactus import decision
 from ucactus.decision import (
     CENTER_AT,
     CYCLE_AND_BEYOND,
@@ -37,12 +38,13 @@ from ucactus.oracle import (
     oracle_one_center,
     oracle_solve,
 )
-from ucactus.plf import cycle_profiles
+from ucactus.plf import cycle_profiles, intersect_families, stab_one
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
     build_instance,
+    component_mass,
     expected_distance,
     expected_distances,
     median,
@@ -145,8 +147,139 @@ def test_two_cycle_terminal_reaches_both_far_corners():
     assert objective(inst, c1, c2) == pytest.approx(0.0, abs=1e-6)
 
 
+def _rescan_two_cycles(inst, node1, node2, lam):
+    """The two-cycle terminal as an atom-by-atom rescan of the second
+    cycle: points with their majority mass beyond it reach it through its
+    gateway hinge, so per atomic arc the first center slides as close to
+    its own gateway as the points left to it allow."""
+    tree = inst.graph.skeleton
+    g = inst.graph
+    cyc1 = g.cycles.cycles[tree.nodes[node1].ref]
+    cyc2 = g.cycles.cycles[tree.nodes[node2].ref]
+    tol = inst.eps * max(1.0, abs(lam))
+
+    h1 = tree.step_toward(node1, node2)
+    h2 = tree.step_toward(node2, node1)
+    toward1 = component_mass(inst, h2, node1) + inst.node_mass[h2]
+    far = toward1 >= 0.5 - inst.eps
+
+    arcs2 = _cycle_arcs(inst, cyc2.id, lam)
+    h2_coord = cyc2.vertex_coord(tree.nodes[h2].ref)
+    reach2 = far & (
+        inst.weights * inst.ed_at_vertices[tree.nodes[h2].ref] <= lam + tol
+    )
+
+    ends = {0.0, cyc2.perimeter, h2_coord}
+    for k in np.flatnonzero(far):
+        for a, b in arcs2[k]:
+            ends.update((a, b))
+    ends_sorted = sorted(ends)
+    atoms = [(x, x) for x in ends_sorted]
+    atoms += list(zip(ends_sorted, ends_sorted[1:]))
+
+    arcs1 = _cycle_arcs(inst, cyc1.id, lam)
+    h1_coord = cyc1.vertex_coord(tree.nodes[h1].ref)
+    need_cache = set()
+    xs_cand = []
+    for a, b in atoms:
+        need = [
+            int(k)
+            for k in np.flatnonzero(far)
+            if not (reach2[k] and _arc_contains(arcs2[k], a, b))
+        ]
+        key = frozenset(need)
+        if key in need_cache:
+            continue
+        need_cache.add(key)
+        if any(not arcs1[k] for k in need):
+            continue
+        region = intersect_families([arcs1[k] for k in need]) if need else [
+            (0.0, cyc1.perimeter)
+        ]
+        if not region:
+            continue
+        xs_cand.extend(_closest_in_region(region, h1_coord, cyc1.perimeter))
+
+    xs1, ys1 = cycle_profiles(inst, cyc1.id)
+    seen = set()
+    for x in xs_cand:
+        if x in seen:
+            continue
+        seen.add(x)
+        p1 = cyc1.coord_point(g, x)
+        vals = inst.weights * _interp_rows(xs1, ys1, x)
+        rest = np.flatnonzero(vals > lam + 2.0 * tol)
+        if rest.size == 0:
+            return Verdict(True, (p1, p1))
+        if any(not arcs2[k] for k in rest):
+            continue
+        q = stab_one([arcs2[k] for k in rest])
+        if q is not None:
+            return Verdict(True, (p1, cyc2.coord_point(g, q)))
+    return Verdict(False)
+
+
+def _arc_contains(arcs, a, b, slack=1e-12):
+    return any(lo - slack <= a and b <= hi + slack for lo, hi in arcs)
+
+
+def _closest_in_region(region, origin, perim):
+    """Positions of the region nearest to ``origin`` going each way around."""
+    best_cw = best_ccw = None
+    for lo, hi in region:
+        if lo - 1e-12 <= origin <= hi + 1e-12:
+            return [origin]
+        for x in (lo, hi):
+            cw = (x - origin) % perim
+            ccw = (origin - x) % perim
+            if best_cw is None or cw < best_cw[0]:
+                best_cw = (cw, x)
+            if best_ccw is None or ccw < best_ccw[0]:
+                best_ccw = (ccw, x)
+    out = []
+    if best_cw:
+        out.append(best_cw[1])
+    if best_ccw and (not best_cw or best_ccw[1] != best_cw[1]):
+        out.append(best_ccw[1])
+    return out
+
+
+def test_two_cycle_terminal_matches_the_rescan(monkeypatch):
+    calls = []
+    terminal = decision.decide_on_two_cycles
+
+    def both(inst, node1, node2, lam):
+        got = terminal(inst, node1, node2, lam)
+        want = _rescan_two_cycles(inst, node1, node2, lam)
+        assert got.feasible == want.feasible, lam
+        if got.feasible:
+            tol = inst.eps * max(1.0, abs(lam))
+            assert objective(inst, *got.centers) <= lam + 2.0 * tol, lam
+        calls.append(id(inst))
+        return got
+
+    monkeypatch.setattr(decision, "decide_on_two_cycles", both)
+    draws = [draw_many_cycles(seed) for seed in range(150)]
+    for seed in range(12):
+        draws.append(
+            random_instance(
+                seed, n_vertices=50, n_cycles=8, n_points=6, edge_locations=seed % 2 == 1
+            )
+        )
+    reached = 0
+    for inst in draws:
+        before = len(calls)
+        star = solve(inst).value
+        for lam in (0.5 * star, 0.9 * star, star, 1.1 * star):
+            decide(inst, lam)
+        reached += len(calls) > before
+    # 68 of the 162 draws reach the terminal, in 301 calls
+    assert reached >= 60
+    assert len(calls) >= 250
+
+
 def test_cycle_matrix_rows_price_positions_like_expected_distances():
-    # the cycle terminals price an on-cycle center by reading the cycle's
+    # the cycle terminal prices an on-cycle center by reading the cycle's
     # profile matrix at arc ends, in place of measuring from the position
     cycles = 0
     for seed in range(40):

@@ -229,10 +229,20 @@ def test_cli_decide_reports_feasibility_not_via_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("lam", ["-inf", "-1"])
 def test_cli_decide_reports_a_negative_radius_infeasible(tmp_path, capsys, lam):
-    assert main(["decide", _write_tri(tmp_path), f"--lambda={lam}"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    path = _write_tri(tmp_path)
+    assert main(["decide", path, f"--lambda={lam}"]) == 0
+    out = _strict_json(capsys.readouterr().out)
     assert out["feasible"] is False
     assert out["centers"] is None
+    # an infinite radius is written as a string that --lambda reads back
+    assert main(["decide", path, f"--lambda={out['lambda']}"]) == 0
+    assert _strict_json(capsys.readouterr().out) == out
+    assert main(["decide", path, "--lambda=inf"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["lambda"] == "inf"
+    assert out["feasible"] is True
+    assert main(["decide", path, f"--lambda={out['lambda']}"]) == 0
+    assert _strict_json(capsys.readouterr().out) == out
 
 
 def test_cli_decide_rejects_a_nan_radius(tmp_path, capsys):

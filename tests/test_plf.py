@@ -293,21 +293,26 @@ def test_intersect_families_on_fixed_intervals():
     assert intersect_families([[(0.0, 1.0)], [(2.0, 3.0)]]) == []
 
 
+def _disjoint(raw):
+    """Intervals merged into a disjoint union, as coverage_set merges them:
+    the shape every family must have."""
+    merged: list[tuple[float, float]] = []
+    for a, b in sorted(raw):
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
 def _random_families(rng, n_sets, max_ivals=4):
-    # families must be disjoint unions, the same shape coverage_set emits
     sets = []
     for _ in range(n_sets):
         raw = []
         for _ in range(rng.randint(0, max_ivals)):
             a = rng.uniform(0.0, 10.0)
             raw.append((a, a + rng.uniform(0.0, 3.0)))
-        merged: list[tuple[float, float]] = []
-        for a, b in sorted(raw):
-            if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        sets.append(merged)
+        sets.append(_disjoint(raw))
     return sets
 
 
@@ -346,3 +351,145 @@ def test_stab_one_agrees_with_intersection():
         assert (got is None) == (not common)
         if got is not None:
             assert all(_hits(ivals, got) for ivals in sets)
+
+
+def _event_arrays(sets):
+    """Endpoint events sorted by position, opens (``side`` 0) before closes
+    (1) at equal positions; ``owner`` is the family."""
+    pos, side, owner = [], [], []
+    for k, ivals in enumerate(sets):
+        for a, b in ivals:
+            pos += [a, b]
+            side += [0, 1]
+            owner += [k, k]
+    pos_a = np.array(pos, dtype=np.float64)
+    side_a = np.array(side, dtype=np.int8)
+    owner_a = np.array(owner, dtype=np.intc)
+    order = np.lexsort((side_a, pos_a))
+    return pos_a[order].tolist(), side_a[order].tolist(), owner_a[order].tolist()
+
+
+def _sweep_stab_one(sets):
+    """The first open event at which every family is open."""
+    if not sets:
+        return 0.0
+    open_cnt = [0] * len(sets)
+    covered = 0
+    for p, s, k in zip(*_event_arrays(sets)):
+        if s == 0:
+            if open_cnt[k] == 0:
+                covered += 1
+                if covered == len(sets):
+                    return p
+            open_cnt[k] += 1
+        else:
+            open_cnt[k] -= 1
+            if open_cnt[k] == 0:
+                covered -= 1
+    return None
+
+
+def _sweep_stab_two(sets):
+    """For each distinct close position in order, the families it misses
+    must share a position, found by one sweep: O(M·(M+n)) for M events."""
+    n_sets = len(sets)
+    if n_sets == 0:
+        return (0.0, 0.0)
+    posl, sidel, ownerl = _event_arrays(sets)
+    M = len(posl)
+    for ci in range(M):
+        if sidel[ci] != 1:
+            continue
+        if ci > 0 and sidel[ci - 1] == 1 and posl[ci - 1] == posl[ci]:
+            continue
+        x = posl[ci]
+        open_cnt = [0] * n_sets
+        for j in range(ci):
+            open_cnt[ownerl[j]] += 1 if sidel[j] == 0 else -1
+        hit = [c > 0 for c in open_cnt]
+        beta = hit.count(False)
+        if beta == 0:
+            return (x, x)
+        alpha = 0
+        for j in range(M):
+            if hit[ownerl[j]]:
+                continue
+            if sidel[j] == 0:
+                alpha += 1
+                if alpha == beta:
+                    return (x, posl[j])
+            else:
+                alpha -= 1
+    return None
+
+
+def _sweep_stab_two_lists(sets, other):
+    """The two-list stab from the sweeps: each distinct close endpoint of
+    ``sets`` in order (or 0.0, hitting nothing, when there is none), then a
+    one-position sweep of ``other`` over the families it misses."""
+    closes = sorted({b for ivals in sets for _, b in ivals})
+    for x in closes or [0.0]:
+        missed = [k for k, ivals in enumerate(sets) if not _hits(ivals, x)]
+        if not missed:
+            return (x, x)
+        y = _sweep_stab_one([other[k] for k in missed])
+        if y is not None:
+            return (x, y)
+    return None
+
+
+def _sweep_intersect(sets):
+    """Runs of the sweep where all ``n`` families are open at once."""
+    n = len(sets)
+    if n == 0:
+        return []
+    out = []
+    depth = 0
+    start = 0.0
+    for p, s, _ in zip(*_event_arrays(sets)):
+        if s == 0:
+            depth += 1
+            if depth == n:
+                start = p
+        else:
+            if depth == n:
+                out.append((start, p))
+            depth -= 1
+    return out
+
+
+def _grid_family(rng):
+    """A family whose endpoints mostly sit on a 0.25 grid over [0, 4], so
+    intervals touch, repeat endpoints, shrink to points and reach both 0
+    and 4."""
+
+    def end():
+        return rng.randint(0, 16) / 4.0 if rng.random() < 0.8 else rng.uniform(0.0, 4.0)
+
+    return _disjoint([sorted((end(), end())) for _ in range(rng.randint(0, 4))])
+
+
+def test_stabbing_kernel_equals_the_endpoint_sweeps():
+    rng = random.Random(20261019)
+    for draw in range(4000):
+        n = rng.randint(0, 8)
+        if draw % 2:
+            sets = [_grid_family(rng) for _ in range(n)]
+            other = [_grid_family(rng) for _ in range(n)]
+        else:
+            sets = _random_families(rng, n)
+            other = _random_families(rng, n)
+        assert stab_one(sets) == _sweep_stab_one(sets)
+        assert intersect_families(sets) == _sweep_intersect(sets)
+        assert stab_two(sets) == _sweep_stab_two(sets)
+        assert stab_two(sets) == _sweep_stab_two_lists(sets, sets)
+        assert stab_two(sets, other) == _sweep_stab_two_lists(sets, other)
+
+
+def test_stab_two_second_list_serves_what_the_first_misses():
+    assert stab_two([[(0.0, 1.0)], []], [[], [(5.0, 6.0)]]) == (1.0, 5.0)
+    assert stab_two([[(0.0, 1.0)], [(0.5, 2.0)]], [[], []]) == (1.0, 1.0)
+    # no close endpoint: the first position hits nothing anywhere
+    assert stab_two([[], []], [[(0.0, 2.0)], [(1.0, 3.0)]]) == (0.0, 1.0)
+    assert stab_two([[], []], [[(0.0, 1.0)], [(2.0, 3.0)]]) is None
+    assert stab_two([[(0.0, 1.0)], []], [[(2.0, 3.0)], []]) is None
