@@ -7,6 +7,11 @@ decomposition, the Dijkstra matrix and the skeleton all read.  A point on
 the network is a ``GraphPoint``: an edge id plus an offset from the edge's
 ``u`` endpoint, both Python numbers.
 
+The cycle decomposition is one depth-first search in C (scipy's
+``depth_first_order``, which takes each vertex's edges in index order);
+the tree and the back edges are read off in array passes, with no loop
+over the levels of the tree, and each back edge closes one cycle.
+
 The skeleton tree is rooted once, when it is built; every component query
 (what one removed node cuts off, which way a target lies, a centroid) reads
 its preorder, since each such component is a preorder slice or its
@@ -18,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import accumulate, repeat
+from operator import eq
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import depth_first_order, dijkstra
 
 from ucactus.errors import (
     InternalInvariantError,
@@ -50,19 +56,31 @@ class CactusGraph:
     and ``v[i]`` and has length ``length[i]``.  Positions
     ``indptr[x]:indptr[x + 1]`` of ``nbr`` (the far end) and ``half_edge``
     (the edge id) list the edges at vertex ``x`` in id order.  Outside input
-    comes through :func:`validate_cactus`; the reduction builds its output
-    directly.  The cycle decomposition proves connectivity and cactus-ness
-    when it is first read."""
+    comes through :func:`validate_cactus`, which hands over the name index
+    it built as ``vertex_id``; the reduction builds its output directly.
+    The cycle decomposition proves connectivity and cactus-ness when it is
+    first read."""
 
     def __init__(
-        self, names: list[str], u: np.ndarray, v: np.ndarray, length: np.ndarray
+        self,
+        names: list[str],
+        u: np.ndarray,
+        v: np.ndarray,
+        length: np.ndarray,
+        vertex_id: dict[str, int] | None = None,
     ) -> None:
         self.names = names
         self.u, self.v, self.length = u, v, length
         self.vertex_count = len(names)
         self.edge_count = len(length)
         self.indptr, self.nbr, self.half_edge = half_edge_index(len(names), u, v)
-        self.vertex_id = {name: i for i, name in enumerate(names)}
+        if vertex_id is not None:
+            self.vertex_id = vertex_id
+
+    @cached_property
+    def vertex_id(self) -> dict[str, int]:
+        """Each vertex name's id."""
+        return {name: i for i, name in enumerate(self.names)}
 
     def edge(self, i: int) -> tuple[int, int, float]:
         """``u``, ``v`` and length of edge ``i`` as Python numbers."""
@@ -182,7 +200,7 @@ def validate_cactus(
     total = sum(lengths)
     if not math.isfinite(total):
         raise ValidationError(f"total edge length {total} is not finite")
-    graph = CactusGraph(names, u, v, length)
+    graph = CactusGraph(names, u, v, length, index)
     graph.cycles  # the decomposition raises NotConnected or SharedCycleEdge
     return graph
 
@@ -238,91 +256,128 @@ class CycleDecomposition:
     vertex_cycles: list[tuple[int, ...]]
 
 
+class DepthFirst(NamedTuple):
+    """One depth-first search of a half-edge index, each vertex's edges
+    taken in index order.
+
+    ``order`` lists the reached vertices in preorder and ``start[x]`` is
+    x's place in it (the vertex count when x is unreached).  ``parent`` and
+    ``parent_edge`` are -1 at the root and at unreached vertices.
+    ``tail[h]`` is the vertex that index position ``h`` leaves, ``down[h]``
+    says that position ``h`` is a tree edge from parent to child, and the
+    search takes up the positions in the order of ``taken``."""
+
+    order: np.ndarray
+    start: np.ndarray
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    tail: np.ndarray
+    down: np.ndarray
+    taken: np.ndarray
+
+
+def depth_first(
+    indptr: np.ndarray, nbr: np.ndarray, half_edge: np.ndarray, root: int
+) -> DepthFirst:
+    """Search the index from ``root`` with scipy's depth-first order, which
+    visits each vertex's neighbours in index order, and read off the tree in
+    array passes.
+
+    scipy rescans a vertex's row from its start whenever a child returns,
+    which costs the square of the degree, so the search runs through one
+    node per index position instead: vertex x leads to node ``n +
+    indptr[x]``, and node ``n + p`` to vertex ``nbr[p]`` and then to node
+    ``n + p + 1`` of the same row.  Each row has two entries, padded with
+    the root, which is always seen.  Vertices are met in the same order,
+    and node ``n + p`` is met when the search takes up position ``p``."""
+    n, h = len(indptr) - 1, len(nbr)
+    nodes = n + h
+    has_edges = indptr[1:] > indptr[:-1]
+    rows = np.empty((nodes, 2), dtype=np.int32)
+    rows[:n, 0] = np.where(has_edges, n + indptr[:-1], root)
+    rows[:n, 1] = root
+    rows[n:, 0] = nbr
+    rows[n:, 1] = np.arange(n + 1, nodes + 1)
+    rows[n + indptr[1:][has_edges] - 1, 1] = root
+    adj = csr_matrix(
+        (np.ones(2 * nodes), rows.ravel(), np.arange(0, 2 * nodes + 1, 2, dtype=np.int32)),
+        shape=(nodes, nodes),
+    )
+    met, pred = depth_first_order(adj, root, directed=True, return_predecessors=True)
+    rank = np.full(nodes, nodes, dtype=np.intp)
+    rank[met] = np.arange(len(met))
+    order = met[met < n].astype(np.intp)
+    start = np.full(n, n, dtype=np.intp)
+    start[order] = np.arange(len(order))
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    down = pred[nbr] == np.arange(n, nodes)
+    child = np.flatnonzero(down)
+    parent = np.full(n, -1, dtype=np.intp)
+    parent_edge = np.full(n, -1, dtype=np.intp)
+    parent[nbr[child]] = tail[child]
+    parent_edge[nbr[child]] = half_edge[child]
+    return DepthFirst(order, start, parent, parent_edge, tail, down, rank[n:])
+
+
 def _decompose(graph: CactusGraph) -> CycleDecomposition:
-    """One DFS from vertex 0: each back edge closes a cycle, an edge closed
+    """The cycles of one depth-first search from vertex 0: each back edge
+    closes one, numbered in the order the search meets it.  An edge closed
     twice raises SharedCycleEdge and an unreached vertex NotConnected."""
-    n = graph.vertex_count
-    indptr, nbr = graph.indptr.tolist(), graph.nbr.tolist()
-    half_edge = graph.half_edge.tolist()
-    depth = [-1] * n
-    parent_edge = [-1] * n
-    parent_vertex = [-1] * n
-    scan = indptr[:-1]  # the next half-edge of each vertex to look at
-    edge_cycle: list[int | None] = [None] * graph.edge_count
-    raw_cycles: list[tuple[list[int], list[int]]] = []
+    n, m = graph.vertex_count, graph.edge_count
+    walk = depth_first(graph.indptr, graph.nbr, graph.half_edge, 0)
+    tail, nbr, start = walk.tail, graph.nbr, walk.start
+    tree_edge = np.zeros(m, dtype=bool)
+    tree_edge[graph.half_edge[walk.down]] = True
+    # every other edge of the reached part joins a vertex to an ancestor,
+    # and the search meets it when it takes it up from the deeper end
+    back = np.flatnonzero(~tree_edge[graph.half_edge] & (start[tail] > start[nbr]))
+    back = back[np.argsort(walk.taken[back])]
 
-    depth[0] = 0
-    stack = [0]
-    while stack:
-        v = stack[-1]
-        h = scan[v]
-        if h == indptr[v + 1]:
-            stack.pop()
-            continue
-        scan[v] = h + 1
-        eid, w = half_edge[h], nbr[h]
-        if eid == parent_edge[v]:
-            continue
-        if depth[w] == -1:
-            depth[w] = depth[v] + 1
-            parent_edge[w] = eid
-            parent_vertex[w] = v
-            stack.append(w)
-        elif depth[w] < depth[v]:
-            # back edge closes a cycle through the tree path w .. v
-            verts = [v]
-            edges = []
-            x = v
-            while x != w:
-                edges.append(parent_edge[x])
-                x = parent_vertex[x]
-                verts.append(x)
-            verts.reverse()
-            edges.reverse()
-            edges.append(eid)
-            cid = len(raw_cycles)
-            for e in edges:
-                if edge_cycle[e] is not None:
-                    a, b = graph.names[graph.u[e]], graph.names[graph.v[e]]
-                    raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
-                edge_cycle[e] = cid
-            raw_cycles.append((verts, edges))
-    if -1 in depth:
+    parent, parent_edge = walk.parent.tolist(), walk.parent_edge.tolist()
+    ends = zip(tail[back].tolist(), nbr[back].tolist(), graph.half_edge[back].tolist())
+    u, length = graph.u.tolist(), graph.length.tolist()
+    edge_cycle: list[int | None] = [None] * m
+    vertex_cycles: list[tuple[int, ...]] = [()] * n
+    cycles = []
+    for cid, (x, top, eid) in enumerate(ends):
+        # the tree path from the deeper end up to the top, then the back edge
+        verts, edges = [x], [eid]
+        while x != top:
+            edges.append(parent_edge[x])
+            x = parent[x]
+            verts.append(x)
+        verts.reverse()
+        edges = edges[:0:-1] + edges[:1]
+        for e in edges:
+            if edge_cycle[e] is not None:
+                a, b = graph.names[u[e]], graph.names[int(graph.v[e])]
+                raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
+            edge_cycle[e] = cid
+        cycles.append(_canonical_cycle(cid, verts, edges, u, length))
+    if len(walk.order) < n:
         raise NotConnected("graph is not connected")
-
-    cycles = [
-        _canonical_cycle(graph, cid, verts, edges)
-        for cid, (verts, edges) in enumerate(raw_cycles)
-    ]
-    vertex_cycles: list[list[int]] = [[] for _ in range(n)]
     for cyc in cycles:
         for v in cyc.vertices:
-            vertex_cycles[v].append(cyc.id)
-    return CycleDecomposition(cycles, edge_cycle, [tuple(c) for c in vertex_cycles])
+            vertex_cycles[v] += (cyc.id,)
+    return CycleDecomposition(cycles, edge_cycle, vertex_cycles)
 
 
 def _canonical_cycle(
-    graph: CactusGraph, cid: int, verts: list[int], edges: list[int]
+    cid: int, verts: list[int], edges: list[int], u: list[int], length: list[float]
 ) -> Cycle:
     # rotate the ring to start at the smallest vertex, then orient toward its
     # smaller neighbour, so decomposition order never affects coordinates
-    c = len(verts)
     i0 = verts.index(min(verts))
-    nxt = verts[(i0 + 1) % c]
-    prv = verts[(i0 - 1) % c]
-    if prv < nxt:
-        verts = [verts[i0]] + [verts[(i0 - k) % c] for k in range(1, c)]
-        edges = [edges[(i0 - 1 - k) % c] for k in range(c)]
+    if verts[i0 - 1] < verts[(i0 + 1) % len(verts)]:
+        verts = verts[i0::-1] + verts[:i0:-1]
+        edges = edges[i0 - 1 :: -1] + edges[: i0 - 1 : -1]
     else:
         verts = verts[i0:] + verts[:i0]
         edges = edges[i0:] + edges[:i0]
-    forward = tuple(u == x for u, x in zip(graph.u[edges].tolist(), verts))
-    lengths = graph.length[edges].tolist()
-    pos = [0.0]
-    for length in lengths[:-1]:
-        pos.append(pos[-1] + length)
-    perimeter = pos[-1] + lengths[-1]
-    return Cycle(cid, tuple(verts), tuple(edges), forward, tuple(pos), perimeter)
+    forward = tuple(map(eq, map(u.__getitem__, edges), verts))
+    lengths = list(map(length.__getitem__, edges))
+    pos = tuple(accumulate(lengths[:-1], initial=0.0))
+    return Cycle(cid, tuple(verts), tuple(edges), forward, pos, pos[-1] + lengths[-1])
 
 
 # ---------------------------------------------------------------------------

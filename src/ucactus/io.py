@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
-from ucactus.errors import FormatError, InfeasibleParams
+from ucactus.errors import FormatError, InfeasibleParams, InternalInvariantError
 from ucactus.graph import CactusGraph, GraphPoint, validate_cactus
 from ucactus.uncertain import (
     Instance,
@@ -44,6 +45,8 @@ def _number(value: Any, what: str, *args: Any) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what.format(*args)} is not a number: {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FormatError(f"{what.format(*args)} is out of range: {value!r}") from exc
 
 
 def _list(value: Any, what: str) -> list | tuple:
@@ -61,18 +64,9 @@ def parse_instance(data: Any) -> Instance:
         point_rows = data["uncertain_points"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"missing required key: {exc}") from exc
-    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+    if not isinstance(names, list) or not all(map(isinstance, names, repeat(str))):
         raise FormatError("vertices must be a list of names")
-
-    spec = []
-    for row in _list(edge_rows, "edges"):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise FormatError(f"bad edge entry {row!r}")
-        u, v, length = row
-        if not isinstance(u, str) or not isinstance(v, str):
-            raise FormatError(f"bad edge entry {row!r}")
-        spec.append((u, v, _number(length, "length of edge {!r}-{!r}", u, v)))
-    graph = validate_cactus(names, spec)
+    graph = validate_cactus(names, _edge_spec(_list(edge_rows, "edges")))
 
     points = []
     for row in _list(point_rows, "uncertain_points"):
@@ -96,6 +90,27 @@ def parse_instance(data: Any) -> Instance:
 
     eps = data.get("eps")
     return build_instance(graph, points, None if eps is None else _number(eps, "eps"))
+
+
+def _edge_spec(rows: list | tuple) -> list[tuple[str, str, float]]:
+    """The edge rows as ``(u, v, length)``, checked a column at a time: the
+    rows are pairs of names and a number.  With a bad row, the first one
+    raises its error."""
+    if all(map(isinstance, rows, repeat((list, tuple)))) and set(map(len, rows)) <= {3}:
+        us, vs, lengths = zip(*rows) if rows else ((), (), ())
+        if all(map(isinstance, us + vs, repeat(str))):
+            try:
+                return list(zip(us, vs, map(float, lengths)))
+            except (TypeError, ValueError, OverflowError):
+                pass
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise FormatError(f"bad edge entry {row!r}")
+        u, v, length = row
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise FormatError(f"bad edge entry {row!r}")
+        _number(length, "length of edge {!r}-{!r}", u, v)
+    raise InternalInvariantError("an edge column check failed on no row")
 
 
 def _parse_place(graph: CactusGraph, where: Any) -> int | GraphPoint:
@@ -128,7 +143,7 @@ def read_instance(path: str | Path) -> Instance:
             data = json.load(fh)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to read
         raise FormatError(f"{path}: {exc}") from exc
     return parse_instance(data)
 

@@ -1,34 +1,41 @@
 """Normalisation to vertex-constrained form.
 
-Splits edges at interior locations, then reduces the split cactus in one
-worklist pass, with no position removed that could host a better center:
+Splits edges at interior locations, then keeps only what can host a better
+center.  One depth-first search of the split cactus, rooted at a vertex
+holding mass, counts ``below[x]``, the mass vertices in x's subtree; the
+rest are array passes over that tree:
 
-* as degrees fall, mass-free leaves are peeled and every ring left with at
-  most one anchor (a ring vertex holding mass or of degree three or more)
-  is dropped;
-* every ring left with exactly two anchors keeps only its shorter arc;
+* a bridge into x stays when ``below[x] > 0``: both its sides hold mass;
+* a ring stays when at least two of its vertices, its anchors, have mass
+  on their own side (the part of the network that hangs off the ring
+  there, the vertex included);
+* a ring with exactly two anchors keeps only its shorter arc;
 * every chain between survivors (vertices holding mass or of degree three
   or more) becomes one reduced edge.
 
-The split cactus is an edge table with a half-edge index, as a
-``CactusGraph`` is: one sort of the edge ends and the snapped interior cuts
-by (edge, offset) numbers its vertices and edges, and the worklist walks
-its index.  Ring membership and ring order come from the original graph's
-cycle decomposition.  What remains is padded so every vertex holds a
-location.
+Every removed position is dominated by a survivor: a dropped bridge or
+ring by where it hangs, a longer arc by the shorter.  The split cactus is
+an edge table with a half-edge index, as a ``CactusGraph`` is: one sort of
+the edge ends and the snapped interior cuts by (edge, offset) numbers its
+vertices and edges.  Ring membership and ring order come from the original
+graph's cycle decomposition.  What remains is padded so every vertex holds
+a location.
+
 The returned object lifts positions on the reduced graph back to the
-original one; expected distances are preserved exactly, so solution values
-need no lifting.
+original one, reading only the chain it lifts along; expected distances are
+preserved exactly, so solution values need no lifting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import CactusGraph, Cycle, GraphPoint, half_edge_index
+from ucactus.graph import CactusGraph, DepthFirst, GraphPoint, depth_first, half_edge_index
 from ucactus.uncertain import Instance, Location, UncertainPoint
 
 _SNAP = 1e-12
@@ -47,67 +54,97 @@ class _Split:
     ``cut_edge``.  Original edge ``e`` becomes the split edges
     ``first[e]:first[e + 1]``, from its ``u`` end to its ``v`` end; split
     edge ``i`` joins ``u[i]`` to ``v[i]`` along original edge ``edge[i]``,
-    from offset ``t0[i]`` to ``t1[i]``.  ``placed[k]`` holds point ``k``'s
+    from offset ``t0[i]`` to ``t1[i]``.  ``mass[x]`` says that vertex x
+    holds a location with mass, and ``placed[k]`` holds point ``k``'s
     (vertex, probability) pairs."""
 
     graph: CactusGraph
-    mass: list[bool]
-    cut_edge: list[int]
-    cut_t: list[float]
-    u: list[int]
-    v: list[int]
-    length: list[float]
-    edge: list[int]
-    t0: list[float]
-    t1: list[float]
-    first: list[int]
-    indptr: list[int]
-    nbr: list[int]
-    half_edge: list[int]
+    mass: np.ndarray
+    cut_edge: np.ndarray
+    cut_t: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    length: np.ndarray
+    edge: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    first: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    half_edge: np.ndarray
     placed: list[list[tuple[int, float]]]
 
     def origin(self, v: int) -> GraphPoint:
         n = self.graph.vertex_count
         if v < n:
             return self.graph.vertex_point(v)
-        return GraphPoint(self.cut_edge[v - n], self.cut_t[v - n])
-
-    def cycles_at(self, v: int) -> tuple[int, ...]:
-        """Ids of the original cycles that vertex ``v`` lies on."""
-        cycles = self.graph.cycles
-        n = self.graph.vertex_count
-        if v < n:
-            return cycles.vertex_cycles[v]
-        c = cycles.edge_cycle[self.cut_edge[v - n]]
-        return () if c is None else (c,)
-
-    def ring(self, cyc: Cycle) -> tuple[list[int], list[int]]:
-        """Vertices and split edges of one original cycle, in its ring
-        order."""
-        verts: list[int] = []
-        ring_edges: list[int] = []
-        for v, e, forward in zip(cyc.vertices, cyc.edges, cyc.forward):
-            pieces = range(self.first[e], self.first[e + 1])
-            for i in pieces if forward else reversed(pieces):
-                verts.append(v)
-                ring_edges.append(i)
-                v = self.u[i] + self.v[i] - v
-        return verts, ring_edges
+        return GraphPoint(int(self.cut_edge[v - n]), float(self.cut_t[v - n]))
 
     def oriented(self, i: int, start: int) -> _Seg:
         """Split edge ``i`` as a run entered at its end ``start``."""
-        if start == self.u[i]:
-            return self.edge[i], self.t0[i], self.t1[i]
-        return self.edge[i], self.t1[i], self.t0[i]
+        e, t0, t1 = int(self.edge[i]), float(self.t0[i]), float(self.t1[i])
+        return (e, t0, t1) if start == self.u[i] else (e, t1, t0)
 
 
 @dataclass(slots=True)
+class _Chains:
+    """The survivors of the split cactus, ascending, and the chains of split
+    edges that join them, one per reduced edge, in order of their lowest
+    split edge.  Chain ``k`` takes the split edges ``edges[start[k]:start[k
+    + 1]]`` in turn, entering each at vertex ``enter``, and passes its
+    lowest split edge from that edge's ``u`` end; ``ends`` are its first
+    and last vertices and ``length`` its length."""
+
+    survivors: np.ndarray
+    edges: np.ndarray
+    enter: np.ndarray
+    start: np.ndarray
+    ends: tuple[np.ndarray, np.ndarray]
+    length: np.ndarray
+
+
 class Reduction:
-    original: Instance
-    reduced: Instance
-    identity: bool
-    vertex_origin: list[GraphPoint] = field(default_factory=list)
-    edge_paths: list[list[_Seg]] = field(default_factory=list)
+    """An instance, its vertex-constrained reduction, and the way back.
+
+    An identity reduction hands the instance through.  Otherwise
+    :meth:`lift_point` maps a position on the reduced graph to the original
+    graph, reading only the chain of split edges it lies on;
+    ``vertex_origin`` and ``edge_paths`` spell out the whole map, which no
+    solver stage reads."""
+
+    def __init__(
+        self,
+        original: Instance,
+        reduced: Instance,
+        split: _Split | None = None,
+        chains: _Chains | None = None,
+    ) -> None:
+        self.original = original
+        self.reduced = reduced
+        self.identity = split is None
+        self._split = split
+        self._chains = chains
+
+    def _origin(self, v: int) -> GraphPoint:
+        """Where reduced vertex ``v`` lies on the original graph."""
+        return self._split.origin(int(self._chains.survivors[v]))
+
+    @cached_property
+    def vertex_origin(self) -> list[GraphPoint]:
+        """Where each reduced vertex lies on the original graph."""
+        if self.identity:
+            return []
+        return [self._origin(v) for v in range(self.reduced.graph.vertex_count)]
+
+    @cached_property
+    def edge_paths(self) -> list[list[_Seg]]:
+        """The runs along original edges that each reduced edge stands for,
+        from its ``u`` end."""
+        if self.identity:
+            return []
+        c, oriented = self._chains, self._split.oriented
+        runs = list(map(oriented, c.edges.tolist(), c.enter.tolist()))
+        return [runs[a:b] for a, b in zip(c.start[:-1].tolist(), c.start[1:].tolist())]
 
     def _snapped_vertex(self, p: GraphPoint) -> int | None:
         """The reduced vertex that ``p`` lifts onto: a non-identity lift snaps
@@ -129,27 +166,29 @@ class Reduction:
             return p
         v = self._snapped_vertex(p)
         if v is not None:
-            return self.vertex_origin[v]
-        walked = 0.0
-        for eid, a, b in self.edge_paths[p.edge]:
-            span = abs(b - a)
-            if p.t <= walked + span + _SNAP:
-                frac = min(max(p.t - walked, 0.0), span)
-                t = a + frac if b >= a else a - frac
-                length = float(self.original.graph.length[eid])
-                return GraphPoint(eid, min(max(t, 0.0), length))
-            walked += span
-        raise InternalInvariantError("point beyond reduced edge path")
+            return self._origin(v)
+        # the first run whose far end, walked from the edge's u end, lies
+        # within _SNAP past p
+        c = self._chains
+        a, b = c.start[p.edge], c.start[p.edge + 1]
+        walked = np.cumsum(self._split.length[c.edges[a:b]])
+        i = int(np.searchsorted(walked + _SNAP, p.t))
+        if i == b - a:
+            raise InternalInvariantError("point beyond reduced edge path")
+        eid, t0, t1 = self._split.oriented(int(c.edges[a + i]), int(c.enter[a + i]))
+        before = float(walked[i - 1]) if i else 0.0
+        frac = min(max(p.t - before, 0.0), abs(t1 - t0))
+        t = t0 + frac if t1 >= t0 else t0 - frac
+        return GraphPoint(eid, min(max(t, 0.0), float(self.original.graph.length[eid])))
 
 
 def reduce_instance(inst: Instance) -> Reduction:
     """Reduce ``inst`` to an equivalent vertex-constrained instance."""
     # with mass on every vertex there is nothing to remove
     if inst.is_vertex_constrained and inst.vertex_mass.any(axis=1).all():
-        return Reduction(inst, inst, identity=True)
+        return Reduction(inst, inst)
     split = _split(inst)
-    survivors, chains = _reduce(split)
-    return _finish(inst, split, survivors, chains)
+    return _finish(inst, split, _reduce(split))
 
 
 def _split(inst: Instance) -> _Split:
@@ -199,132 +238,185 @@ def _split(inst: Instance) -> _Split:
         placed[k].append((w, loc.prob))
     mass = np.zeros(n + kept.size, dtype=bool)
     mass[site] = True
-    table = (cut_edge, cut_t, u, v, t1 - t0, st_edge[a], t0, t1, first)
     index = half_edge_index(mass.size, u, v)
-    return _Split(graph, mass.tolist(), *(x.tolist() for x in table + index), placed)
+    return _Split(
+        graph, mass, cut_edge, cut_t, u, v, t1 - t0, st_edge[a], t0, t1, first, *index, placed
+    )
 
 
-def _reduce(split: _Split) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
-    """The survivors of the split cactus, in id order, and the chains of
-    split edges that join them, each as the vertices walked and the split
-    edges taken; the chains come in order of their lowest split edge and
-    run its way.
+def _reduce(split: _Split) -> _Chains:
+    """The survivors of the split cactus and the chains that join them."""
+    root = int(np.argmax(split.mass))
+    live = _live_edges(split, root)
+    n = len(split.mass)
+    degree = np.bincount(split.u[live], minlength=n) + np.bincount(split.v[live], minlength=n)
+    return _chains(split, live, split.mass | (degree >= 3), root)
 
-    Peeling a mass-free leaf or dropping a ring lowers degrees, which can
-    make new leaves and rings to drop, so both run off one worklist.  Every
-    removed position is dominated by a survivor: a peeled leaf by its
-    neighbour, a dropped ring by its anchor, a longer arc by the shorter."""
-    mass, length = split.mass, split.length
-    indptr, nbr, half_edge = split.indptr, split.nbr, split.half_edge
-    deg = [b - a for a, b in zip(indptr, indptr[1:])]
-    live = [True] * len(length)
+
+def _live_edges(split: _Split, root: int) -> np.ndarray:
+    """Which split edges stay, from one depth-first search rooted at a mass
+    vertex: the bridges with mass below them, and the rings with two
+    anchors or more, cut to the shorter arc when they have exactly two."""
+    u, v, m = split.u, split.v, len(split.u)
+    walk = depth_first(split.indptr, split.nbr, split.half_edge, root)
+    held = np.concatenate([[0], np.cumsum(split.mass[walk.order])])
+    below = held[_subtree_stop(walk, split.nbr)] - held[walk.start]
+    top, low, tree = _tree_ends(walk, u, v)
+    ring_edges, ring_from, ring, bounds = _rings(split)
+    ring_of = np.full(m, -1)
+    ring_of[ring_edges] = ring
+
+    # the mass on each ring vertex's own side, kept on one ring edge at the
+    # vertex: a lower vertex's on its parent edge, as its subtree's mass
+    # less its ring child's; the ring top's on the ring's back edge, as all
+    # mass less the top's ring child's
+    closing = ~tree[ring_edges]
+    back = np.empty(len(bounds) - 1, dtype=np.intp)
+    back[ring[closing]] = ring_edges[closing]
+    down, r = ring_edges[~closing], ring[~closing]
+    up = walk.parent_edge[top[down]]
+    at_top = (up < 0) | (ring_of[up] != r)
+    side = np.zeros(m, dtype=np.intp)
+    side[down] = below[low[down]]
+    side[np.where(at_top, back[r], up)] -= below[low[down]]
+    side[back] += held[-1]
+    # ring vertex ``ring_from[i]`` keeps its side on the ring edge it leaves
+    # or on the one before
+    prev = np.arange(-1, len(ring_edges) - 1)
+    prev[bounds[:-1]] = bounds[1:] - 1
+    holder = np.where(tree, low, top)[ring_edges] == ring_from
+    anchor = side[np.where(holder, ring_edges, ring_edges[prev])] > 0
+    anchors = np.bincount(ring[anchor], minlength=len(bounds) - 1)
+
+    dropped = np.zeros(len(ring_edges) + 1, dtype=np.intp)
+    two = np.flatnonzero(anchors == 2)
+    if len(two):
+        # a ring with two anchors keeps its shorter arc, each arc summed in
+        # ring order from its first anchor
+        at = np.flatnonzero(anchor & (anchors[ring] == 2)).reshape(-1, 2).tolist()
+        lengths = split.length[ring_edges].tolist()
+        cut_from, cut_to = [], []
+        for (i, j), a, b in zip(at, bounds[two].tolist(), bounds[two + 1].tolist()):
+            if sum(lengths[i:j]) <= sum(lengths[j:b] + lengths[a:i]):
+                cut_from += [j, a]
+                cut_to += [b, i]
+            else:
+                cut_from.append(i)
+                cut_to.append(j)
+        np.add.at(dropped, cut_from, 1)
+        np.add.at(dropped, cut_to, -1)
+    live = ring_of < 0
+    live[live] = below[low[live]] > 0
+    live[ring_edges] = (anchors[ring] >= 2) & (np.cumsum(dropped[:-1]) == 0)
+    return live
+
+
+def _rings(split: _Split) -> tuple[np.ndarray, ...]:
+    """The split edges of every original cycle in its ring order: positions
+    ``bounds[r]:bounds[r + 1]`` of ``ring_edges`` hold ring ``r``, and
+    position ``i`` leaves vertex ``ring_from[i]`` and lies on ring
+    ``ring[i]``."""
     cycles = split.graph.cycles.cycles
-    rings = [split.ring(cyc) for cyc in cycles]
-    ring_live = [True] * len(cycles)
-
-    def anchor(v: int) -> bool:
-        return mass[v] or deg[v] >= 3
-
-    def live_half(v: int) -> int:
-        return next(
-            h for h in range(indptr[v], indptr[v + 1]) if live[half_edge[h]]
-        )
-
-    def lower(v: int, by: int) -> None:
-        was = anchor(v)
-        deg[v] -= by
-        if was and not anchor(v):
-            for c in split.cycles_at(v):
-                if ring_live[c]:
-                    anchors[c] -= 1
-                    if anchors[c] == 1:
-                        drops.append(c)
-        if deg[v] == 1 and not mass[v]:
-            leaves.append(v)
-
-    anchors = [sum(map(anchor, verts)) for verts, _ in rings]
-    leaves = [v for v in range(len(mass)) if deg[v] == 1 and not mass[v]]
-    drops = [c for c, count in enumerate(anchors) if count == 1]
-
-    while leaves or drops:
-        if leaves:
-            v = leaves.pop()
-            h = live_half(v)
-            live[half_edge[h]] = False
-            deg[v] = 0
-            lower(nbr[h], 1)
-            continue
-        c = drops.pop()
-        ring_live[c] = False
-        verts, ring_edges = rings[c]
-        for i in ring_edges:
-            live[i] = False
-        kept = next(filter(anchor, verts))
-        for v in verts:
-            if v != kept:
-                deg[v] = 0
-        lower(kept, 2)
-
-    # a ring with two anchors keeps its shorter arc; the arc's anchors stay
-    # anchors of any other ring they lie on, so nothing else changes
-    for c, (verts, ring_edges) in enumerate(rings):
-        if not ring_live[c] or anchors[c] != 2:
-            continue
-        i, j = (k for k, v in enumerate(verts) if anchor(v))
-        inner = sum(length[e] for e in ring_edges[i:j])
-        outer = sum(length[e] for e in ring_edges[j:] + ring_edges[:i])
-        if inner <= outer:
-            drop_v, drop_e = verts[j + 1 :] + verts[:i], ring_edges[j:] + ring_edges[:i]
-        else:
-            drop_v, drop_e = verts[i + 1 : j], ring_edges[i:j]
-        for e in drop_e:
-            live[e] = False
-        for v in drop_v:
-            deg[v] = 0
-        deg[verts[i]] -= 1
-        deg[verts[j]] -= 1
-
-    survivors = [v for v in range(len(mass)) if anchor(v)]
-    chains: list[tuple[list[int], list[int]]] = []
-    for s in survivors:
-        for h in range(indptr[s], indptr[s + 1]):
-            if not live[half_edge[h]]:
-                continue
-            live[half_edge[h]] = False
-            walk, chain = [s], [half_edge[h]]
-            v = nbr[h]
-            while not anchor(v):
-                step = live_half(v)
-                live[half_edge[step]] = False
-                walk.append(v)
-                chain.append(half_edge[step])
-                v = nbr[step]
-            walk.append(v)
-            # orient each chain along its first split edge
-            low = chain.index(min(chain))
-            if walk[low] != split.u[chain[low]]:
-                walk.reverse()
-                chain.reverse()
-            chains.append((walk, chain))
-    chains.sort(key=lambda item: min(item[1]))
-    return survivors, chains
+    orig = np.fromiter(chain.from_iterable(c.edges for c in cycles), np.intp)
+    fwd = np.fromiter(chain.from_iterable(c.forward for c in cycles), bool)
+    # a forward edge is split from its u end on, a backward one from its v end
+    pieces = split.first[orig + 1] - split.first[orig]
+    slot = np.repeat(np.arange(len(orig)), pieces)
+    step = np.arange(len(slot)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    ring_edges = np.where(
+        fwd[slot], split.first[orig[slot]] + step, split.first[orig[slot] + 1] - 1 - step
+    )
+    ring_from = np.where(fwd[slot], split.u[ring_edges], split.v[ring_edges])
+    ring = np.repeat(np.arange(len(cycles)), [len(c.edges) for c in cycles])[slot]
+    bounds = np.searchsorted(ring, np.arange(len(cycles) + 1))
+    return ring_edges, ring_from, ring, bounds
 
 
-def _finish(
-    inst: Instance,
-    split: _Split,
-    survivors: list[int],
-    chains: list[tuple[list[int], list[int]]],
-) -> Reduction:
+def _chains(split: _Split, live: np.ndarray, survivor: np.ndarray, root: int) -> _Chains:
+    """The chains of live split edges between survivors.
+
+    In a depth-first search of the live edges, a vertex of degree two has
+    a parent edge, so every chain runs down the tree from a survivor and
+    may end by a back edge up to a survivor.  Each edge entered at a vertex
+    that is not a survivor follows that vertex's parent edge, and pointer
+    doubling finds the top edge of each chain."""
+    u, v, n, m = split.u, split.v, len(split.mass), len(split.u)
+    keep = live[split.half_edge]
+    tail = np.repeat(np.arange(n), np.diff(split.indptr))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(tail[keep], minlength=n))])
+    walk = depth_first(indptr, split.nbr[keep], split.half_edge[keep], root)
+    top, low, tree = _tree_ends(walk, u, v)
+    enter, leave = np.where(tree, top, low), np.where(tree, low, top)
+    follows = np.where(survivor[enter] | ~live, np.arange(m), walk.parent_edge[enter])
+    while True:
+        higher = follows[follows]
+        if np.array_equal(higher, follows):
+            break
+        follows = higher
+    # each chain's edges top down, chain after chain
+    ids = np.flatnonzero(live)
+    ids = ids[np.lexsort((np.where(tree, walk.start[low], n)[ids], follows[ids]))]
+    heads = np.flatnonzero(np.diff(follows[ids], prepend=-1))
+    # chains in order of their lowest split edge, each turned to pass that
+    # edge from its u end
+    lowest = np.minimum.reduceat(ids, heads) if len(ids) else ids
+    by = np.argsort(lowest)
+    onward = (enter[lowest] == u[lowest])[by]
+    sizes = np.diff(heads, append=len(ids))[by]
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    k = np.repeat(np.arange(len(by)), sizes)
+    step = np.arange(len(ids)) - start[k]
+    edges = ids[heads[by][k] + np.where(onward[k], step, sizes[k] - 1 - step)]
+    entered = np.where(onward[k], enter[edges], leave[edges])
+    last = start[1:] - 1
+    runs = split.length[edges].tolist()
+    return _Chains(
+        np.flatnonzero(survivor),
+        edges,
+        entered,
+        start,
+        (entered[start[:-1]], u[edges[last]] + v[edges[last]] - entered[last]),
+        # summed in walk order
+        np.array([sum(runs[a:b]) for a, b in zip(start[:-1].tolist(), start[1:].tolist())]),
+    )
+
+
+def _subtree_stop(walk: DepthFirst, nbr: np.ndarray) -> np.ndarray:
+    """Where each vertex's subtree ends in the preorder of ``walk``, a
+    search of the index with far ends ``nbr``: after the subtree of its
+    last child.  Following last children by pointer doubling takes
+    log(depth) passes."""
+    last = np.arange(len(walk.start))
+    child = np.flatnonzero(walk.down)
+    final = child[np.append(walk.tail[child[1:]] != walk.tail[child[:-1]], True)]
+    last[walk.tail[final]] = nbr[final]
+    while True:
+        deeper = last[last]
+        if np.array_equal(deeper, last):
+            return walk.start[last] + 1
+        last = deeper
+
+
+def _tree_ends(walk: DepthFirst, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each edge's end nearer the search's root, its other end, and whether
+    it is a tree edge: the parent edge of its other end.  Every other edge
+    of the searched part closes a ring."""
+    upper = walk.start[u] < walk.start[v]
+    top, low = np.where(upper, u, v), np.where(upper, v, u)
+    return top, low, walk.parent_edge[low] == np.arange(len(u))
+
+
+def _finish(inst: Instance, split: _Split, chains: _Chains) -> Reduction:
     # a cactus by construction: its decomposition, which the skeleton reads,
     # still proves that, and the tests check it against validate_cactus
+    survivors = chains.survivors
     renumber = np.zeros(len(split.mass), dtype=np.intp)
     renumber[survivors] = np.arange(len(survivors))
     graph = CactusGraph(
         [f"v{i}" for i in range(len(survivors))],
-        renumber[[walk[0] for walk, _ in chains]],
-        renumber[[walk[-1] for walk, _ in chains]],
-        np.array([sum(split.length[i] for i in chain) for _, chain in chains]),
+        renumber[chains.ends[0]],
+        renumber[chains.ends[1]],
+        chains.length,
     )
 
     new_index = renumber.tolist()
@@ -342,9 +434,4 @@ def _finish(
         pad = tuple(Location(v, 0.0) for v in sorted(empty))
         points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
 
-    reduced = Instance(graph, points, inst.eps)
-    vertex_origin = [split.origin(v) for v in survivors]
-    edge_paths = [
-        [split.oriented(i, x) for x, i in zip(walk, chain)] for walk, chain in chains
-    ]
-    return Reduction(inst, reduced, False, vertex_origin, edge_paths)
+    return Reduction(inst, Instance(graph, points, inst.eps), split, chains)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_case, edge_rows, tri_graph
-from ucactus.io import random_instance
+from conftest import draw_case, edge_rows, gen, tri_graph
+from ucactus.io import parse_instance, random_instance
 from ucactus.errors import (
     InternalInvariantError,
     InvalidPoint,
@@ -23,12 +23,17 @@ from ucactus.errors import (
     ValidationError,
 )
 from ucactus.graph import (
+    CactusGraph,
+    Cycle,
+    CycleDecomposition,
     GraphPoint,
+    _decompose,
     centroid,
     descend,
     point_distance,
     validate_cactus,
 )
+from ucactus.reduction import reduce_instance
 from ucactus.uncertain import component_mass
 
 
@@ -573,3 +578,134 @@ def test_descend_that_never_narrows_hits_the_probe_budget():
     with pytest.raises(InternalInvariantError, match="probe budget"):
         descend(tree, frozenset(range(31)), probe, _at_node, _at_edge)
     assert len(probed) == 2 * math.ceil(math.log2(31)) + 17
+
+
+# ---------------------------------------------------------------------------
+# reference decomposition: an explicit-stack DFS in Python that closes each
+# cycle as it meets the back edge.  The package's array decomposition must
+# give an equal CycleDecomposition, cycle numbering and errors included.
+
+
+def reference_decompose(graph) -> CycleDecomposition:
+    n = graph.vertex_count
+    indptr, nbr = graph.indptr.tolist(), graph.nbr.tolist()
+    half_edge = graph.half_edge.tolist()
+    u, length = graph.u.tolist(), graph.length.tolist()
+    depth = [-1] * n
+    parent_edge = [-1] * n
+    parent_vertex = [-1] * n
+    scan = indptr[:-1]  # the next half-edge of each vertex to look at
+    edge_cycle: list[int | None] = [None] * graph.edge_count
+    raw_cycles: list[tuple[list[int], list[int]]] = []
+
+    depth[0] = 0
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        h = scan[v]
+        if h == indptr[v + 1]:
+            stack.pop()
+            continue
+        scan[v] = h + 1
+        eid, w = half_edge[h], nbr[h]
+        if eid == parent_edge[v]:
+            continue
+        if depth[w] == -1:
+            depth[w] = depth[v] + 1
+            parent_edge[w] = eid
+            parent_vertex[w] = v
+            stack.append(w)
+        elif depth[w] < depth[v]:
+            # back edge closes a cycle through the tree path w .. v
+            verts = [v]
+            edges = []
+            x = v
+            while x != w:
+                edges.append(parent_edge[x])
+                x = parent_vertex[x]
+                verts.append(x)
+            verts.reverse()
+            edges.reverse()
+            edges.append(eid)
+            cid = len(raw_cycles)
+            for e in edges:
+                if edge_cycle[e] is not None:
+                    a, b = graph.names[graph.u[e]], graph.names[graph.v[e]]
+                    raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
+                edge_cycle[e] = cid
+            raw_cycles.append((verts, edges))
+    if -1 in depth:
+        raise NotConnected("graph is not connected")
+
+    cycles = [
+        _reference_cycle(cid, verts, edges, u, length)
+        for cid, (verts, edges) in enumerate(raw_cycles)
+    ]
+    vertex_cycles: list[list[int]] = [[] for _ in range(n)]
+    for cyc in cycles:
+        for v in cyc.vertices:
+            vertex_cycles[v].append(cyc.id)
+    return CycleDecomposition(cycles, edge_cycle, [tuple(c) for c in vertex_cycles])
+
+
+def _reference_cycle(cid, verts, edges, u, length) -> Cycle:
+    c = len(verts)
+    i0 = verts.index(min(verts))
+    if verts[(i0 - 1) % c] < verts[(i0 + 1) % c]:
+        verts = [verts[i0]] + [verts[(i0 - k) % c] for k in range(1, c)]
+        edges = [edges[(i0 - 1 - k) % c] for k in range(c)]
+    else:
+        verts = verts[i0:] + verts[:i0]
+        edges = edges[i0:] + edges[:i0]
+    forward = tuple(u[e] == x for e, x in zip(edges, verts))
+    lengths = [length[e] for e in edges]
+    pos = [0.0]
+    for x in lengths[:-1]:
+        pos.append(pos[-1] + x)
+    return Cycle(cid, tuple(verts), tuple(edges), forward, tuple(pos), pos[-1] + lengths[-1])
+
+
+def _decomposition_or_error(decompose, graph):
+    try:
+        return decompose(graph)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_decomposition_equals_the_reference_on_draws_and_their_reductions():
+    cycles = 0
+    for seed in range(2000):
+        inst = draw_case(seed, edge_locations=seed % 2 == 1)
+        for g in (inst.graph, reduce_instance(inst).reduced.graph):
+            assert _decompose(g) == reference_decompose(g)
+        cycles += len(inst.graph.cycles.cycles)
+    assert cycles >= 2000
+
+
+@pytest.mark.parametrize("n", [60, 250, 1000, 4000])
+def test_decomposition_equals_the_reference_on_benchmark_networks(n):
+    rng = random.Random(n)
+    networks = [gen.tree_like(rng, n, n_points=4), gen.tree_like(rng, n, n_points=4)]
+    networks.append(gen.rings(rng, n_rings=6, ring_size=n // 6, n_points=4))
+    for data in networks:
+        inst = parse_instance(data)
+        for g in (inst.graph, reduce_instance(inst).reduced.graph):
+            assert _decompose(g) == reference_decompose(g)
+
+
+def test_decomposition_errors_equal_the_reference_on_random_graphs():
+    # random simple graphs, most of them no cactus or not connected: the
+    # first shared edge the reference's walk meets is the one named
+    seen = set()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 2 * n))}
+        pairs = sorted(pairs)
+        rng.shuffle(pairs)
+        u, v = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+        g = CactusGraph([f"x{i}" for i in range(n)], u, v, np.ones(len(pairs)))
+        got = _decomposition_or_error(_decompose, g)
+        assert got == _decomposition_or_error(reference_decompose, g)
+        seen.add(got[0] if isinstance(got, tuple) else CycleDecomposition)
+    assert seen == {SharedCycleEdge, NotConnected, CycleDecomposition}

@@ -281,6 +281,22 @@ BAD_INPUTS = [
     ("string-edge-length", {"edge_length": "long"}, [], "length of edge 'a'-'b' is not a number"),
     ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
     ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
+    # integers too large for a float, one per numeric field
+    ("huge-edge-length", {"edge_length": 10**400}, [], "length of edge 'a'-'b' is out of range"),
+    ("huge-weight", {"weight": 10**400}, [], "weight of point 'P1' is out of range"),
+    (
+        "huge-probability",
+        {"locations": [["a", 10**400]]},
+        [],
+        "probability in point 'P1' is out of range",
+    ),
+    (
+        "huge-offset",
+        {"locations": [[["a", "b", 10**400], 1.0]]},
+        [],
+        "offset on edge 'a'-'b' is out of range",
+    ),
+    ("huge-eps", {"eps": 10**400}, [], "eps is out of range"),
     # distances would overflow float64 (the first once summed along the path)
     (
         "overflowing-total-length",
@@ -320,6 +336,15 @@ def test_cli_rejects_a_bad_eps_from_the_environment(tmp_path, capsys, monkeypatc
     monkeypatch.setenv("UCACTUS_EPS", value)
     assert main(["solve", str(path)]) == 2
     assert "UCACTUS_EPS" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_integer_too_long_to_read(tmp_path, capsys):
+    # past Python's limit on integer digits, json itself refuses the number
+    doc = json.dumps(_tri_doc(edge_length=0.5)).replace("0.5", "1" * 5000, 1)
+    path = tmp_path / "long.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    assert "long.json" in capsys.readouterr().err
 
 
 def test_parse_rejects_non_numeric_fields():

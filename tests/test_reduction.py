@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +17,16 @@ from conftest import (
     draw_case,
     edge_row,
     edge_rows,
+    gen,
     mid_size_instances,
     square_instance,
     tri_graph,
     tri_instance,
 )
+from test_graph import reference_decompose
 from ucactus import reduction
 from ucactus.decision import decide
-from ucactus.graph import CactusGraph, GraphPoint, point_distance, validate_cactus
+from ucactus.graph import CactusGraph, GraphPoint, _decompose, point_distance, validate_cactus
 from ucactus.io import instance_to_dict, parse_instance, random_instance
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
@@ -503,7 +507,7 @@ def reference_split(inst) -> _RefSplit:
     return _RefSplit(graph, mass, cut_points, edges, placed)
 
 
-def _reference_finish(inst, split, survivors, edges) -> reduction.Reduction:
+def _reference_finish(inst, split, survivors, edges) -> SimpleNamespace:
     new_index = {v: i for i, v in enumerate(survivors)}
     graph = CactusGraph(
         [f"v{i}" for i in range(len(survivors))],
@@ -523,7 +527,9 @@ def _reference_finish(inst, split, survivors, edges) -> reduction.Reduction:
         points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
     reduced = Instance(graph, points, inst.eps)
     origin = [split.origin(v) for v in survivors]
-    return reduction.Reduction(inst, reduced, False, origin, [e.path for e in edges])
+    return SimpleNamespace(
+        identity=False, reduced=reduced, vertex_origin=origin, edge_paths=[e.path for e in edges]
+    )
 
 
 def fixpoint_reduce(inst):
@@ -550,11 +556,11 @@ def assert_same_split(inst):
         return
     got, want = reduction._split(inst), reference_split(inst)
     n = inst.graph.vertex_count
-    assert got.mass == want.mass
+    assert got.mass.tolist() == want.mass
     assert got.placed == want.placed
     assert [got.origin(v) for v in range(n, len(got.mass))] == want.cut_points
     assert [
-        (got.u[i], got.v[i], got.length[i], [got.oriented(i, got.u[i])])
+        (got.u[i], got.v[i], got.length[i], [got.oriented(i, int(got.u[i]))])
         for i in range(len(got.u))
     ] == [(e.u, e.v, e.length, e.path) for e in want.edges]
     want_at: list[list[tuple[int, int]]] = [[] for _ in want.mass]
@@ -604,6 +610,182 @@ def assert_passes_validation(red):
 
 
 # ---------------------------------------------------------------------------
+# reference worklist: peels mass-free leaves and drops rings with one anchor
+# as degrees fall, cuts two-anchor rings to their shorter arc, then walks
+# every chain from its survivor.  The package's rooted mass count must
+# find the same survivors and chains.
+
+
+def _ring(split, cyc) -> tuple[list[int], list[int]]:
+    """Vertices and split edges of one original cycle, in its ring order."""
+    u, v, first = split.u.tolist(), split.v.tolist(), split.first.tolist()
+    verts: list[int] = []
+    ring_edges: list[int] = []
+    for x, e, forward in zip(cyc.vertices, cyc.edges, cyc.forward):
+        pieces = range(first[e], first[e + 1])
+        for i in pieces if forward else reversed(pieces):
+            verts.append(x)
+            ring_edges.append(i)
+            x = u[i] + v[i] - x
+    return verts, ring_edges
+
+
+def _cycles_at(split, x: int) -> tuple[int, ...]:
+    """Ids of the original cycles that split vertex ``x`` lies on."""
+    cycles = split.graph.cycles
+    n = split.graph.vertex_count
+    if x < n:
+        return cycles.vertex_cycles[x]
+    c = cycles.edge_cycle[int(split.cut_edge[x - n])]
+    return () if c is None else (c,)
+
+
+def worklist_reduce(split) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """The survivors in id order and the chains, each as the vertices walked
+    and the split edges taken, in order of their lowest split edge and run
+    its way."""
+    mass, length = split.mass.tolist(), split.length.tolist()
+    indptr, nbr = split.indptr.tolist(), split.nbr.tolist()
+    half_edge, split_u = split.half_edge.tolist(), split.u.tolist()
+    deg = [b - a for a, b in zip(indptr, indptr[1:])]
+    live = [True] * len(length)
+    cycles = split.graph.cycles.cycles
+    rings = [_ring(split, cyc) for cyc in cycles]
+    ring_live = [True] * len(cycles)
+
+    def anchor(v: int) -> bool:
+        return mass[v] or deg[v] >= 3
+
+    def live_half(v: int) -> int:
+        return next(h for h in range(indptr[v], indptr[v + 1]) if live[half_edge[h]])
+
+    def lower(v: int, by: int) -> None:
+        was = anchor(v)
+        deg[v] -= by
+        if was and not anchor(v):
+            for c in _cycles_at(split, v):
+                if ring_live[c]:
+                    anchors[c] -= 1
+                    if anchors[c] == 1:
+                        drops.append(c)
+        if deg[v] == 1 and not mass[v]:
+            leaves.append(v)
+
+    anchors = [sum(map(anchor, verts)) for verts, _ in rings]
+    leaves = [v for v in range(len(mass)) if deg[v] == 1 and not mass[v]]
+    drops = [c for c, count in enumerate(anchors) if count == 1]
+
+    while leaves or drops:
+        if leaves:
+            v = leaves.pop()
+            h = live_half(v)
+            live[half_edge[h]] = False
+            deg[v] = 0
+            lower(nbr[h], 1)
+            continue
+        c = drops.pop()
+        ring_live[c] = False
+        verts, ring_edges = rings[c]
+        for i in ring_edges:
+            live[i] = False
+        kept = next(filter(anchor, verts))
+        for v in verts:
+            if v != kept:
+                deg[v] = 0
+        lower(kept, 2)
+
+    # a ring with two anchors keeps its shorter arc
+    for c, (verts, ring_edges) in enumerate(rings):
+        if not ring_live[c] or anchors[c] != 2:
+            continue
+        i, j = (k for k, v in enumerate(verts) if anchor(v))
+        inner = sum(length[e] for e in ring_edges[i:j])
+        outer = sum(length[e] for e in ring_edges[j:] + ring_edges[:i])
+        if inner <= outer:
+            drop_v, drop_e = verts[j + 1 :] + verts[:i], ring_edges[j:] + ring_edges[:i]
+        else:
+            drop_v, drop_e = verts[i + 1 : j], ring_edges[i:j]
+        for e in drop_e:
+            live[e] = False
+        for v in drop_v:
+            deg[v] = 0
+        deg[verts[i]] -= 1
+        deg[verts[j]] -= 1
+
+    survivors = [v for v in range(len(mass)) if anchor(v)]
+    chains: list[tuple[list[int], list[int]]] = []
+    for s in survivors:
+        for h in range(indptr[s], indptr[s + 1]):
+            if not live[half_edge[h]]:
+                continue
+            live[half_edge[h]] = False
+            walk, chain = [s], [half_edge[h]]
+            v = nbr[h]
+            while not anchor(v):
+                step = live_half(v)
+                live[half_edge[step]] = False
+                walk.append(v)
+                chain.append(half_edge[step])
+                v = nbr[step]
+            walk.append(v)
+            # orient each chain along its first split edge
+            low = chain.index(min(chain))
+            if walk[low] != split_u[chain[low]]:
+                walk.reverse()
+                chain.reverse()
+            chains.append((walk, chain))
+    chains.sort(key=lambda item: min(item[1]))
+    return survivors, chains
+
+
+def assert_same_chains(inst):
+    """The rooted mass count keeps the worklist's survivors and chains, and
+    sums each chain's length in walk order."""
+    if reduce_instance(inst).identity:
+        return
+    split = reduction._split(inst)
+    got = reduction._reduce(split)
+    survivors, chains = worklist_reduce(split)
+    assert got.survivors.tolist() == survivors
+    walks = []
+    for k, (a, b) in enumerate(zip(got.start, got.start[1:])):
+        walks.append((got.enter[a:b].tolist() + [got.ends[1][k]], got.edges[a:b].tolist()))
+    assert walks == chains
+    lengths = split.length.tolist()
+    assert got.length.tolist() == [sum(lengths[i] for i in chain) for _, chain in chains]
+
+
+def assert_lifts_match_the_tables(red):
+    """``lift_point`` on every reduced vertex and at points along every
+    reduced edge equals a lift read off the eager tables."""
+    if red.identity:
+        return
+    rg = red.reduced.graph
+    for x in range(rg.vertex_count):
+        assert red.lift_point(rg.vertex_point(x)) == red.vertex_origin[x]
+    for k in range(rg.edge_count):
+        _, _, total = rg.edge(k)
+        for f in (0.0, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3, 1.0):
+            p = GraphPoint(k, f * total)
+            v = rg.point_on_vertex(p)
+            want = red.vertex_origin[v] if v is not None else _table_lift(red, p)
+            assert red.lift_point(p) == want
+
+
+def _table_lift(red, p: GraphPoint) -> GraphPoint:
+    """Lift an interior point by walking its edge's row of ``edge_paths``."""
+    walked = 0.0
+    for eid, a, b in red.edge_paths[p.edge]:
+        span = abs(b - a)
+        if p.t <= walked + span + reduction._SNAP:
+            frac = min(max(p.t - walked, 0.0), span)
+            t = a + frac if b >= a else a - frac
+            return GraphPoint(eid, min(max(t, 0.0), float(red.original.graph.length[eid])))
+        walked += span
+    raise AssertionError("point beyond reduced edge path")
+
+
+# ---------------------------------------------------------------------------
 # the one-pass worklist against the fixpoint
 
 
@@ -616,6 +798,8 @@ def test_one_pass_matches_the_fixpoint_on_random_draws(max_vertices, edge_locati
         got = reduce_instance(inst)
         assert_same_split(inst)
         assert_same_reduction(got, fixpoint_reduce(inst))
+        assert_same_chains(inst)
+        assert_lifts_match_the_tables(got)
         assert_passes_validation(got)
         reduced += not got.identity
     assert reduced >= 800
@@ -631,7 +815,89 @@ def test_one_pass_matches_the_fixpoint_on_large_draws():
         assert got.reduced.graph.vertex_count < 400
         assert_same_split(inst)
         assert_same_reduction(got, fixpoint_reduce(inst))
+        assert_same_chains(inst)
+        assert_lifts_match_the_tables(got)
         assert_passes_validation(got)
+
+
+@pytest.mark.parametrize("n", [60, 250, 1000, 4000])
+def test_rooted_count_matches_the_worklist_on_benchmark_networks(n):
+    # tree-like networks with interior locations, and rings whose few points
+    # leave rings with one, two and more anchors
+    rng = random.Random(n)
+    for data in (
+        gen.tree_like(rng, n),
+        gen.tree_like(rng, n, n_points=3, n_locations=2, edge_share=0.8),
+        gen.rings(rng, n_rings=6, ring_size=n // 6, n_points=3, n_locations=2),
+    ):
+        inst = parse_instance(data)
+        assert_same_chains(inst)
+        assert_lifts_match_the_tables(reduce_instance(inst))
+
+
+# ---------------------------------------------------------------------------
+# deep and wide networks: every pass is linear, with no loop over the depth
+# of a search tree and no rescan of a vertex's edges
+
+
+def _deep_network(shape: str, size: int):
+    """A path of ``size`` vertices, a star of ``size`` vertices or a chain
+    of ``size`` triangles with seeded lengths, its points and its optimum.
+    One point sits on both ends (the first and last vertex) with equal
+    chance, another on the first end, so half the distance between the
+    ends is the least cost."""
+    rng = random.Random(size)
+    spec, far = [], 0.0
+    if shape == "path":
+        names = [f"p{i}" for i in range(size)]
+        for a, b in zip(names, names[1:]):
+            spec.append((a, b, float(rng.randint(1, 9))))
+            far += spec[-1][2]
+    elif shape == "star":
+        names = [f"s{i}" for i in range(size)]
+        spec = [(names[1], x, float(rng.randint(1, 9))) for x in names if x != names[1]]
+        far = spec[0][2] + spec[-1][2]
+    else:
+        names = [f"t{i}" for i in range(2 * size + 1)]
+        for i in range(0, 2 * size, 2):
+            a, mid, b = names[i : i + 3]
+            sides = [float(rng.randint(1, 9)) for _ in range(3)]
+            spec += [(a, mid, sides[0]), (mid, b, sides[1]), (a, b, sides[2])]
+            far += min(sides[0] + sides[1], sides[2])
+    points = [
+        UncertainPoint("both", 1.0, (Location(0, 0.5), Location(len(names) - 1, 0.5))),
+        UncertainPoint("first", 1.0, (Location(0, 1.0),)),
+    ]
+    return names, spec, points, 0.5 * far
+
+
+def _solve_seconds(shape: str, size: int) -> float:
+    """Best of five: build the network (one decomposition), reduce and
+    solve, checking the optimum each time."""
+    names, spec, points, want = _deep_network(shape, size)
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        value = solve(build_instance(validate_cactus(names, spec), points)).value
+        best = min(best, time.perf_counter() - start)
+        assert value == pytest.approx(want, rel=1e-12)
+    return best
+
+
+@pytest.mark.parametrize(
+    "shape, size", [("path", 10_000), ("star", 10_000), ("triangles", 1_500)]
+)
+def test_deep_networks_reduce_and_solve_in_linear_time(shape, size):
+    names, spec, points, _ = _deep_network(shape, 1_000 if shape == "triangles" else 2_000)
+    small = build_instance(validate_cactus(names, spec), points)
+    # at about 2,000 vertices every pass still equals its reference
+    assert _decompose(small.graph) == reference_decompose(small.graph)
+    assert_same_chains(small)
+    red = reduce_instance(small)
+    assert red.reduced.graph.vertex_count == 2
+    assert_lifts_match_the_tables(red)
+    once, twice = _solve_seconds(shape, size), _solve_seconds(shape, 2 * size)
+    assert twice <= 3.0 * once, (once, twice)
 
 
 # ---------------------------------------------------------------------------
