@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ucactus.errors import InternalInvariantError, ValidationError
-from ucactus.graph import GraphPoint, SkeletonTree, descend
+from ucactus.graph import CYCLE, GraphPoint, SkeletonTree, descend
 from ucactus.plf import (
     coverage_set,
     crossings,
@@ -69,36 +69,31 @@ def _tol(inst: Instance, lam: float) -> float:
 class _Buckets:
     """Majority-mass classification of points around a removed structure."""
 
-    exclusive: list[list[int]]  # per component: majority inside it
-    local: list[int]  # majority nowhere: all medians on the structure
-    split: list[int]  # exactly half the mass in each of two components
+    exclusive: list[np.ndarray]  # per component: majority inside it
+    local: np.ndarray  # majority nowhere: all medians on the structure
+    split: np.ndarray  # exactly half the mass in each of two components
 
 
 def _classify(inst: Instance, cs: ComponentSums) -> _Buckets:
-    peps = inst.eps
-    s = len(cs.comps)
-    exclusive: list[list[int]] = [[] for _ in range(s)]
-    local: list[int] = []
-    split: list[int] = []
-    for k in range(inst.n):
-        if inst.weights[k] <= 0.0:
-            continue  # served everywhere for free; pins and loads nothing
-        heavy = [i for i in range(s) if cs.sums[i, k] >= 0.5 - peps]
-        if not heavy:
-            local.append(k)
-        elif len(heavy) == 1:
-            exclusive[heavy[0]].append(k)
-        else:
-            # two half-mass components; more would need mass above 1
-            split.append(k)
-    return _Buckets(exclusive, local, split)
+    # a weightless point is served everywhere for free; it pins and loads
+    # nothing, so it lands in no bucket
+    served = inst.weights > 0.0
+    heavy = (cs.sums >= 0.5 - inst.eps) & served
+    count = heavy.sum(axis=0)
+    comp, k = np.nonzero(heavy & (count == 1))
+    return _Buckets(
+        [k[comp == i] for i in range(len(cs.comps))],
+        np.flatnonzero(served & (count == 0)),
+        # two half-mass components; more would need mass above 1
+        np.flatnonzero(count >= 2),
+    )
 
 
 def probe_articulation(inst: Instance, node: int, lam: float) -> ProbeOutcome:
     """Classify feasibility directions at a vertex-holding node."""
     tree = inst.graph.skeleton
-    assert tree.nodes[node].kind != "cycle"
-    v = tree.nodes[node].ref
+    assert tree.kind[node] != CYCLE
+    v = int(tree.ref[node])
     tol = _tol(inst, lam)
     cs = component_sums(inst, node)
     b = _classify(inst, cs)
@@ -142,14 +137,14 @@ def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
     probed and the outcome translated back to the cycle's frame.
     """
     tree = inst.graph.skeleton
-    assert tree.nodes[node].kind == "cycle"
+    assert tree.kind[node] == CYCLE
     tol = _tol(inst, lam)
     cs = component_sums(inst, node)
     b = _classify(inst, cs)
 
     vals = []
     for comp, grp in zip(cs.comps, b.exclusive):
-        hinge_vertex = tree.nodes[comp.gate].ref
+        hinge_vertex = int(tree.ref[comp.gate])
         vals.append(group_eccentricity(inst, grp, hinge_vertex))
     # a tight point pins its hinge only when more than half its mass lies
     # beyond it: its expected distance then rises moving into the ring, while
@@ -287,7 +282,7 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
     """
     g = inst.graph
     u, v, length = g.edge(edge)
-    if g.cycles.edge_cycle[edge] is not None:
+    if g.cycles.edge_cycle[edge] >= 0:
         raise InternalInvariantError("edge terminal on a cycle edge")
     tol = _tol(inst, lam)
     peps = inst.eps
@@ -336,7 +331,7 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
     """Terminal for a cycle holding a center; tries both centers on the
     cycle first, then one on-cycle center with the other anywhere."""
     tree = inst.graph.skeleton
-    cyc = inst.graph.cycles.cycles[tree.nodes[node].ref]
+    cyc = inst.graph.cycles.cycles[tree.ref[node]]
     arcs = _cycle_arcs(inst, cyc.id, lam)
     if all(arcs):
         hit = stab_two(arcs)
@@ -390,8 +385,8 @@ def decide_on_two_cycles(
     """
     g = inst.graph
     tree = g.skeleton
-    cyc1 = g.cycles.cycles[tree.nodes[node1].ref]
-    cyc2 = g.cycles.cycles[tree.nodes[node2].ref]
+    cyc1 = g.cycles.cycles[tree.ref[node1]]
+    cyc2 = g.cycles.cycles[tree.ref[node2]]
     arcs1 = _cycle_arcs(inst, cyc1.id, lam)
     alone = stab_one(arcs1)
     if alone is not None:
@@ -495,27 +490,27 @@ def decide(inst: Instance, lam: float) -> Verdict:
     committed: int | None = None
 
     def at_node(node: int) -> Verdict:
-        if tree.nodes[node].kind == "cycle":
+        if tree.kind[node] == CYCLE:
             if committed is not None:
                 return decide_on_two_cycles(inst, committed, node, lam)
             return decide_on_cycle(inst, node, lam)
-        return _finish_at_vertex(inst, tree.nodes[node].ref, lam)
+        return _finish_at_vertex(inst, int(tree.ref[node]), lam)
 
-    def probe(u: int, active: frozenset[int]) -> frozenset[int] | Verdict:
+    def probe(u: int, active: np.ndarray) -> np.ndarray | Verdict:
         nonlocal flag, committed
-        if tree.nodes[u].kind == "cycle":
+        if tree.kind[u] == CYCLE:
             out = probe_cycle(inst, u, lam)
         else:
             out = probe_articulation(inst, u, lam)
         if out.kind == INFEASIBLE:
             return Verdict(False)
         if out.kind == FEASIBLE_SINGLE:
-            p = inst.graph.vertex_point(tree.nodes[out.primary].ref)
+            p = inst.graph.vertex_point(int(tree.ref[out.primary]))
             return Verdict(True, (p, p))
         if out.kind == CENTER_AT:
-            return _finish_at_vertex(inst, tree.nodes[out.primary].ref, lam)
+            return _finish_at_vertex(inst, int(tree.ref[out.primary]), lam)
         if out.kind == DESCEND:
-            if out.primary == u and tree.nodes[u].kind == "cycle":
+            if out.primary == u and tree.kind[u] == CYCLE:
                 return at_node(u)
             target, via = out.primary, out.via_primary
         elif out.kind == DESCEND_TWO:
@@ -530,7 +525,7 @@ def decide(inst: Instance, lam: float) -> Verdict:
             pend = tree.component_toward(gate, pendant)
             # the reserved second-center region sits past the flag node, so a
             # pendant claim is consistent when it lies in that region
-            if not (flag is None or flag == gate or flag in pend):
+            if not (flag is None or flag == gate or pend[tree.start[flag]]):
                 return Verdict(False)
             if committed is not None:
                 return decide_on_two_cycles(inst, committed, cyc_node, lam)
@@ -539,13 +534,17 @@ def decide(inst: Instance, lam: float) -> Verdict:
             # first search had narrowed
             committed = cyc_node
             flag = gate
-            return pend | {gate}
+            pend[tree.start[gate]] = True
+            return pend
         part = tree.component_toward(via, target) & active
-        return part | {via} if part else at_node(via)
+        if not part.any():
+            return at_node(via)
+        part[tree.start[via]] = True
+        return part
 
     verdict, probes = descend(
         tree,
-        frozenset(range(len(tree))),
+        np.ones(len(tree), dtype=bool),
         probe,
         at_node,
         lambda edge: decide_on_edge(inst, edge, lam),
@@ -555,7 +554,7 @@ def decide(inst: Instance, lam: float) -> Verdict:
 
 def _pick_direction(
     tree: SkeletonTree,
-    active: frozenset[int],
+    active: np.ndarray,
     flag: int | None,
     out: ProbeOutcome,
 ) -> tuple[int, int] | None:
@@ -568,7 +567,7 @@ def _pick_direction(
     ):
         assert target is not None and via is not None
         comp = tree.component_toward(via, target)
-        eligible = bool(comp & active) and (flag is None or flag not in comp)
+        eligible = (comp & active).any() and (flag is None or not comp[tree.start[flag]])
         options.append((target, via, eligible))
     good = [(t, v) for t, v, ok in options if ok]
     if not good:

@@ -12,10 +12,10 @@ The cycle decomposition is one depth-first search in C (scipy's
 the tree and the back edges are read off in array passes, with no loop
 over the levels of the tree, and each back edge closes one cycle.
 
-The skeleton tree is rooted once, when it is built; every component query
-(what one removed node cuts off, which way a target lies, a centroid) reads
-its preorder, since each such component is a preorder slice or its
-complement.
+The skeleton tree is a set of arrays built from one more such search,
+which roots it; every component query (what one removed node cuts off,
+which way a target lies, a centroid) reads its preorder, since each such
+component is a preorder slice or its complement.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import eq
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -126,7 +126,7 @@ class CactusGraph:
     @cached_property
     def bridges(self) -> np.ndarray:
         """Ids of the out-of-cycle edges, ascending."""
-        return np.flatnonzero([c is None for c in self.cycles.edge_cycle])
+        return np.flatnonzero(self.cycles.edge_cycle < 0)
 
     @cached_property
     def skeleton(self) -> SkeletonTree:
@@ -226,9 +226,6 @@ class Cycle:
     pos: tuple[float, ...]
     perimeter: float
 
-    def vertex_coord(self, v: int) -> float:
-        return self.pos[self.vertices.index(v)]
-
     def coord_point(self, graph: CactusGraph, x: float) -> GraphPoint:
         """The point at arc coordinate ``x``, taken modulo the perimeter."""
         x %= self.perimeter
@@ -249,11 +246,42 @@ class Cycle:
         return np.minimum(gaps, self.perimeter - gaps)
 
 
-@dataclass(slots=True)
 class CycleDecomposition:
-    cycles: list[Cycle]
-    edge_cycle: list[int | None]
-    vertex_cycles: list[tuple[int, ...]]
+    """The cycles, numbered in the order the search closes them, and maps
+    built on first read.  Cycle ``c``'s vertices in ring order are
+    ``ring_vertex[ring_ptr[c]:ring_ptr[c + 1]]``, and ``ring_cycle`` names
+    each position's cycle; ``edge_cycle[e]`` is the cycle of edge ``e``, -1
+    for a bridge; the cycles through vertex ``x`` are
+    ``vertex_cycles[vertex_ptr[x]:vertex_ptr[x + 1]]``, ascending."""
+
+    def __init__(self, cycles: list[Cycle], vertex_count: int, edge_count: int) -> None:
+        self.cycles, self.vertex_count, self.edge_count = cycles, vertex_count, edge_count
+        self.ring_ptr = np.cumsum([0] + [len(c.vertices) for c in cycles])
+
+    @cached_property
+    def ring_vertex(self) -> np.ndarray:
+        return np.fromiter(chain(*(c.vertices for c in self.cycles)), np.intp, self.ring_ptr[-1])
+
+    @cached_property
+    def ring_cycle(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.cycles)), np.diff(self.ring_ptr))
+
+    @cached_property
+    def edge_cycle(self) -> np.ndarray:
+        ring_edge = np.fromiter(chain(*(c.edges for c in self.cycles)), np.intp, self.ring_ptr[-1])
+        out = np.full(self.edge_count, -1, dtype=np.intp)
+        out[ring_edge] = self.ring_cycle
+        return out
+
+    @cached_property
+    def vertex_ptr(self) -> np.ndarray:
+        held = np.bincount(self.ring_vertex, minlength=self.vertex_count)
+        return np.concatenate([[0], np.cumsum(held)])
+
+    @cached_property
+    def vertex_cycles(self) -> np.ndarray:
+        # a stable sort by vertex keeps each vertex's cycles ascending
+        return self.ring_cycle[np.argsort(self.ring_vertex, kind="stable")]
 
 
 class DepthFirst(NamedTuple):
@@ -336,8 +364,7 @@ def _decompose(graph: CactusGraph) -> CycleDecomposition:
     parent, parent_edge = walk.parent.tolist(), walk.parent_edge.tolist()
     ends = zip(tail[back].tolist(), nbr[back].tolist(), graph.half_edge[back].tolist())
     u, length = graph.u.tolist(), graph.length.tolist()
-    edge_cycle: list[int | None] = [None] * m
-    vertex_cycles: list[tuple[int, ...]] = [()] * n
+    closed = bytearray(m)
     cycles = []
     for cid, (x, top, eid) in enumerate(ends):
         # the tree path from the deeper end up to the top, then the back edge
@@ -349,17 +376,14 @@ def _decompose(graph: CactusGraph) -> CycleDecomposition:
         verts.reverse()
         edges = edges[:0:-1] + edges[:1]
         for e in edges:
-            if edge_cycle[e] is not None:
+            if closed[e]:
                 a, b = graph.names[u[e]], graph.names[int(graph.v[e])]
                 raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
-            edge_cycle[e] = cid
+            closed[e] = 1
         cycles.append(_canonical_cycle(cid, verts, edges, u, length))
     if len(walk.order) < n:
         raise NotConnected("graph is not connected")
-    for cyc in cycles:
-        for v in cyc.vertices:
-            vertex_cycles[v] += (cyc.id,)
-    return CycleDecomposition(cycles, edge_cycle, vertex_cycles)
+    return CycleDecomposition(cycles, n, m)
 
 
 def _canonical_cycle(
@@ -384,108 +408,77 @@ def _canonical_cycle(
 # skeleton tree
 
 
-@dataclass(frozen=True, slots=True)
-class SkelNode:
-    id: int
-    kind: str  # "vertex" | "hinge" | "cycle"
-    ref: int  # vertex id for vertex/hinge nodes, cycle id for cycle nodes
+VERTEX, HINGE, CYCLE = 0, 1, 2  # skeleton node kinds
 
 
 @dataclass(frozen=True, slots=True)
-class TreeLink:
-    other: int
-    length: float
-    edge: int | None  # graph edge id; None for zero-length hinge-cycle links
-
-
 class SkeletonTree:
-    """Tree of out-of-cycle vertices, hinges, and whole cycles.
+    """Tree of out-of-cycle vertices, hinges, and whole cycles, as arrays
+    indexed by node.  Nodes ``0..H-1`` hold one vertex each, in vertex
+    order: an out-of-cycle vertex (VERTEX) or a cycle vertex of degree three
+    or more (HINGE); node ``H + c`` is cycle ``c`` (CYCLE) and holds its
+    other ring vertices.  ``ref`` is the vertex or cycle id.  Node ``x``
+    holds ``node_vertex[node_ptr[x]:node_ptr[x + 1]]`` (a cycle's in ring
+    order); ``node_of_vertex[v]`` is -1 when a cycle node holds ``v``.
 
-    Cycle-interior vertices (degree 2, on a cycle) collapse into their cycle's
-    node; hinges stay separate nodes joined to the cycle node by a zero-length
-    link, so every graph vertex is held by exactly one node.
+    Each bridge joins its ends' nodes, then each cycle its hinges; node
+    ``x``'s neighbours are ``nbr[indptr[x]:indptr[x + 1]]`` in that order,
+    so a cycle's are its hinges in ring order.  A search taking them in
+    order roots the tree at node 0: ``order`` is the preorder, ``parent``
+    is -1 at the root, x's subtree is ``order[start[x]:stop[x]]``, and the
+    edge up from ``x`` has length ``up_length[x]`` and is graph edge
+    ``up_edge[x]`` (-1 from a hinge to its cycle).  A component left by
+    deleting one node is a preorder slice or its complement, and a node
+    set is a mask over preorder positions."""
 
-    The tree is rooted once, at node 0, when it is built.  ``order`` is the
-    preorder, ``parent[x]`` is -1 for the root, and the subtree of ``x`` is
-    the slice ``order[start[x]:stop[x]]``.  Deleting one node leaves its
-    children's subtrees and the rest of the tree, so every component query is
-    a preorder slice or its complement.
-    """
-
-    def __init__(
-        self,
-        nodes: list[SkelNode],
-        links: list[list[TreeLink]],
-        node_of_vertex: list[int | None],
-        node_of_cycle: list[int],
-        node_vertices: list[tuple[int, ...]],
-    ) -> None:
-        self.nodes = nodes
-        self.links = links
-        self.node_of_vertex = node_of_vertex
-        self.node_of_cycle = node_of_cycle
-        self.node_vertices = node_vertices
-        self.parent = [-1] * len(nodes)
-        self.order: list[int] = []
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            self.order.append(x)
-            for link in reversed(links[x]):
-                if link.other != self.parent[x]:
-                    self.parent[link.other] = x
-                    stack.append(link.other)
-        self.start = [0] * len(nodes)
-        for i, x in enumerate(self.order):
-            self.start[x] = i
-        size = [1] * len(nodes)
-        for x in reversed(self.order[1:]):
-            size[self.parent[x]] += size[x]
-        self.stop = [self.start[x] + size[x] for x in range(len(nodes))]
+    kind: np.ndarray
+    ref: np.ndarray
+    parent: np.ndarray
+    up_length: np.ndarray
+    up_edge: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    node_ptr: np.ndarray
+    node_vertex: np.ndarray
+    node_of_vertex: np.ndarray
+    node_of_cycle: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.kind)
 
-    def hinge_nodes(self, cycle_node: int) -> list[int]:
-        return [
-            link.other
-            for link in self.links[cycle_node]
-            if self.nodes[link.other].kind == "hinge" and link.length == 0.0
-            and link.edge is None
-        ]
+    def neighbours(self, node: int) -> list[int]:
+        return self.nbr[self.indptr[node] : self.indptr[node + 1]].tolist()
 
     def split_components(self, node: int) -> list[SplitComponent]:
         """Components of the tree after removing ``node`` (and, for cycle
         nodes, its adjacent hinge nodes), one per link leaving the removed
         structure."""
-        if self.nodes[node].kind != "cycle":
-            return [SplitComponent(node, link.other) for link in self.links[node]]
         # in a cactus no two hinges of one cycle are linked to each other
-        return [
-            SplitComponent(h, link.other)
-            for h in self.hinge_nodes(node)
-            for link in self.links[h]
-            if link.other != node
-        ]
+        gates = self.neighbours(node) if self.kind[node] == CYCLE else [node]
+        return [SplitComponent(g, x) for g in gates for x in self.neighbours(g) if x != node]
 
     def step_toward(self, removed: int, target: int) -> int:
         """Neighbour of ``removed`` on the side of ``target``."""
         at = self.start[target]
-        for link in self.links[removed]:
-            c = link.other
-            if c != self.parent[removed] and self.start[c] <= at < self.stop[c]:
-                return c
-        return self.parent[removed]
+        if not self.start[removed] < at < self.stop[removed]:
+            return int(self.parent[removed])
+        # the children enter the preorder in link order
+        kids = self.nbr[self.indptr[removed] : self.indptr[removed + 1]]
+        kids = kids[self.parent[kids] == removed]
+        return int(kids[np.searchsorted(self.start[kids], at, side="right") - 1])
 
-    def component_toward(self, removed: int, start: int) -> frozenset[int]:
-        """Node set of the full-tree component of ``start`` once ``removed``
-        (alone, regardless of kind) is deleted."""
+    def component_toward(self, removed: int, start: int) -> np.ndarray:
+        """Mask over preorder positions of the full-tree component of
+        ``start`` once ``removed`` (alone, regardless of kind) is deleted."""
         step = self.step_toward(removed, start)
-        if step != self.parent[removed]:
-            return frozenset(self.order[self.start[step] : self.stop[step]])
-        return frozenset(
-            self.order[: self.start[removed]] + self.order[self.stop[removed] :]
-        )
+        inside = step != self.parent[removed]
+        x = step if inside else removed
+        mask = np.full(len(self.kind), not inside)
+        mask[self.start[x] : self.stop[x]] = inside
+        return mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -499,55 +492,54 @@ class SplitComponent:
 
 def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
     dec = graph.cycles
-    n = graph.vertex_count
-    degree = np.diff(graph.indptr).tolist()
-    node_of_vertex: list[int | None] = [None] * n
-    nodes: list[SkelNode] = []
-    for v in range(n):
-        if dec.vertex_cycles[v]:
-            if degree[v] >= 3:
-                node_of_vertex[v] = len(nodes)
-                nodes.append(SkelNode(len(nodes), "hinge", v))
-        else:
-            node_of_vertex[v] = len(nodes)
-            nodes.append(SkelNode(len(nodes), "vertex", v))
-    node_of_cycle = []
-    for cyc in dec.cycles:
-        node_of_cycle.append(len(nodes))
-        nodes.append(SkelNode(len(nodes), "cycle", cyc.id))
-
-    node_vertices: list[list[int]] = [[] for _ in nodes]
-    for v in range(n):
-        if node_of_vertex[v] is not None:
-            node_vertices[node_of_vertex[v]].append(v)
-    for cyc in dec.cycles:
-        for v in cyc.vertices:
-            if node_of_vertex[v] is None:
-                node_vertices[node_of_cycle[cyc.id]].append(v)
-
-    links: list[list[TreeLink]] = [[] for _ in nodes]
-    bid = graph.bridges
-    rows = zip(*(x.tolist() for x in (bid, graph.u[bid], graph.v[bid], graph.length[bid])))
-    for e, u, v, length in rows:
-        a, b = node_of_vertex[u], node_of_vertex[v]
-        assert a is not None and b is not None
-        links[a].append(TreeLink(b, length, e))
-        links[b].append(TreeLink(a, length, e))
-    for cyc in dec.cycles:
-        cnode = node_of_cycle[cyc.id]
-        for v in cyc.vertices:
-            h = node_of_vertex[v]
-            if h is not None:
-                links[cnode].append(TreeLink(h, 0.0, None))
-                links[h].append(TreeLink(cnode, 0.0, None))
-
+    on_ring = np.diff(dec.vertex_ptr) > 0
+    held = np.flatnonzero(~on_ring | (np.diff(graph.indptr) >= 3))
+    h, c = len(held), len(dec.cycles)
+    node_of_vertex = np.full(graph.vertex_count, -1, dtype=np.intp)
+    node_of_vertex[held] = np.arange(h)
+    ring_node = node_of_vertex[dec.ring_vertex]
+    ring_cycle = dec.ring_cycle
+    hinge = ring_node >= 0
+    # the tree edges, bridges first, and a last entry that a root's -1 reads
+    bid, hinged = graph.bridges, np.count_nonzero(hinge)
+    link_edge = np.concatenate([bid, np.full(hinged + 1, -1)])
+    link_length = np.concatenate([graph.length[bid], np.zeros(hinged + 1)])
+    link_u = np.concatenate([node_of_vertex[graph.u[bid]], h + ring_cycle[hinge]])
+    link_v = np.concatenate([node_of_vertex[graph.v[bid]], ring_node[hinge]])
+    indptr, nbr, link = half_edge_index(h + c, link_u, link_v)
+    walk = depth_first(indptr, nbr, link, 0)
+    cycle_holds = np.cumsum(np.bincount(ring_cycle[~hinge], minlength=c))
     return SkeletonTree(
-        nodes,
-        links,
-        node_of_vertex,
-        node_of_cycle,
-        [tuple(vs) for vs in node_vertices],
+        kind=np.concatenate([np.where(on_ring[held], HINGE, VERTEX), np.full(c, CYCLE)]),
+        ref=np.concatenate([held, np.arange(c)]),
+        parent=walk.parent,
+        up_length=link_length[walk.parent_edge],
+        up_edge=link_edge[walk.parent_edge],
+        order=walk.order,
+        start=walk.start,
+        stop=subtree_stop(walk, nbr),
+        indptr=indptr,
+        nbr=nbr,
+        node_ptr=np.concatenate([np.arange(h + 1), h + cycle_holds]),
+        node_vertex=np.concatenate([held, dec.ring_vertex[~hinge]]),
+        node_of_vertex=node_of_vertex,
+        node_of_cycle=h + np.arange(c),
     )
+
+
+def subtree_stop(walk: DepthFirst, nbr: np.ndarray) -> np.ndarray:
+    """Where each vertex's subtree ends in the preorder of ``walk``, a
+    search of the index with far ends ``nbr``: after its last child's
+    subtree, found by pointer doubling in log(depth) passes."""
+    last = np.arange(len(walk.start))
+    child = np.flatnonzero(walk.down)
+    final = child[np.diff(walk.tail[child], append=-1) != 0]
+    last[walk.tail[final]] = nbr[final]
+    while True:
+        deeper = last[last]
+        if np.array_equal(deeper, last):
+            return walk.start[last] + 1
+        last = deeper
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +578,27 @@ def point_distance(graph: CactusGraph, p: GraphPoint, q: GraphPoint) -> float:
     return distance_via(graph, q, graph.distances_from(q), p)
 
 
-def centroid(tree: SkeletonTree, active: frozenset[int]) -> int:
-    """Node of ``active`` minimising the largest hanging piece; ties go to the
-    smallest node id.  ``active`` must induce a connected subtree."""
-    if not active:
+def centroid(tree: SkeletonTree, active: np.ndarray) -> int:
+    """Node of ``active``, a mask over preorder positions that must induce a
+    connected subtree, minimising the largest hanging piece; ties go to the
+    smallest node id.  One prefix sum counts the active nodes below each.
+    Only nodes with half the set below can win, and they form a path down
+    from the top: the deepest, whose load is its heaviest piece, and its
+    parent, whose load is the deepest's count, are the candidates."""
+    total = int(np.count_nonzero(active))
+    if not total:
         raise ValidationError("centroid of an empty active set")
-    # in preorder, every active node but the first has an active parent
-    order = sorted(active, key=tree.start.__getitem__)
-    size = dict.fromkeys(order, 1)
-    heaviest_child = dict.fromkeys(order, 0)
-    for x in reversed(order[1:]):
-        p = tree.parent[x]
-        size[p] += size[x]
-        heaviest_child[p] = max(heaviest_child[p], size[x])
-    total = len(order)
-    return min(order, key=lambda x: (max(total - size[x], heaviest_child[x]), x))
+    held = np.concatenate([[0], np.cumsum(active)])
+    size = held[tree.stop[tree.order]] - held[:-1]
+    heavy = np.flatnonzero(active & (2 * size >= total))
+    at = heavy[-1]
+    x = int(tree.order[at])
+    below = slice(at + 1, tree.stop[x])
+    kids = active[below] & (tree.parent[tree.order[below]] == x)
+    best = (max(total - int(size[at]), int(size[below][kids].max(initial=0))), x)
+    if len(heavy) > 1:
+        best = min(best, (int(size[at]), int(tree.parent[x])))
+    return best[1]
 
 
 T = TypeVar("T")
@@ -608,37 +606,37 @@ T = TypeVar("T")
 
 def descend(
     tree: SkeletonTree,
-    active: frozenset[int],
-    probe: Callable[[int, frozenset[int]], frozenset[int] | T],
+    active: np.ndarray,
+    probe: Callable[[int, np.ndarray], np.ndarray | T],
     at_node: Callable[[int], T],
     at_edge: Callable[[int], T],
 ) -> tuple[T, int]:
-    """Centroid descent over ``active``, a connected subtree of ``tree``.
-
-    Each step probes one node: the centroid, or with two nodes left the cycle
-    node of the pair.  ``probe(u, active)`` returns the next active set
-    (a frozenset) or a final result.  A single node left ends in
-    ``at_node``; two nodes joined by a graph edge end in ``at_edge`` without
-    a probe.  Returns the result and the number of probes made.
-    """
+    """Centroid descent over ``active``, a mask over preorder positions
+    that induces a connected subtree of ``tree``.  Each step probes one
+    node: the centroid, or with two nodes left the cycle node of the pair.
+    ``probe(u, active)`` returns the next active mask or a final result.  A
+    single node left ends in ``at_node``; two nodes joined by a graph edge
+    end in ``at_edge`` without a probe.  Returns the result and the number
+    of probes made."""
     budget = 2 * math.ceil(math.log2(max(2, len(tree)))) + 16
     probes = 0
     while True:
         if probes > budget:
             raise InternalInvariantError("probe budget exceeded")
-        if len(active) == 1:
-            return at_node(next(iter(active))), probes
-        if len(active) == 2:
-            a, b = sorted(active)
-            link = next(l for l in tree.links[a] if l.other == b)
-            if link.edge is not None:
-                return at_edge(link.edge), probes
+        left = tree.order[np.flatnonzero(active)].tolist()
+        if len(left) == 1:
+            return at_node(left[0]), probes
+        if len(left) == 2:
+            # in preorder the parent comes first
+            up, down = left
+            if tree.up_edge[down] >= 0:
+                return at_edge(int(tree.up_edge[down])), probes
             # a hinge-cycle link: probe the cycle side
-            u = a if tree.nodes[a].kind == "cycle" else b
+            u = up if tree.kind[up] == CYCLE else down
         else:
             u = centroid(tree, active)
         probes += 1
         out = probe(u, active)
-        if not isinstance(out, frozenset):
+        if not isinstance(out, np.ndarray):
             return out, probes
         active = out

@@ -47,6 +47,9 @@ def _cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarr
     per = cyc.perimeter
     xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
     ys = ring_mixture(inst, cycle_id, xs, inst.ed_at_vertices)
+    # at its ring vertices a profile takes their own rows, so the two agree
+    # bit for bit whatever order the rerooting summed them in
+    ys[np.searchsorted(xs, coords)] = inst.ed_at_vertices[list(cyc.vertices)]
     xs.setflags(write=False)
     ys.setflags(write=False)
     return xs, ys

@@ -35,7 +35,14 @@ from itertools import chain
 import numpy as np
 
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import CactusGraph, DepthFirst, GraphPoint, depth_first, half_edge_index
+from ucactus.graph import (
+    CactusGraph,
+    DepthFirst,
+    GraphPoint,
+    depth_first,
+    half_edge_index,
+    subtree_stop,
+)
 from ucactus.uncertain import Instance, Location, UncertainPoint
 
 _SNAP = 1e-12
@@ -260,7 +267,7 @@ def _live_edges(split: _Split, root: int) -> np.ndarray:
     u, v, m = split.u, split.v, len(split.u)
     walk = depth_first(split.indptr, split.nbr, split.half_edge, root)
     held = np.concatenate([[0], np.cumsum(split.mass[walk.order])])
-    below = held[_subtree_stop(walk, split.nbr)] - held[walk.start]
+    below = held[subtree_stop(walk, split.nbr)] - held[walk.start]
     top, low, tree = _tree_ends(walk, u, v)
     ring_edges, ring_from, ring, bounds = _rings(split)
     ring_of = np.full(m, -1)
@@ -327,7 +334,7 @@ def _rings(split: _Split) -> tuple[np.ndarray, ...]:
         fwd[slot], split.first[orig[slot]] + step, split.first[orig[slot] + 1] - 1 - step
     )
     ring_from = np.where(fwd[slot], split.u[ring_edges], split.v[ring_edges])
-    ring = np.repeat(np.arange(len(cycles)), [len(c.edges) for c in cycles])[slot]
+    ring = split.graph.cycles.ring_cycle[slot]
     bounds = np.searchsorted(ring, np.arange(len(cycles) + 1))
     return ring_edges, ring_from, ring, bounds
 
@@ -379,22 +386,6 @@ def _chains(split: _Split, live: np.ndarray, survivor: np.ndarray, root: int) ->
         # summed in walk order
         np.array([sum(runs[a:b]) for a, b in zip(start[:-1].tolist(), start[1:].tolist())]),
     )
-
-
-def _subtree_stop(walk: DepthFirst, nbr: np.ndarray) -> np.ndarray:
-    """Where each vertex's subtree ends in the preorder of ``walk``, a
-    search of the index with far ends ``nbr``: after the subtree of its
-    last child.  Following last children by pointer doubling takes
-    log(depth) passes."""
-    last = np.arange(len(walk.start))
-    child = np.flatnonzero(walk.down)
-    final = child[np.append(walk.tail[child[1:]] != walk.tail[child[:-1]], True)]
-    last[walk.tail[final]] = nbr[final]
-    while True:
-        deeper = last[last]
-        if np.array_equal(deeper, last):
-            return walk.start[last] + 1
-        last = deeper
 
 
 def _tree_ends(walk: DepthFirst, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,11 @@
-"""Uncertain points on a cactus: expected distances and derived quantities."""
+"""Uncertain points on a cactus: expected distances and derived quantities.
+
+The tables read off the skeleton tree are array passes over its arrays:
+each node's mass is one bincount, each subtree's mass is preorder prefix
+sums differenced at the subtree's ends, and the expected distances at
+every vertex are rerooted from one Dijkstra row by summing per-vertex
+steps along root paths with pointer doubling.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -92,51 +99,99 @@ class Instance:
     def ed_at_vertices(self) -> np.ndarray:
         """``ed_at_vertices[v, k]`` is the expected distance of point k to v.
 
-        One Dijkstra row prices the vertex of the skeleton root; every other
-        vertex is rerooted from its parent, in preorder.  Across a bridge of
-        length ``l`` into a subtree holding mass ``M`` of a point whose total
-        mass is ``T``, the value moves by ``l·(T − 2M)``; around a cycle it
-        follows :func:`ring_mixture`.  O(|V|·n + Σ c²·n) for cycles of c
+        One Dijkstra row prices the vertex held by the skeleton root.  Every
+        other vertex differs from one vertex nearer the root by a row that
+        neither one's value enters: across a bridge of length ``l`` into a
+        subtree holding mass ``M`` of a point whose total mass is ``T``, by
+        ``l·(T − 2M)``; around a cycle, from its entry vertex, by
+        :func:`ring_shift`, one product per cycle.  All rows are built at
+        once and summed along root paths by pointer doubling, so no loop runs
+        once per level.  O(|V|·n·log(depth) + Σ c²·n) for cycles of c
         vertices."""
-        g, tree = self.graph, self.graph.skeleton
-        sub = self.subtree_mass
-        total = sub[tree.order[0]]
-        ed = np.empty((g.vertex_count, self.n))
-        top = tree.node_vertices[tree.order[0]][0]
-        ed[top] = g.distance_rows([top])[0] @ self.vertex_mass
-        for x in tree.order:
-            node, up = tree.nodes[x], tree.parent[x]
-            if node.kind == "cycle":
-                cyc = g.cycles.cycles[node.ref]
-                ed[list(cyc.vertices)] = ring_mixture(self, node.ref, cyc.pos, ed)
-            elif up >= 0 and tree.nodes[up].kind != "cycle":
-                length = next(link.length for link in tree.links[x] if link.other == up)
-                ed[node.ref] = ed[tree.nodes[up].ref] + length * (total - 2.0 * sub[x])
-        return ed
+        g, tree, sub = self.graph, self.graph.skeleton, self.subtree_mass
+        dec, entry = g.cycles, self.ring_gates[0]
+        up = np.full(g.vertex_count, -1, dtype=np.intp)
+        at_entry = np.repeat(entry, np.diff(dec.ring_ptr))
+        ring = np.flatnonzero(at_entry != np.arange(len(at_entry)))
+        up[dec.ring_vertex[ring]] = dec.ring_vertex[at_entry[ring]]
+        step = np.empty((g.vertex_count, self.n))
+        # children's cycles first: each writes a zero row at its entry, which
+        # the entry's own step, from a cycle above or a bridge, overwrites
+        for c in np.argsort(-tree.start[tree.node_of_cycle]).tolist():
+            cyc = dec.cycles[c]
+            step[list(cyc.vertices)] = ring_shift(self, c, cyc.pos)
+        x = np.flatnonzero(tree.up_edge >= 0)  # entered across a bridge
+        v = tree.ref[x]
+        up[v] = tree.ref[tree.parent[x]]
+        step[v] = tree.up_length[x, None] * (sub[0] - 2.0 * sub[x])
+        top = tree.node_vertex[0]
+        step[top] = g.distance_rows([top])[0] @ self.vertex_mass
+        return _sum_root_paths(up, step)
+
+    @cached_property
+    def ring_gates(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(entry, gate)`` over the ring positions of every cycle, in the
+        order of ``graph.cycles.ring_vertex``.  ``gate[i, k]`` is the mass of
+        point k that reaches its ring first at position ``i``: a hinge's
+        whole side off the ring, or a plain ring vertex's own mass.
+        ``entry[c]`` is the position of cycle c's vertex nearest the
+        skeleton root, whose gate holds everything outside the cycle's
+        subtree; a cycle at the root enters at its first ring vertex."""
+        tree, dec, sub = self.graph.skeleton, self.graph.cycles, self.subtree_mass
+        cycle_node = tree.node_of_cycle[dec.ring_cycle]
+        hinge = tree.node_of_vertex[dec.ring_vertex]
+        gate = self.vertex_mass[dec.ring_vertex]
+        at = np.flatnonzero(hinge >= 0)
+        gate[at] = sub[hinge[at]]
+        above = at[hinge[at] == tree.parent[cycle_node[at]]]
+        gate[above] = sub[0] - sub[cycle_node[above]]
+        entry = dec.ring_ptr[:-1].copy()
+        entry[tree.ref[cycle_node[above]]] = above
+        gate.setflags(write=False)
+        return entry, gate
 
     @cached_property
     def node_mass(self) -> np.ndarray:
         """Probability mass per (skeleton node, point)."""
-        held = self.graph.skeleton.node_vertices
-        nodes = np.array([x for x, vs in enumerate(held) for _ in vs])
-        verts = [v for vs in held for v in vs]
-        mass = np.zeros((len(held), self.n))
-        cells = (nodes[:, None] * self.n + np.arange(self.n)).ravel()
-        # unbuffered, so each node adds up its vertices in the order it
-        # lists them
-        np.add.at(mass.ravel(), cells, self.vertex_mass[verts].ravel())
-        return mass
+        tree = self.graph.skeleton
+        node = np.repeat(np.arange(len(tree)), np.diff(tree.node_ptr))
+        cells = (node[:, None] * self.n + np.arange(self.n)).ravel()
+        # bincount adds up each cell in input order: each node its vertices
+        # in the order it lists them
+        rows = self.vertex_mass[tree.node_vertex].ravel()
+        return np.bincount(cells, rows, len(tree) * self.n).reshape(len(tree), self.n)
 
     @cached_property
     def subtree_mass(self) -> np.ndarray:
         """Probability mass per (skeleton node, point) over the node's subtree
-        in the rooted skeleton."""
+        in the rooted skeleton: preorder prefix sums differenced at each
+        node's ``[start, stop)``."""
         tree = self.graph.skeleton
-        mass = self.node_mass.copy()
-        for x in reversed(tree.order[1:]):
-            mass[tree.parent[x]] += mass[x]
+        held = np.zeros((len(tree) + 1, self.n))
+        np.cumsum(self.node_mass[tree.order], axis=0, out=held[1:])
+        mass = held[tree.stop] - held[tree.start]
         mass.setflags(write=False)  # component_mass hands out its rows
         return mass
+
+
+def _sum_root_paths(up: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Turn row ``x`` of ``step``, in place, into the sum of the rows at
+    ``x`` and at every vertex above it, ``up`` being -1 at the root.
+    Pointer doubling, one pass per doubling of the depth, runs over the
+    vertices that others hang from (and overwrites their ``up``); each of
+    the rest then adds its parent's finished row once."""
+    inner = np.zeros(len(up), dtype=bool)
+    inner[up[up >= 0]] = True
+    leaf = np.flatnonzero(~inner & (up >= 0))
+    leaf_up = up[leaf]
+    live = np.flatnonzero(inner & (up >= 0))
+    while live.size:
+        above = up[live]
+        step[live] += step[above]
+        up[live] = up[above]
+        live = live[up[live] >= 0]
+    step[leaf] += step[leaf_up]
+    return step
 
 
 def instance_eps(explicit: float | None) -> float:
@@ -254,31 +309,20 @@ def component_mass(inst: Instance, removed: int, start: int) -> np.ndarray:
     return inst.subtree_mass[tree.order[0]] - inst.subtree_mass[removed]
 
 
-def _cycle_gates(inst: Instance, cycle_id: int) -> tuple[int, np.ndarray]:
-    """``(entry, gate)`` for one cycle: ``gate[i, k]`` is the mass of point k
-    that reaches the ring first at its ``i``-th vertex, which is a hinge's
-    whole side off the ring or a plain ring vertex's own mass.  ``entry``
-    indexes the ring vertex nearest the skeleton root; its gate holds
-    everything outside the cycle's subtree."""
-    tree = inst.graph.skeleton
-    cyc = inst.graph.cycles.cycles[cycle_id]
-    node = tree.node_of_cycle[cycle_id]
-    up = tree.parent[node]
-    sub = inst.subtree_mass
-    # the root's own vertex serves as the entry of a cycle at the root
-    entry = cyc.vertices.index(tree.node_vertices[node][0]) if up < 0 else -1
-    gate = np.empty((len(cyc.vertices), inst.n))
-    for i, v in enumerate(cyc.vertices):
-        hinge = tree.node_of_vertex[v]
-        if hinge is None:
-            gate[i] = inst.vertex_mass[v]
-        elif hinge == up:
-            gate[i] = sub[tree.order[0]] - sub[node]
-            entry = i
-        else:
-            gate[i] = sub[hinge]
-    gate.setflags(write=False)
-    return entry, gate
+def ring_shift(
+    inst: Instance, cycle_id: int, at: Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """How much every point's expected distance at the arc coordinates
+    ``at`` of one cycle exceeds that at the cycle's entry vertex, as an
+    ``(len(at), n)`` matrix: each location reaches the ring through one
+    gate vertex, so it is the ring distances from ``at`` less those from
+    the entry, weighted by the gate masses of :attr:`Instance.ring_gates`;
+    one product, and no expected distance enters it."""
+    dec = inst.graph.cycles
+    cyc, a, b = dec.cycles[cycle_id], dec.ring_ptr[cycle_id], dec.ring_ptr[cycle_id + 1]
+    entry, gate = inst.ring_gates
+    shift = cyc.ring_distances(at) - cyc.ring_distances([cyc.pos[entry[cycle_id] - a]])
+    return shift @ gate[a:b]
 
 
 def ring_mixture(
@@ -286,27 +330,19 @@ def ring_mixture(
 ) -> np.ndarray:
     """Every point's expected distance at the arc coordinates ``at`` of one
     cycle, as an ``(len(at), n)`` matrix, given ``ed``, whose row for the
-    cycle's entry vertex must hold that vertex's expected distances.
-
-    Each location reaches the ring through one gate vertex, so moving from
-    the entry to ``x`` changes a point's expected distance by the ring
-    distances from ``x`` less those from the entry, weighted by the gate
-    masses, which are built once per cycle and instance."""
-    cyc = inst.graph.cycles.cycles[cycle_id]
-    entry, gate = inst.memo(
-        ("cycle_gates", cycle_id), lambda: _cycle_gates(inst, cycle_id)
-    )
-    shift = cyc.ring_distances(at) - cyc.ring_distances([cyc.pos[entry]])
-    return ed[cyc.vertices[entry]] + shift @ gate
+    cycle's entry vertex must hold that vertex's expected distances."""
+    entry = inst.ring_gates[0][cycle_id]
+    return ed[inst.graph.cycles.ring_vertex[entry]] + ring_shift(inst, cycle_id, at)
 
 
 def component_sums(inst: Instance, node: int) -> ComponentSums:
-    tree = inst.graph.skeleton
-    comps = inst.graph.skeleton.split_components(node)
-    sums = np.zeros((len(comps), inst.n))
-    for i, comp in enumerate(comps):
-        sums[i] = component_mass(inst, comp.gate, comp.first)
-    return ComponentSums(comps, sums)
+    tree, sub = inst.graph.skeleton, inst.subtree_mass
+    comps = tree.split_components(node)
+    gate = np.array([c.gate for c in comps], dtype=np.intp)
+    first = np.array([c.first for c in comps], dtype=np.intp)
+    # each component is the subtree of ``first`` or all but that of ``gate``
+    below = tree.parent[first] == gate
+    return ComponentSums(comps, np.where(below[:, None], sub[first], sub[0] - sub[gate]))
 
 
 def median(inst: Instance, k: int) -> tuple[GraphPoint, float]:
@@ -333,14 +369,14 @@ def median_values(inst: Instance) -> np.ndarray:
 
 
 def group_eccentricity(
-    inst: Instance, subset: Iterable[int], where: int | GraphPoint
+    inst: Instance, subset: Sequence[int] | np.ndarray, where: int | GraphPoint
 ) -> tuple[float, int | None]:
     """Largest weighted expected distance from ``where`` over ``subset``.
 
     Returns ``(value, worst_point)``; an empty subset yields ``(0.0, None)``
     and means there is nothing to serve.
     """
-    idx = np.fromiter(subset, dtype=int)
+    idx = np.asarray(subset, dtype=np.intp)
     if idx.size == 0:
         return 0.0, None
     if isinstance(where, int):

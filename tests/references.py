@@ -1,0 +1,238 @@
+"""Reference versions of the skeleton tree and the quantities read off it,
+written as node and link lists walked one node at a time.  The package
+holds the skeleton as arrays and computes from it in array passes; the
+tests check that both give the same tree, masses, expected distances and
+centroids."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from ucactus.graph import CYCLE, HINGE, VERTEX
+
+KIND = {"vertex": VERTEX, "hinge": HINGE, "cycle": CYCLE}
+
+
+class Node(NamedTuple):
+    id: int
+    kind: str  # "vertex" | "hinge" | "cycle"
+    ref: int  # vertex id for vertex/hinge nodes, cycle id for cycle nodes
+
+
+class Link(NamedTuple):
+    other: int
+    length: float
+    edge: int | None  # graph edge id; None for zero-length hinge-cycle links
+
+
+@dataclass
+class Skeleton:
+    nodes: list[Node]
+    links: list[list[Link]]
+    node_of_vertex: list[int | None]
+    node_of_cycle: list[int]
+    node_vertices: list[tuple[int, ...]]
+    parent: list[int]
+    order: list[int]
+    start: list[int]
+    stop: list[int]
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def hinge_nodes(self, cycle_node: int) -> list[int]:
+        return [link.other for link in self.links[cycle_node]]
+
+
+def skeleton(graph) -> Skeleton:
+    """One node per out-of-cycle vertex, hinge and cycle, numbered in that
+    order; links for bridges in edge order, then each cycle's hinge links
+    in ring order; rooted at node 0 with a stack, children in link order."""
+    cycles = graph.cycles.cycles
+    n = graph.vertex_count
+    on_cycle = [False] * n
+    for cyc in cycles:
+        for v in cyc.vertices:
+            on_cycle[v] = True
+    node_of_vertex: list[int | None] = [None] * n
+    nodes: list[Node] = []
+    for v in range(n):
+        degree = int(graph.indptr[v + 1] - graph.indptr[v])
+        if not on_cycle[v] or degree >= 3:
+            node_of_vertex[v] = len(nodes)
+            nodes.append(Node(len(nodes), "hinge" if on_cycle[v] else "vertex", v))
+    node_of_cycle = []
+    for cyc in cycles:
+        node_of_cycle.append(len(nodes))
+        nodes.append(Node(len(nodes), "cycle", cyc.id))
+
+    node_vertices: list[list[int]] = [[] for _ in nodes]
+    for v in range(n):
+        if node_of_vertex[v] is not None:
+            node_vertices[node_of_vertex[v]].append(v)
+    for cyc in cycles:
+        for v in cyc.vertices:
+            if node_of_vertex[v] is None:
+                node_vertices[node_of_cycle[cyc.id]].append(v)
+
+    links: list[list[Link]] = [[] for _ in nodes]
+    for e in range(graph.edge_count):
+        if graph.cycles.edge_cycle[e] < 0:
+            u, v, length = graph.edge(e)
+            a, b = node_of_vertex[u], node_of_vertex[v]
+            links[a].append(Link(b, length, e))
+            links[b].append(Link(a, length, e))
+    for cyc in cycles:
+        cnode = node_of_cycle[cyc.id]
+        for v in cyc.vertices:
+            h = node_of_vertex[v]
+            if h is not None:
+                links[cnode].append(Link(h, 0.0, None))
+                links[h].append(Link(cnode, 0.0, None))
+
+    parent = [-1] * len(nodes)
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for link in reversed(links[x]):
+            if link.other != parent[x]:
+                parent[link.other] = x
+                stack.append(link.other)
+    start = [0] * len(nodes)
+    for i, x in enumerate(order):
+        start[x] = i
+    size = [1] * len(nodes)
+    for x in reversed(order[1:]):
+        size[parent[x]] += size[x]
+    stop = [start[x] + size[x] for x in range(len(nodes))]
+    return Skeleton(
+        nodes,
+        links,
+        node_of_vertex,
+        node_of_cycle,
+        [tuple(vs) for vs in node_vertices],
+        parent,
+        order,
+        start,
+        stop,
+    )
+
+
+def assert_same_skeleton(tree, ref: Skeleton) -> None:
+    """The array skeleton numbers, roots and links its nodes as ``ref``."""
+    assert tree.kind.tolist() == [KIND[node.kind] for node in ref.nodes]
+    assert tree.ref.tolist() == [node.ref for node in ref.nodes]
+    for name in ("order", "parent", "start", "stop", "node_of_cycle"):
+        assert getattr(tree, name).tolist() == getattr(ref, name), name
+    assert tree.node_of_vertex.tolist() == [
+        -1 if x is None else x for x in ref.node_of_vertex
+    ]
+    assert [tree.neighbours(x) for x in range(len(tree))] == [
+        [link.other for link in links] for links in ref.links
+    ]
+    up = [
+        next(link for link in ref.links[x] if link.other == ref.parent[x])
+        for x in ref.order[1:]
+    ]
+    assert tree.up_length[ref.order[1:]].tolist() == [link.length for link in up]
+    assert tree.up_edge[ref.order[1:]].tolist() == [
+        -1 if link.edge is None else link.edge for link in up
+    ]
+    assert [
+        tuple(tree.node_vertex[a:b].tolist())
+        for a, b in zip(tree.node_ptr[:-1], tree.node_ptr[1:])
+    ] == ref.node_vertices
+    assert [tree.neighbours(c) for c in ref.node_of_cycle] == [
+        ref.hinge_nodes(c) for c in ref.node_of_cycle
+    ]
+
+
+def subtree_mass(inst, ref: Skeleton) -> np.ndarray:
+    """Each node's own mass, added up into its parent in reversed preorder."""
+    mass = np.zeros((len(ref), inst.n))
+    for x, verts in enumerate(ref.node_vertices):
+        for v in verts:
+            mass[x] += inst.vertex_mass[v]
+    for x in reversed(ref.order[1:]):
+        mass[ref.parent[x]] += mass[x]
+    return mass
+
+
+def ed_at_vertices(inst, ref: Skeleton) -> np.ndarray:
+    """One Dijkstra row at the root's vertex, then every vertex rerooted
+    from its parent in preorder: ``l·(T − 2M)`` across a bridge, and the
+    ring mixture of the entry vertex's row around a cycle."""
+    g = inst.graph
+    sub = subtree_mass(inst, ref)
+    total = sub[ref.order[0]]
+    ed = np.empty((g.vertex_count, inst.n))
+    top = ref.node_vertices[ref.order[0]][0]
+    ed[top] = g.distance_rows([top])[0] @ inst.vertex_mass
+    for x in ref.order:
+        node, up = ref.nodes[x], ref.parent[x]
+        if node.kind == "cycle":
+            cyc = g.cycles.cycles[node.ref]
+            entry, gate = _cycle_gates(inst, ref, sub, node.ref)
+            shift = cyc.ring_distances(cyc.pos) - cyc.ring_distances([cyc.pos[entry]])
+            ed[list(cyc.vertices)] = ed[cyc.vertices[entry]] + shift @ gate
+        elif up >= 0 and ref.nodes[up].kind != "cycle":
+            length = next(link.length for link in ref.links[x] if link.other == up)
+            ed[node.ref] = ed[ref.nodes[up].ref] + length * (total - 2.0 * sub[x])
+    return ed
+
+
+def _cycle_gates(inst, ref: Skeleton, sub: np.ndarray, cycle_id: int):
+    cyc = inst.graph.cycles.cycles[cycle_id]
+    node = ref.node_of_cycle[cycle_id]
+    up = ref.parent[node]
+    # the root's own vertex serves as the entry of a cycle at the root
+    entry = cyc.vertices.index(ref.node_vertices[node][0]) if up < 0 else -1
+    gate = np.empty((len(cyc.vertices), inst.n))
+    for i, v in enumerate(cyc.vertices):
+        hinge = ref.node_of_vertex[v]
+        if hinge is None:
+            gate[i] = inst.vertex_mass[v]
+        elif hinge == up:
+            gate[i] = sub[ref.order[0]] - sub[node]
+            entry = i
+        else:
+            gate[i] = sub[hinge]
+    return entry, gate
+
+
+def centroid(ref: Skeleton, active: frozenset[int]) -> int:
+    """Node of ``active`` minimising the largest hanging piece, ties to the
+    smallest id: the active nodes sorted into preorder, their piece sizes
+    added up into their parents in reverse."""
+    order = sorted(active, key=ref.start.__getitem__)
+    size = dict.fromkeys(order, 1)
+    heaviest_child = dict.fromkeys(order, 0)
+    for x in reversed(order[1:]):
+        p = ref.parent[x]
+        size[p] += size[x]
+        heaviest_child[p] = max(heaviest_child[p], size[x])
+    total = len(order)
+    return min(order, key=lambda x: (max(total - size[x], heaviest_child[x]), x))
+
+
+def mask(tree, nodes) -> np.ndarray:
+    """The mask over preorder positions of a set of nodes."""
+    out = np.zeros(len(tree), dtype=bool)
+    out[tree.start[np.fromiter(nodes, np.intp)]] = True
+    return out
+
+
+def nodes(tree, active: np.ndarray) -> frozenset[int]:
+    """The nodes of a mask over preorder positions."""
+    return frozenset(tree.order[active].tolist())
+
+
+def decomposition(dec) -> tuple:
+    """A cycle decomposition's fields as lists, to compare two of them."""
+    arrays = ("edge_cycle", "ring_ptr", "ring_vertex", "vertex_ptr", "vertex_cycles")
+    return (dec.cycles, *(getattr(dec, name).tolist() for name in arrays))

@@ -45,6 +45,7 @@ from ucactus.uncertain import (
     UncertainPoint,
     build_instance,
     component_mass,
+    component_sums,
     expected_distance,
     expected_distances,
     median,
@@ -76,12 +77,48 @@ def _two_cycle_instance():
 
 
 def _probe_budget(inst) -> int:
-    n_nodes = max(2, len(inst.graph.skeleton.nodes))
+    n_nodes = max(2, len(inst.graph.skeleton))
     return 2 * (2 * math.ceil(math.log2(n_nodes)) + 4)
 
 
 # ---------------------------------------------------------------------------
 # probes at a fixed articulation and cycle
+
+
+def _classify_loop(inst, cs):
+    """The majority classification one point at a time."""
+    exclusive = [[] for _ in cs.comps]
+    local, split = [], []
+    for k in range(inst.n):
+        if inst.weights[k] <= 0.0:
+            continue
+        heavy = [i for i in range(len(cs.comps)) if cs.sums[i, k] >= 0.5 - inst.eps]
+        if not heavy:
+            local.append(k)
+        elif len(heavy) == 1:
+            exclusive[heavy[0]].append(k)
+        else:
+            split.append(k)
+    return exclusive, local, split
+
+
+def test_classification_equals_the_point_loop_at_every_node():
+    buckets = set()
+    for seed in range(60):
+        inst = reduce_instance(draw_case(seed, max_points=8, edge_locations=seed % 2 == 1)).reduced
+        if seed % 3 == 0:
+            # a weightless point lands in no bucket
+            p = inst.points[0]
+            points = (UncertainPoint(p.label, 0.0, p.locations),) + inst.points[1:]
+            inst = build_instance(inst.graph, points, inst.eps)
+        for node in range(len(inst.graph.skeleton)):
+            cs = component_sums(inst, node)
+            got = decision._classify(inst, cs)
+            want = _classify_loop(inst, cs)
+            exclusive = [e.tolist() for e in got.exclusive]
+            assert (exclusive, got.local.tolist(), got.split.tolist()) == want
+            buckets.update(i for i, b in enumerate(want) if any(b))
+    assert buckets == {0, 1, 2}
 
 
 def test_articulation_probe_outcomes_across_radii(tri):
@@ -154,8 +191,8 @@ def _rescan_two_cycles(inst, node1, node2, lam):
     its own gateway as the points left to it allow."""
     tree = inst.graph.skeleton
     g = inst.graph
-    cyc1 = g.cycles.cycles[tree.nodes[node1].ref]
-    cyc2 = g.cycles.cycles[tree.nodes[node2].ref]
+    cyc1 = g.cycles.cycles[tree.ref[node1]]
+    cyc2 = g.cycles.cycles[tree.ref[node2]]
     tol = inst.eps * max(1.0, abs(lam))
 
     h1 = tree.step_toward(node1, node2)
@@ -164,9 +201,9 @@ def _rescan_two_cycles(inst, node1, node2, lam):
     far = toward1 >= 0.5 - inst.eps
 
     arcs2 = _cycle_arcs(inst, cyc2.id, lam)
-    h2_coord = cyc2.vertex_coord(tree.nodes[h2].ref)
+    h2_coord = cyc2.pos[cyc2.vertices.index(tree.ref[h2])]
     reach2 = far & (
-        inst.weights * inst.ed_at_vertices[tree.nodes[h2].ref] <= lam + tol
+        inst.weights * inst.ed_at_vertices[tree.ref[h2]] <= lam + tol
     )
 
     ends = {0.0, cyc2.perimeter, h2_coord}
@@ -178,7 +215,7 @@ def _rescan_two_cycles(inst, node1, node2, lam):
     atoms += list(zip(ends_sorted, ends_sorted[1:]))
 
     arcs1 = _cycle_arcs(inst, cyc1.id, lam)
-    h1_coord = cyc1.vertex_coord(tree.nodes[h1].ref)
+    h1_coord = cyc1.pos[cyc1.vertices.index(tree.ref[h1])]
     need_cache = set()
     xs_cand = []
     for a, b in atoms:

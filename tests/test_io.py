@@ -140,7 +140,7 @@ def test_generator_without_cycles_builds_a_tree():
     inst = random_instance(5, n_vertices=8, n_cycles=0, n_points=2)
     g = inst.graph
     assert g.edge_count == g.vertex_count - 1
-    assert all(c is None for c in g.cycles.edge_cycle)
+    assert (g.cycles.edge_cycle == -1).all()
 
 
 def test_generator_rejects_impossible_shapes():

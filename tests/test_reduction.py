@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
@@ -23,10 +24,18 @@ from conftest import (
     tri_graph,
     tri_instance,
 )
+import references as refs
 from test_graph import reference_decompose
 from ucactus import reduction
 from ucactus.decision import decide
-from ucactus.graph import CactusGraph, GraphPoint, _decompose, point_distance, validate_cactus
+from ucactus.graph import (
+    CactusGraph,
+    GraphPoint,
+    _decompose,
+    centroid,
+    point_distance,
+    validate_cactus,
+)
 from ucactus.io import instance_to_dict, parse_instance, random_instance
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
@@ -540,7 +549,7 @@ def fixpoint_reduce(inst):
         return red
     split = reference_split(inst)
     verts = dict(enumerate(split.mass))
-    cycle_of = split.graph.cycles.edge_cycle
+    cycle_of = [None if c < 0 else c for c in split.graph.cycles.edge_cycle.tolist()]
     edges = {
         i: _WEdge(e.u, e.v, e.length, e.path, cycle_of[e.path[0][0]])
         for i, e in enumerate(split.edges)
@@ -604,8 +613,8 @@ def assert_passes_validation(red):
     assert edge_rows(checked) == edge_rows(g)
     for name in ("indptr", "nbr", "half_edge"):
         assert list(getattr(checked, name)) == list(getattr(g, name))
-    # compares cycles, edge_cycle and vertex_cycles
-    assert checked.cycles == g.cycles
+    # compares the cycles and every map of the decomposition
+    assert refs.decomposition(checked.cycles) == refs.decomposition(g.cycles)
     build_instance(g, red.reduced.points, red.reduced.eps)
 
 
@@ -635,9 +644,10 @@ def _cycles_at(split, x: int) -> tuple[int, ...]:
     cycles = split.graph.cycles
     n = split.graph.vertex_count
     if x < n:
-        return cycles.vertex_cycles[x]
-    c = cycles.edge_cycle[int(split.cut_edge[x - n])]
-    return () if c is None else (c,)
+        a, b = cycles.vertex_ptr[x], cycles.vertex_ptr[x + 1]
+        return tuple(cycles.vertex_cycles[a:b].tolist())
+    c = int(cycles.edge_cycle[split.cut_edge[x - n]])
+    return () if c < 0 else (c,)
 
 
 def worklist_reduce(split) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
@@ -891,12 +901,63 @@ def test_deep_networks_reduce_and_solve_in_linear_time(shape, size):
     names, spec, points, _ = _deep_network(shape, 1_000 if shape == "triangles" else 2_000)
     small = build_instance(validate_cactus(names, spec), points)
     # at about 2,000 vertices every pass still equals its reference
-    assert _decompose(small.graph) == reference_decompose(small.graph)
+    assert refs.decomposition(_decompose(small.graph)) == refs.decomposition(
+        reference_decompose(small.graph)
+    )
     assert_same_chains(small)
     red = reduce_instance(small)
     assert red.reduced.graph.vertex_count == 2
     assert_lifts_match_the_tables(red)
     once, twice = _solve_seconds(shape, size), _solve_seconds(shape, 2 * size)
+    assert twice <= 3.0 * once, (once, twice)
+
+
+def _spread_instance(shape: str, size: int):
+    """The deep network of ``shape`` and ``size`` with a weightless point on
+    every vertex, so the reduction keeps them all and the skeleton is as
+    deep as the network; the probabilities are dyadic, so they sum to 1."""
+    names, spec, points, want = _deep_network(shape, size)
+    share = 2.0 ** -math.ceil(math.log2(len(names)))
+    spread = [Location(v, share) for v in range(1, len(names))]
+    spread.append(Location(0, 1.0 - share * (len(names) - 1)))
+    points = points + [UncertainPoint("spread", 0.0, tuple(spread))]
+    return build_instance(validate_cactus(names, spec), points), want
+
+
+def _rerooted_solve_seconds(shape: str, size: int) -> float:
+    """Best of five: the skeleton, the rerooted expected distances and the
+    solve of a fresh instance, checking the optimum each time."""
+    best = float("inf")
+    for _ in range(5):
+        inst, want = _spread_instance(shape, size)
+        start = time.perf_counter()
+        inst.graph.skeleton
+        inst.ed_at_vertices
+        value = solve(inst).value
+        best = min(best, time.perf_counter() - start)
+        assert value == pytest.approx(want, rel=1e-12)
+    return best
+
+
+@pytest.mark.parametrize("shape, size", [("path", 10_000), ("triangles", 1_500)])
+def test_deep_skeletons_reroot_and_solve_in_linear_time(shape, size):
+    inst, _ = _spread_instance(shape, 1_000 if shape == "triangles" else 2_000)
+    assert reduce_instance(inst).identity
+    # at about 2,000 vertices the skeleton is as deep as the network, and
+    # its arrays, masses and rerooted distances equal the references
+    tree, sk = inst.graph.skeleton, refs.skeleton(inst.graph)
+    refs.assert_same_skeleton(tree, sk)
+    depth, x = 0, sk.order[-1]
+    while sk.parent[x] >= 0:
+        depth, x = depth + 1, sk.parent[x]
+    assert depth >= len(tree) // 2
+    assert np.abs(inst.subtree_mass - refs.subtree_mass(inst, sk)).max() <= 1e-12
+    want = refs.ed_at_vertices(inst, sk)
+    assert np.all(np.abs(inst.ed_at_vertices - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    everyone = frozenset(range(len(tree)))
+    assert centroid(tree, refs.mask(tree, everyone)) == refs.centroid(sk, everyone)
+    once = _rerooted_solve_seconds(shape, size)
+    twice = _rerooted_solve_seconds(shape, 2 * size)
     assert twice <= 3.0 * once, (once, twice)
 
 

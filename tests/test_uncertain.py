@@ -10,14 +10,17 @@ import pytest
 
 from conftest import (
     draw_case,
+    gen,
     edge_row,
     edge_rows,
     square_instance,
     tri_graph,
     tri_instance,
 )
+import references as refs
 from ucactus.errors import ValidationError
-from ucactus.graph import GraphPoint, point_distance, validate_cactus
+from ucactus.graph import CYCLE, HINGE, VERTEX, GraphPoint, point_distance, validate_cactus
+from ucactus.io import parse_instance
 from ucactus.plf import cycle_profiles
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
@@ -253,11 +256,12 @@ def test_rerooted_ed_matches_the_reference_matrix():
     for inst in _rerooting_cases():
         g = inst.graph
         tree = g.skeleton
-        roots.add(tree.nodes[tree.order[0]].kind)
+        roots.add(int(tree.kind[tree.order[0]]))
+        # every link is the link up from one node
         hinge_bridges += any(
-            tree.nodes[x].kind == tree.nodes[link.other].kind == "hinge"
+            tree.kind[x] == tree.kind[tree.parent[x]] == HINGE
             for x in range(len(tree))
-            for link in tree.links[x]
+            if tree.up_edge[x] >= 0
         )
         paths += bool(g.edge_count) and not g.cycles.cycles
         dist, mass = g.vertex_distances, inst.vertex_mass
@@ -269,8 +273,40 @@ def test_rerooted_ed_matches_the_reference_matrix():
                 e = edge_row(g, p.edge)
                 d = np.minimum(p.t + dist[e.u], (e.length - p.t) + dist[e.v])
                 assert close(row, d @ mass)
-    assert roots == {"vertex", "hinge", "cycle"}
+    assert roots == {VERTEX, HINGE, CYCLE}
     assert hinge_bridges >= 1 and paths >= 1
+
+
+def _rerooting_draws():
+    """Sweep draws of up to 60 vertices, with non-dyadic lengths or reduced
+    from edge locations, and benchmark-shaped networks of 250-1000 vertices
+    whose points all sit on vertices."""
+    for seed in range(200):
+        inst = draw_case(seed, max_vertices=60, max_cycles=12, max_points=6)
+        yield _rescaled(inst, seed) if seed % 2 else inst
+        yield reduce_instance(
+            draw_case(seed, max_vertices=60, max_cycles=12, edge_locations=True)
+        ).reduced
+    rng = random.Random(7)
+    for n in (250, 1000):
+        yield parse_instance(gen.tree_like(rng, n, n_points=6, edge_share=0.0))
+        yield parse_instance(gen.rings(rng, n_rings=6, ring_size=n // 6, n_points=6))
+
+
+def test_rerooting_matches_the_reference_loop_on_random_draws():
+    def close(got, want, rel):
+        return np.all(np.abs(got - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+    matrix_checks = 0
+    for inst in _rerooting_draws():
+        g = inst.graph
+        sk = refs.skeleton(g)
+        assert close(inst.subtree_mass, refs.subtree_mass(inst, sk), 1e-12)
+        assert close(inst.ed_at_vertices, refs.ed_at_vertices(inst, sk), 1e-9)
+        if g.vertex_count <= 60:
+            assert close(inst.ed_at_vertices, g.vertex_distances @ inst.vertex_mass, 1e-9)
+            matrix_checks += 1
+    assert matrix_checks >= 350
 
 
 def test_objective_takes_the_better_center_per_point():
@@ -291,7 +327,7 @@ def test_ed_at_vertices_interpolate_expected_distance_along_bridges():
         inst = draw_case(seed)
         g = inst.graph
         rng = random.Random(seed)
-        bridges = [e for e in edge_rows(g) if g.cycles.edge_cycle[e.id] is None]
+        bridges = [e for e in edge_rows(g) if g.cycles.edge_cycle[e.id] < 0]
         for e in rng.choices(bridges, k=2) if bridges else []:
             k = rng.randrange(inst.n)
             ends = inst.ed_at_vertices[[e.u, e.v], k]
@@ -306,7 +342,7 @@ def test_expected_distance_is_affine_along_bridge_edges():
     for seed in range(15):
         inst = draw_case(seed)
         g = inst.graph
-        bridges = [e for e in edge_rows(g) if g.cycles.edge_cycle[e.id] is None]
+        bridges = [e for e in edge_rows(g) if g.cycles.edge_cycle[e.id] < 0]
         rng = random.Random(seed)
         for e in rng.choices(bridges, k=3) if bridges else []:
             at_u = expected_distances(inst, g.vertex_point(e.u))
@@ -327,7 +363,7 @@ def test_component_sums_on_fixed_instance():
     cs = component_sums(inst, 0)
     tree = inst.graph.skeleton
     assert [
-        (c.gate, c.first, set(tree.component_toward(c.gate, c.first)))
+        (c.gate, c.first, set(refs.nodes(tree, tree.component_toward(c.gate, c.first))))
         for c in cs.comps
     ] == [
         (0, 1, {1}),
@@ -342,8 +378,8 @@ def _removed_mass(inst, node):
     node itself and, for a cycle node, its hinges."""
     tree = inst.graph.skeleton
     held = inst.node_mass[node].copy()
-    if tree.nodes[node].kind == "cycle":
-        for h in tree.hinge_nodes(node):
+    if tree.kind[node] == CYCLE:
+        for h in tree.neighbours(node):
             held += inst.node_mass[h]
     return held
 
@@ -351,7 +387,7 @@ def _removed_mass(inst, node):
 def test_component_sums_account_for_all_mass():
     for seed in range(15):
         inst = draw_case(seed)
-        for node in range(len(inst.graph.skeleton.nodes)):
+        for node in range(len(inst.graph.skeleton)):
             cs = component_sums(inst, node)
             total = _removed_mass(inst, node)
             for s in cs.sums:
@@ -465,7 +501,7 @@ def test_mass_matrices_match_the_location_loops():
         tree = inst.graph.skeleton
         want = np.zeros((len(tree), inst.n))
         for node in range(len(tree)):
-            for v in tree.node_vertices[node]:
+            for v in tree.node_vertex[tree.node_ptr[node] : tree.node_ptr[node + 1]]:
                 want[node] += inst.vertex_mass[v]
         assert np.array_equal(inst.node_mass, want)
 
