@@ -28,9 +28,11 @@ from ucactus.reduction import Reduction, reduce_instance
 from ucactus.uncertain import (
     Instance,
     Location,
+    LocationTable,
     UncertainPoint,
     build_instance,
     expected_distance,
+    instance_from_table,
     median,
     objective,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "Instance",
     "InternalInvariantError",
     "Location",
+    "LocationTable",
     "Reduction",
     "Solution",
     "TooLargeForOracle",
@@ -55,6 +58,7 @@ __all__ = [
     "build_instance",
     "decide",
     "expected_distance",
+    "instance_from_table",
     "instance_to_dict",
     "median",
     "objective",

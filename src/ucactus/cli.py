@@ -26,13 +26,14 @@ from ucactus.io import (
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
 from ucactus.reduction import reduce_instance
-from ucactus.uncertain import build_instance, median, objective
+from ucactus.uncertain import Instance, instance_eps, median, objective
 
 
 def _reload_eps(inst, eps):
+    """``inst`` with the tolerance ``eps``; its table is already checked."""
     if eps is None:
         return inst
-    return build_instance(inst.graph, inst.points, eps)
+    return Instance(inst.graph, inst.table, instance_eps(eps))
 
 
 def _emit(obj) -> None:
@@ -93,18 +94,17 @@ def _cmd_one_center(args) -> int:
 
 def _cmd_median(args) -> int:
     inst = read_instance(args.file)
-    for k, p in enumerate(inst.points):
-        if p.label == args.point:
-            where, value = median(inst, k)
-            _emit(
-                {
-                    "id": p.label,
-                    "value": float(f"{value:.12g}"),
-                    "location": place_to_json(inst.graph, where),
-                }
-            )
-            return 0
-    raise ValidationError(f"no uncertain point with id {args.point!r}")
+    if args.point not in inst.labels:
+        raise ValidationError(f"no uncertain point with id {args.point!r}")
+    where, value = median(inst, inst.labels.index(args.point))
+    _emit(
+        {
+            "id": args.point,
+            "value": float(f"{value:.12g}"),
+            "location": place_to_json(inst.graph, where),
+        }
+    )
+    return 0
 
 
 def _cmd_reduce(args) -> int:

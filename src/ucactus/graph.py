@@ -68,6 +68,7 @@ class CactusGraph:
         v: np.ndarray,
         length: np.ndarray,
         vertex_id: dict[str, int] | None = None,
+        pair_index: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.names = names
         self.u, self.v, self.length = u, v, length
@@ -76,11 +77,32 @@ class CactusGraph:
         self.indptr, self.nbr, self.half_edge = half_edge_index(len(names), u, v)
         if vertex_id is not None:
             self.vertex_id = vertex_id
+        if pair_index is not None:
+            self.pair_index = pair_index
 
     @cached_property
     def vertex_id(self) -> dict[str, int]:
         """Each vertex name's id."""
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, ids)``: every edge's :func:`pair_key`, ascending, and the
+        id of the edge holding each; the edges between two vertices are found
+        by one ``searchsorted``."""
+        key = pair_key(self.vertex_count, self.u, self.v)
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+
+    def edges_between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The id of the edge joining ``a[i]`` and ``b[i]``, in either
+        direction, or -1 where there is none."""
+        keys, ids = self.pair_index
+        key = pair_key(self.vertex_count, a, b)
+        if not len(keys):
+            return np.full(len(key), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[at] == key, ids[at], -1)
 
     def edge(self, i: int) -> tuple[int, int, float]:
         """``u``, ``v`` and length of edge ``i`` as Python numbers."""
@@ -164,29 +186,46 @@ def half_edge_index(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, .
     return indptr, np.column_stack([v, u]).ravel()[order], order // 2
 
 
+def pair_key(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One integer per vertex pair, the same for ``(a, b)`` and ``(b, a)``."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
 def validate_cactus(
     names: Sequence[str], edge_spec: Sequence[tuple[str, str, float]]
 ) -> CactusGraph:
-    """Build a :class:`CactusGraph`, checking connectivity and cactus-ness.
+    """Build a :class:`CactusGraph` from ``(u, v, length)`` rows; see
+    :func:`validate_edge_columns`."""
+    u_names, v_names, lengths = zip(*edge_spec) if edge_spec else ((), (), ())
+    return validate_edge_columns(names, u_names, v_names, lengths)
+
+
+def validate_edge_columns(
+    names: Sequence[str],
+    u_names: Sequence[str],
+    v_names: Sequence[str],
+    lengths: Sequence[float],
+) -> CactusGraph:
+    """Build a :class:`CactusGraph` from edge columns, edge ``i`` joining
+    ``u_names[i]`` and ``v_names[i]``, checking connectivity and cactus-ness.
 
     Each edge check runs over all edges at once and reports its first
     faulty edge; they run in the order unknown endpoint, self-loop,
     non-finite length, non-positive length, parallel pair."""
     names = list(names)
-    if len(set(names)) != len(names):
+    index = dict(zip(names, range(len(names))))
+    if len(index) != len(names):
         raise ValidationError("duplicate vertex names")
     if not names:
         raise ValidationError("graph needs at least one vertex")
-    index = {name: i for i, name in enumerate(names)}
-    m = len(edge_spec)
-    u_names, v_names, lengths = zip(*edge_spec) if m else ((), (), ())
+    m = len(lengths)
     u = np.fromiter(map(index.get, u_names, repeat(-1)), np.intp, m)
     v = np.fromiter(map(index.get, v_names, repeat(-1)), np.intp, m)
     length = np.array(lengths, dtype=float)
     # every edge but the first of its vertex pair is a parallel one
     parallel = np.ones(m, dtype=bool)
-    pair = np.minimum(u, v) * len(names) + np.maximum(u, v)
-    parallel[np.unique(pair, return_index=True)[1]] = False
+    keys, first = np.unique(pair_key(len(names), u, v), return_index=True)
+    parallel[first] = False
     checks = (
         ((u < 0) | (v < 0), ValidationError, "edge endpoint {0!r} or {1!r} unknown"),
         (u == v, ValidationError, "self-loop at {0!r}"),
@@ -196,11 +235,12 @@ def validate_cactus(
     )
     for bad, error, message in checks:
         if bad.any():
-            raise error(message.format(*edge_spec[np.argmax(bad)]))
+            i = np.argmax(bad)
+            raise error(message.format(u_names[i], v_names[i], lengths[i]))
     total = sum(lengths)
     if not math.isfinite(total):
         raise ValidationError(f"total edge length {total} is not finite")
-    graph = CactusGraph(names, u, v, length, index)
+    graph = CactusGraph(names, u, v, length, index, (keys, first))
     graph.cycles  # the decomposition raises NotConnected or SharedCycleEdge
     return graph
 

@@ -14,23 +14,34 @@ File schema::
 
 A location is a vertex name, or ``[u, v, t]`` for the point ``t`` units from
 ``u`` along edge ``(u, v)``.  ``eps`` is optional.
+
+The parser reads the edge rows as columns and the point rows as one
+location table (see :class:`ucactus.uncertain.LocationTable`), in one pass
+over the rows, and checks each column as an array.  When a check fails,
+the rows are walked one at a time to raise the first fault in document
+order.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from itertools import repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from ucactus.errors import FormatError, InfeasibleParams, InternalInvariantError
-from ucactus.graph import CactusGraph, GraphPoint, validate_cactus
+from ucactus.graph import CactusGraph, GraphPoint, validate_cactus, validate_edge_columns
 from ucactus.uncertain import (
     Instance,
     Location,
+    LocationTable,
     UncertainPoint,
     build_instance,
+    instance_from_table,
 )
 
 
@@ -66,41 +77,21 @@ def parse_instance(data: Any) -> Instance:
         raise FormatError(f"missing required key: {exc}") from exc
     if not isinstance(names, list) or not all(map(isinstance, names, repeat(str))):
         raise FormatError("vertices must be a list of names")
-    graph = validate_cactus(names, _edge_spec(_list(edge_rows, "edges")))
-
-    points = []
-    for row in _list(point_rows, "uncertain_points"):
-        if not isinstance(row, dict):
-            raise FormatError(f"bad uncertain point entry {row!r}")
-        try:
-            label = row["id"]
-            weight = row["weight"]
-            loc_rows = row["locations"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"uncertain point missing key: {exc}") from exc
-        weight = _number(weight, "weight of point {!r}", label)
-        locs = []
-        for pair in _list(loc_rows, f"locations of point {label!r}"):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise FormatError(f"bad location entry {pair!r}")
-            where, prob = pair
-            prob = _number(prob, "probability in point {!r}", label)
-            locs.append(Location(_parse_place(graph, where), prob))
-        points.append(UncertainPoint(str(label), weight, tuple(locs)))
-
+    graph = validate_edge_columns(names, *_edge_columns(_list(edge_rows, "edges")))
+    table = _location_table(graph, _list(point_rows, "uncertain_points"))
     eps = data.get("eps")
-    return build_instance(graph, points, None if eps is None else _number(eps, "eps"))
+    return instance_from_table(graph, table, None if eps is None else _number(eps, "eps"))
 
 
-def _edge_spec(rows: list | tuple) -> list[tuple[str, str, float]]:
-    """The edge rows as ``(u, v, length)``, checked a column at a time: the
-    rows are pairs of names and a number.  With a bad row, the first one
-    raises its error."""
-    if all(map(isinstance, rows, repeat((list, tuple)))) and set(map(len, rows)) <= {3}:
+def _edge_columns(rows: list | tuple) -> tuple[tuple, tuple, list[float]]:
+    """The edge rows as the columns ``u``, ``v`` and length, checked a
+    column at a time: the rows are pairs of names and a number.  With a bad
+    row, the first one raises its error."""
+    if _all_rows(rows, 3):
         us, vs, lengths = zip(*rows) if rows else ((), (), ())
         if all(map(isinstance, us + vs, repeat(str))):
             try:
-                return list(zip(us, vs, map(float, lengths)))
+                return us, vs, list(map(float, lengths))
             except (TypeError, ValueError, OverflowError):
                 pass
     for row in rows:
@@ -113,11 +104,87 @@ def _edge_spec(rows: list | tuple) -> list[tuple[str, str, float]]:
     raise InternalInvariantError("an edge column check failed on no row")
 
 
-def _parse_place(graph: CactusGraph, where: Any) -> int | GraphPoint:
+def _location_table(graph: CactusGraph, rows: list | tuple) -> LocationTable:
+    """The point rows as a location table, checked a column at a time.
+    With a bad row, the first one raises its error."""
+    if all(map(isinstance, rows, repeat(dict))):
+        try:
+            table = _location_columns(graph, rows)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            table = None
+        if table is not None:
+            return table
+    for row in rows:
+        if not isinstance(row, dict):
+            raise FormatError(f"bad uncertain point entry {row!r}")
+        try:
+            label, weight, loc_rows = row["id"], row["weight"], row["locations"]
+        except KeyError as exc:
+            raise FormatError(f"uncertain point missing key: {exc}") from exc
+        _number(weight, "weight of point {!r}", label)
+        for pair in _list(loc_rows, f"locations of point {label!r}"):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise FormatError(f"bad location entry {pair!r}")
+            where, prob = pair
+            _number(prob, "probability in point {!r}", label)
+            _check_place(graph, where)
+    raise InternalInvariantError("a location column check failed on no row")
+
+
+def _all_rows(items: list | tuple, size: int) -> bool:
+    """Whether every item is a list or tuple of ``size`` entries."""
+    return all(map(isinstance, items, repeat((list, tuple)))) and set(map(len, items)) <= {size}
+
+
+_POINT_KEYS = itemgetter("id", "weight", "locations")
+
+
+def _location_columns(graph: CactusGraph, rows: list) -> LocationTable | None:
+    """The table of well-formed point rows, or None when a row is not.
+    Each numeric field goes through ``float`` as :func:`_number` takes it,
+    so a bad one raises here."""
+    labels, weights, loc_rows = zip(*map(_POINT_KEYS, rows)) if rows else ((), (), ())
+    weight = np.fromiter(map(float, weights), float, len(rows))
+    if not all(map(isinstance, loc_rows, repeat((list, tuple)))):
+        return None
+    pairs = list(chain.from_iterable(loc_rows))
+    if not _all_rows(pairs, 2):
+        return None
+    places, probs = zip(*pairs) if pairs else ((), ())
+    size = len(pairs)
+    prob = np.fromiter(map(float, probs), float, size)
+    named = np.fromiter(map(isinstance, places, repeat(str)), bool, size)
+    ids = graph.vertex_id
+    vertex = np.full(size, -1, dtype=np.intp)
+    vertex[named] = list(map(ids.get, compress(places, named), repeat(-1)))
+    # the rest are [u, v, t]: t units from u along the edge u-v
+    inside = ~named
+    spots = list(compress(places, inside))
+    if (vertex[named] < 0).any() or not _all_rows(spots, 3):
+        return None
+    u_names, v_names, offsets = zip(*spots) if spots else ((), (), ())
+    u = np.fromiter(map(ids.get, u_names, repeat(-1)), np.intp, len(spots))
+    v = np.fromiter(map(ids.get, v_names, repeat(-1)), np.intp, len(spots))
+    e = graph.edges_between(u, v)
+    at = np.fromiter(map(float, offsets), float, len(spots))
+    if (u < 0).any() or (v < 0).any() or (e < 0).any():
+        return None
+    length = graph.length[e]
+    if not ((at >= 0.0) & (at <= length)).all():
+        return None
+    edge = np.full(size, -1, dtype=np.intp)
+    edge[inside] = e
+    t = np.zeros(size)
+    t[inside] = np.where(graph.u[e] == u, at, length - at)
+    ptr = np.cumsum([0, *map(len, loc_rows)])
+    return LocationTable(list(map(str, labels)), weight, ptr, vertex, edge, t, prob)
+
+
+def _check_place(graph: CactusGraph, where: Any) -> None:
     if isinstance(where, str):
         if where not in graph.vertex_id:
             raise FormatError(f"unknown vertex {where!r}")
-        return graph.vertex_id[where]
+        return
     if not isinstance(where, (list, tuple)) or len(where) != 3:
         raise FormatError(f"bad location place {where!r}")
     u_name, v_name, t = where
@@ -125,16 +192,12 @@ def _parse_place(graph: CactusGraph, where: Any) -> int | GraphPoint:
         u, v = graph.vertex_id[u_name], graph.vertex_id[v_name]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad location place {where!r}") from exc
-    lo, hi = graph.indptr[u], graph.indptr[u + 1]
-    nbrs = graph.nbr[lo:hi].tolist()
-    if v not in nbrs:
+    eid = int(graph.edges_between(np.array([u]), np.array([v]))[0])
+    if eid < 0:
         raise FormatError(f"no edge {u_name!r}-{v_name!r}")
-    eid = int(graph.half_edge[lo + nbrs.index(v)])
-    a, _, length = graph.edge(eid)
     t = _number(t, "offset on edge {!r}-{!r}", u_name, v_name)
-    if not 0.0 <= t <= length:
+    if not 0.0 <= t <= graph.length[eid]:
         raise FormatError(f"offset {t} outside edge {u_name!r}-{v_name!r}")
-    return GraphPoint(eid, t if a == u else length - t)
 
 
 def read_instance(path: str | Path) -> Instance:

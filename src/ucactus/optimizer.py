@@ -142,9 +142,9 @@ def solve(inst: Instance) -> Solution:
         [work.weights * expected_distances(work, red.lift_source(c)) for c in v.centers]
     )
     assignments = []
-    for p, pair in zip(inst.points, costs.tolist()):
+    for label, pair in zip(inst.labels, costs.tolist()):
         side = int(pair[1] < pair[0])
-        assignments.append(Assignment(p.label, side, pair[side]))
+        assignments.append(Assignment(label, side, pair[side]))
     return Solution(lam_star, centers, assignments)
 
 

@@ -18,8 +18,11 @@ ring by where it hangs, a longer arc by the shorter.  The split cactus is
 an edge table with a half-edge index, as a ``CactusGraph`` is: one sort of
 the edge ends and the snapped interior cuts by (edge, offset) numbers its
 vertices and edges.  Ring membership and ring order come from the original
-graph's cycle decomposition.  What remains is padded so every vertex holds
-a location.
+graph's cycle decomposition.  The interior locations are read from the
+instance's location table as columns; the reduced instance's table keeps
+the locations with mass in location order, each on its survivor, and pads
+point 0 with a weightless location on every survivor that holds none,
+ascending, so every vertex holds a location.
 
 The returned object lifts positions on the reduced graph back to the
 original one, reading only the chain it lifts along; expected distances are
@@ -29,7 +32,6 @@ preserved exactly, so solution values need no lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -43,7 +45,7 @@ from ucactus.graph import (
     half_edge_index,
     subtree_stop,
 )
-from ucactus.uncertain import Instance, Location, UncertainPoint
+from ucactus.uncertain import Instance, LocationTable
 
 _SNAP = 1e-12
 
@@ -62,8 +64,9 @@ class _Split:
     ``first[e]:first[e + 1]``, from its ``u`` end to its ``v`` end; split
     edge ``i`` joins ``u[i]`` to ``v[i]`` along original edge ``edge[i]``,
     from offset ``t0[i]`` to ``t1[i]``.  ``mass[x]`` says that vertex x
-    holds a location with mass, and ``placed[k]`` holds point ``k``'s
-    (vertex, probability) pairs."""
+    holds a location with mass: the locations ``live`` of the instance's
+    table, those with mass in location order, lie on the vertices
+    ``site``."""
 
     graph: CactusGraph
     mass: np.ndarray
@@ -79,7 +82,8 @@ class _Split:
     indptr: np.ndarray
     nbr: np.ndarray
     half_edge: np.ndarray
-    placed: list[list[tuple[int, float]]]
+    live: np.ndarray
+    site: np.ndarray
 
     def origin(self, v: int) -> GraphPoint:
         n = self.graph.vertex_count
@@ -115,9 +119,7 @@ class Reduction:
 
     An identity reduction hands the instance through.  Otherwise
     :meth:`lift_point` maps a position on the reduced graph to the original
-    graph, reading only the chain of split edges it lies on;
-    ``vertex_origin`` and ``edge_paths`` spell out the whole map, which no
-    solver stage reads."""
+    graph, reading only the chain of split edges it lies on."""
 
     def __init__(
         self,
@@ -135,23 +137,6 @@ class Reduction:
     def _origin(self, v: int) -> GraphPoint:
         """Where reduced vertex ``v`` lies on the original graph."""
         return self._split.origin(int(self._chains.survivors[v]))
-
-    @cached_property
-    def vertex_origin(self) -> list[GraphPoint]:
-        """Where each reduced vertex lies on the original graph."""
-        if self.identity:
-            return []
-        return [self._origin(v) for v in range(self.reduced.graph.vertex_count)]
-
-    @cached_property
-    def edge_paths(self) -> list[list[_Seg]]:
-        """The runs along original edges that each reduced edge stands for,
-        from its ``u`` end."""
-        if self.identity:
-            return []
-        c, oriented = self._chains, self._split.oriented
-        runs = list(map(oriented, c.edges.tolist(), c.enter.tolist()))
-        return [runs[a:b] for a, b in zip(c.start[:-1].tolist(), c.start[1:].tolist())]
 
     def _snapped_vertex(self, p: GraphPoint) -> int | None:
         """The reduced vertex that ``p`` lifts onto: a non-identity lift snaps
@@ -199,33 +184,22 @@ def reduce_instance(inst: Instance) -> Reduction:
 
 
 def _split(inst: Instance) -> _Split:
-    graph = inst.graph
+    graph, tab = inst.graph, inst.table
     n, m = graph.vertex_count, graph.edge_count
-    # every location with mass, with its point; a massless one may leave
-    # its site prunable
-    rows = [
-        (k, loc) for k, p in enumerate(inst.points) for loc in p.locations if loc.prob > 0.0
-    ]
-    site = np.array(
-        [loc.place if loc.is_vertex else -1 for _, loc in rows], dtype=np.intp
-    )
+    # every location with mass; a massless one may leave its site prunable
+    live = np.flatnonzero(tab.prob > 0.0)
+    site = tab.vertex[live]
     inside = np.flatnonzero(site < 0)
 
     # snap near-endpoint offsets onto the endpoints; the rest cut their edge
-    e = np.array([rows[i][1].place.edge for i in inside], dtype=np.intp)
-    t = np.array([rows[i][1].place.t for i in inside], dtype=float)
+    e, t = tab.edge[live[inside]], tab.t[live[inside]]
     snap = _SNAP * np.maximum(1.0, graph.length[e])
     to_u, to_v = t <= snap, t >= graph.length[e] - snap
     site[inside] = np.where(to_u, graph.u[e], np.where(to_v, graph.v[e], -1))
     cut = np.flatnonzero(~to_u & ~to_v)
     order = cut[np.lexsort((t[cut], e[cut]))]
-    # along each edge, an offset within snap of the last kept cut joins it
-    keep, last = [], (-1, 0.0)
-    for ei, ti, si in zip(e[order].tolist(), t[order].tolist(), snap[order].tolist()):
-        keep.append(ei != last[0] or ti - last[1] > si)
-        if keep[-1]:
-            last = (ei, ti)
-    kept = order[np.array(keep, dtype=bool)]
+    keep = _kept_cuts(e[order], t[order], snap[order])
+    kept = order[keep]
     site[inside[order]] = n + np.cumsum(keep, dtype=np.intp) - 1
     cut_edge, cut_t = e[kept], t[kept]
 
@@ -240,15 +214,31 @@ def _split(inst: Instance) -> _Split:
     u, v, t0, t1 = st_v[a], st_v[a + 1], st_t[a], st_t[a + 1]
     first = np.concatenate([[0], np.cumsum(np.bincount(cut_edge, minlength=m) + 1)])
 
-    placed: list[list[tuple[int, float]]] = [[] for _ in inst.points]
-    for (k, loc), w in zip(rows, site.tolist()):
-        placed[k].append((w, loc.prob))
     mass = np.zeros(n + kept.size, dtype=bool)
     mass[site] = True
     index = half_edge_index(mass.size, u, v)
     return _Split(
-        graph, mass, cut_edge, cut_t, u, v, t1 - t0, st_edge[a], t0, t1, first, *index, placed
+        graph, mass, cut_edge, cut_t, u, v, t1 - t0, st_edge[a], t0, t1, first, *index,
+        live, site,
     )
+
+
+def _kept_cuts(e: np.ndarray, t: np.ndarray, snap: np.ndarray) -> np.ndarray:
+    """Which cuts, sorted by (edge ``e``, offset ``t``), become split
+    vertices: along each edge, a cut within ``snap`` past the last kept cut
+    joins it.  A cut more than ``snap`` past the cut before it is kept, as
+    is the first of its edge; each round then keeps, after every kept cut,
+    the first cut that lies more than ``snap`` past it, until none does."""
+    keep = np.ones(len(e), dtype=bool)
+    keep[1:] = (e[1:] != e[:-1]) | (t[1:] - t[:-1] > snap[1:])
+    at = np.arange(len(e))
+    while True:
+        last = np.maximum.accumulate(np.where(keep, at, 0))
+        far = np.flatnonzero(~keep & (t - t[last] > snap))
+        if not far.size:
+            return keep
+        after = last[far]
+        keep[far[np.diff(after, prepend=-1) != 0]] = True
 
 
 def _reduce(split: _Split) -> _Chains:
@@ -410,19 +400,26 @@ def _finish(inst: Instance, split: _Split, chains: _Chains) -> Reduction:
         chains.length,
     )
 
-    new_index = renumber.tolist()
-    points = []
-    empty = set(range(len(survivors)))
-    for k, p in enumerate(inst.points):
-        locs = [Location(new_index[w], prob) for w, prob in split.placed[k]]
-        for w, _ in split.placed[k]:
-            empty.discard(new_index[w])
-        points.append(UncertainPoint(p.label, p.weight, tuple(locs)))
-    if empty:
-        # mass-free survivors get a weightless location so the instance is
-        # vertex-constrained
-        first = points[0]
-        pad = tuple(Location(v, 0.0) for v in sorted(empty))
-        points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
-
-    return Reduction(inst, Instance(graph, points, inst.eps), split, chains)
+    # the live locations in location order, then point 0's pads: mass-free
+    # survivors get a weightless location so the instance is
+    # vertex-constrained
+    tab = inst.table
+    vertex = renumber[split.site]
+    held = np.zeros(len(survivors), dtype=bool)
+    held[vertex] = True
+    pad = np.flatnonzero(~held)
+    sizes = np.bincount(inst.owner[split.live], minlength=inst.n)
+    end = sizes[0]
+    sizes[0] += pad.size
+    vertex = np.insert(vertex, end, pad)
+    size = len(vertex)
+    table = LocationTable(
+        tab.labels,
+        tab.weights,
+        np.concatenate([[0], np.cumsum(sizes)]),
+        vertex,
+        np.full(size, -1, dtype=np.intp),
+        np.zeros(size),
+        np.insert(tab.prob[split.live], end, np.zeros(pad.size)),
+    )
+    return Reduction(inst, Instance(graph, table, inst.eps), split, chains)

@@ -1,5 +1,12 @@
 """Uncertain points on a cactus: expected distances and derived quantities.
 
+An instance holds its points as one location table (:class:`LocationTable`):
+labels and weights per point, a per-point pointer into the locations, and
+per location its vertex, or its edge and offset, and its probability.
+Every check and every quantity below is an array pass over those columns.
+:class:`Location` and :class:`UncertainPoint` are the library's input
+types; :attr:`Instance.points` rebuilds them from the table.
+
 The tables read off the skeleton tree are array passes over its arrays:
 each node's mass is one bincount, each subtree's mass is preorder prefix
 sums differenced at the subtree's ends, and the expected distances at
@@ -13,12 +20,14 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Sequence, TypeVar
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Callable, Hashable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from ucactus.errors import ValidationError
-from ucactus.graph import CactusGraph, GraphPoint, check_point, distance_via
+from ucactus.errors import InvalidPoint, ValidationError
+from ucactus.graph import _POS_EPS, CactusGraph, GraphPoint
 
 DEFAULT_EPS = 1e-9
 PROB_EPS = 1e-12
@@ -49,17 +58,34 @@ class UncertainPoint:
     locations: tuple[Location, ...]
 
 
-class Instance:
-    """A cactus plus uncertain points.  Outside input comes through
-    :func:`build_instance`; the reduction builds its output directly."""
+class LocationTable(NamedTuple):
+    """Uncertain points as columns.  Point ``k`` is labelled ``labels[k]``,
+    weighs ``weights[k]`` and owns locations ``ptr[k]:ptr[k + 1]``.
+    Location ``i`` has probability ``prob[i]`` and lies on vertex
+    ``vertex[i]``, or, where that is -1, ``t[i]`` units from the ``u`` end
+    of edge ``edge[i]``; a vertex location has edge -1 and offset 0."""
 
-    def __init__(
-        self, graph: CactusGraph, points: Sequence[UncertainPoint], eps: float
-    ) -> None:
+    labels: list[str]
+    weights: np.ndarray
+    ptr: np.ndarray
+    vertex: np.ndarray
+    edge: np.ndarray
+    t: np.ndarray
+    prob: np.ndarray
+
+
+class Instance:
+    """A cactus plus uncertain points held as a :class:`LocationTable`.
+    Outside input comes through :func:`build_instance` or
+    :func:`instance_from_table`; the reduction builds its output directly."""
+
+    def __init__(self, graph: CactusGraph, table: LocationTable, eps: float) -> None:
         self.graph = graph
-        self.points = tuple(points)
+        self.table = table
+        self.labels = table.labels
+        self.weights = table.weights
         self.eps = eps
-        self.n = len(self.points)
+        self.n = len(table.labels)
         self._memo: dict = {}
 
     def memo(self, key: Hashable, build: Callable[[], T]) -> T:
@@ -71,29 +97,40 @@ class Instance:
         return self._memo[key]
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([p.weight for p in self.points])
+    def points(self) -> tuple[UncertainPoint, ...]:
+        """The table as input objects, for readers that walk the points one
+        by one; no solver stage reads it."""
+        tab = self.table
+        places = [
+            v if v >= 0 else GraphPoint(e, t)
+            for v, e, t in zip(tab.vertex.tolist(), tab.edge.tolist(), tab.t.tolist())
+        ]
+        locs = list(map(Location, places, tab.prob.tolist()))
+        ptr = tab.ptr.tolist()
+        return tuple(
+            UncertainPoint(label, w, tuple(locs[a:b]))
+            for label, w, a, b in zip(self.labels, self.weights.tolist(), ptr, ptr[1:])
+        )
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The point that owns each location."""
+        return np.repeat(np.arange(self.n), np.diff(self.table.ptr))
 
     @cached_property
     def is_vertex_constrained(self) -> bool:
-        return all(loc.is_vertex for p in self.points for loc in p.locations)
+        return bool((self.table.vertex >= 0).all())
 
     @cached_property
     def vertex_mass(self) -> np.ndarray:
         """Probability mass per (vertex, point); vertex-constrained only."""
         if not self.is_vertex_constrained:
             raise ValidationError("instance has edge-interior locations")
-        cells = [
-            loc.place * self.n + k
-            for k, p in enumerate(self.points)
-            for loc in p.locations
-        ]
-        probs = [loc.prob for p in self.points for loc in p.locations]
-        mass = np.zeros((self.graph.vertex_count, self.n))
-        # unbuffered, so a cell that several locations share adds them up in
-        # location order
-        np.add.at(mass.ravel(), cells, probs)
-        return mass
+        cells = self.table.vertex * self.n + self.owner
+        size = self.graph.vertex_count * self.n
+        # bincount adds up each cell in location order
+        mass = np.bincount(cells, self.table.prob, size)
+        return mass.reshape(self.graph.vertex_count, self.n)
 
     @cached_property
     def ed_at_vertices(self) -> np.ndarray:
@@ -219,41 +256,143 @@ def build_instance(
     points: Sequence[UncertainPoint],
     eps: float | None = None,
 ) -> Instance:
-    """Validate probabilities and weights and assemble an :class:`Instance`."""
-    if not points:
+    """Validate places, probabilities and weights and assemble an
+    :class:`Instance` from input objects.  The checks are those of
+    :func:`instance_from_table`, with each place checked right after its
+    probability, as :func:`ucactus.graph.check_point` checks a point."""
+    locs = list(chain.from_iterable(p.locations for p in points))
+    places = list(map(attrgetter("place"), locs))
+    size = len(places)
+    at_vertex = np.fromiter(map(isinstance, places, repeat(int)), bool, size)
+    inside = ~at_vertex
+    spots = list(compress(places, inside))
+    vertex = np.full(size, -1, dtype=np.intp)
+    vertex[at_vertex] = list(compress(places, at_vertex))
+    edge = np.full(size, -1, dtype=np.intp)
+    edge[inside] = list(map(attrgetter("edge"), spots))
+    t = np.zeros(size)
+    t[inside] = list(map(attrgetter("t"), spots))
+    m = graph.edge_count
+    known = inside & (edge >= 0) & (edge < m)
+    length = graph.length[np.where(known, edge, 0)] if m else np.zeros(size)
+
+    def no_vertex(i, label):
+        return ValidationError(f"point {label!r}: no vertex {places[i]}")
+
+    def sentinel(i, label):
+        return InvalidPoint("vertex sentinel point used on a non-trivial graph")
+
+    def no_edge(i, label):
+        return InvalidPoint(f"no edge {places[i].edge}")
+
+    def off_edge(i, label):
+        return InvalidPoint(f"offset {places[i].t} outside edge {places[i].edge}")
+
+    place_checks = (
+        (at_vertex & ((vertex < 0) | (vertex >= graph.vertex_count)), no_vertex),
+        (inside & (edge < 0) & (m > 0), sentinel),
+        (inside & (edge >= m), no_edge),
+        (known & ~((t >= -_POS_EPS) & (t <= length + _POS_EPS)), off_edge),
+    )
+    # the lone vertex's sentinel point is that vertex
+    vertex[inside & (edge < 0)] = 0
+    edge[vertex >= 0] = -1
+    t[vertex >= 0] = 0.0
+    table = LocationTable(
+        [p.label for p in points],
+        np.array([p.weight for p in points], dtype=float),
+        np.cumsum([0] + [len(p.locations) for p in points]),
+        vertex,
+        edge,
+        t,
+        np.fromiter(map(attrgetter("prob"), locs), float, size),
+    )
+    return _checked_instance(graph, table, eps, place_checks)
+
+
+def instance_from_table(
+    graph: CactusGraph, table: LocationTable, eps: float | None = None
+) -> Instance:
+    """Validate the probabilities and weights of a location table whose
+    places lie on ``graph`` and assemble an :class:`Instance`."""
+    return _checked_instance(graph, table, eps, ())
+
+
+def _checked_instance(
+    graph: CactusGraph,
+    table: LocationTable,
+    eps: float | None,
+    place_checks: Sequence[tuple[np.ndarray, Callable[[int, str], Exception]]],
+) -> Instance:
+    """Each check runs over all points or all locations at once, and the
+    first fault in point order is raised.  Within a point the checks run in
+    the order duplicate label, non-finite weight, negative weight, no
+    locations; then each location's probability range and
+    ``place_checks`` (a mask over the locations and the error for location
+    ``i`` of the point labelled ``label``), location by location; then the
+    probability sum, added up in location order."""
+    labels, weights, ptr, _, _, _, prob = table
+    n = len(labels)
+    if not n:
         raise ValidationError("instance needs at least one uncertain point")
-    labels = set()
-    for p in points:
-        if p.label in labels:
-            raise ValidationError(f"duplicate point label {p.label!r}")
-        labels.add(p.label)
-        if not math.isfinite(p.weight):
-            raise ValidationError(f"point {p.label!r} has non-finite weight {p.weight}")
-        if p.weight < 0:
-            raise ValidationError(f"point {p.label!r} has negative weight")
-        if not p.locations:
-            raise ValidationError(f"point {p.label!r} has no locations")
-        total = 0.0
-        for loc in p.locations:
-            if not 0.0 <= loc.prob <= 1.0:
-                raise ValidationError(f"point {p.label!r}: probability {loc.prob}")
-            if loc.is_vertex:
-                if not 0 <= loc.place < graph.vertex_count:
-                    raise ValidationError(f"point {p.label!r}: no vertex {loc.place}")
-            else:
-                check_point(graph, loc.place)
-            total += loc.prob
-        if abs(total - 1.0) > PROB_EPS:
-            raise ValidationError(
-                f"point {p.label!r}: probabilities sum to {total!r}, not 1"
-            )
+    owner = np.repeat(np.arange(n), np.diff(ptr))
+    total = np.bincount(owner, prob, n)
+    duplicate = np.zeros(n, dtype=bool)
+    if len(set(labels)) < n:
+        seen: dict[str, int] = {}
+        duplicate[[k for k, label in enumerate(labels) if seen.setdefault(label, k) != k]] = True
+    # each check's mask, its positions in document order (a point's own
+    # checks, then its locations, then its sum) and its error
+    head = ptr[:-1] + 2 * np.arange(n)
+    body = np.arange(len(prob)) + 2 * owner + 1
+    checks = [
+        (duplicate, head, lambda k: ValidationError(f"duplicate point label {labels[k]!r}")),
+        (
+            ~np.isfinite(weights),
+            head,
+            lambda k: ValidationError(
+                f"point {labels[k]!r} has non-finite weight {float(weights[k])}"
+            ),
+        ),
+        (weights < 0, head, lambda k: ValidationError(f"point {labels[k]!r} has negative weight")),
+        (
+            ptr[1:] == ptr[:-1],
+            head,
+            lambda k: ValidationError(f"point {labels[k]!r} has no locations"),
+        ),
+        (
+            ~((prob >= 0.0) & (prob <= 1.0)),
+            body,
+            lambda i: ValidationError(f"point {labels[owner[i]]!r}: probability {float(prob[i])}"),
+        ),
+        *(
+            (bad, body, lambda i, error=error: error(i, labels[owner[i]]))
+            for bad, error in place_checks
+        ),
+        (
+            np.abs(total - 1.0) > PROB_EPS,
+            head + np.diff(ptr) + 1,
+            lambda k: ValidationError(
+                f"point {labels[k]!r}: probabilities sum to {float(total[k])!r}, not 1"
+            ),
+        ),
+    ]
+    # the earliest position; at one position, the check listed first
+    faults = [
+        (at[hit[0]], c, int(hit[0]))
+        for c, (bad, at, _) in enumerate(checks)
+        if (hit := np.flatnonzero(bad)).size
+    ]
+    if faults:
+        _, c, i = min(faults)
+        raise checks[c][2](i)
     # every weighted expected distance is at most this product
-    heaviest, span = max(p.weight for p in points), float(graph.length.sum())
+    heaviest, span = float(weights.max()), float(graph.length.sum())
     if not math.isfinite(heaviest * span):
         raise ValidationError(
             f"largest weight {heaviest} times total edge length {span} is not finite"
         )
-    return Instance(graph, points, instance_eps(eps))
+    return Instance(graph, table, instance_eps(eps))
 
 
 def location_point(graph: CactusGraph, loc: Location) -> GraphPoint:
@@ -263,24 +402,25 @@ def location_point(graph: CactusGraph, loc: Location) -> GraphPoint:
 def expected_distance(inst: Instance, k: int, q: GraphPoint) -> float:
     """Expected distance between uncertain point ``k`` and the fixed point
     ``q``; exact, works for edge-interior locations too."""
-    return _priced(inst, q, inst.graph.distances_from(q), k)
+    return float(expected_distances(inst, q)[k])
 
 
 def expected_distances(inst: Instance, q: GraphPoint) -> np.ndarray:
-    """Expected distance of every point to ``q`` as a vector."""
-    dq = inst.graph.distances_from(q)
-    return np.array([_priced(inst, q, dq, k) for k in range(inst.n)])
-
-
-def _priced(inst: Instance, q: GraphPoint, dq: np.ndarray, k: int) -> float:
-    """Expected distance of point ``k`` to ``q``, given
-    ``dq = inst.graph.distances_from(q)``; O(1) per location."""
-    g = inst.graph
-    total = 0.0
-    for loc in inst.points[k].locations:
-        d = dq[loc.place] if loc.is_vertex else distance_via(g, q, dq, loc.place)
-        total += loc.prob * d
-    return float(total)
+    """Expected distance of every point to ``q`` as a vector, each summed in
+    location order.  A vertex location is ``q``'s distance to its vertex;
+    an interior one is the nearer of its arms through either end of its
+    edge, or along the edge when ``q`` shares it."""
+    g, tab = inst.graph, inst.table
+    dq = g.distances_from(q)
+    d = dq[tab.vertex]
+    inner = np.flatnonzero(tab.vertex < 0)
+    if inner.size:
+        e, t = tab.edge[inner], tab.t[inner]
+        arm = np.minimum(t + dq[g.u[e]], (g.length[e] - t) + dq[g.v[e]])
+        same = np.flatnonzero(e == q.edge)
+        arm[same] = np.minimum(arm[same], np.abs(t[same] - q.t))
+        d[inner] = arm
+    return np.bincount(inst.owner, tab.prob * d, inst.n)
 
 
 def objective(inst: Instance, q1: GraphPoint, q2: GraphPoint) -> float:

@@ -1,8 +1,9 @@
-"""Reference versions of the skeleton tree and the quantities read off it,
-written as node and link lists walked one node at a time.  The package
-holds the skeleton as arrays and computes from it in array passes; the
-tests check that both give the same tree, masses, expected distances and
-centroids."""
+"""Reference versions of what the package computes in array passes,
+written as loops over Python objects one item at a time: the skeleton tree
+as node and link lists and the quantities read off it, a query point's
+expected distances priced location by location, and the whole map from a
+reduced graph back to the original one.  The tests check that both give
+the same tree, masses, expected distances, centroids and lifts."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ucactus.graph import CYCLE, HINGE, VERTEX
+from ucactus.graph import CYCLE, HINGE, VERTEX, GraphPoint, distance_via
 
 KIND = {"vertex": VERTEX, "hinge": HINGE, "cycle": CYCLE}
 
@@ -236,3 +237,35 @@ def decomposition(dec) -> tuple:
     """A cycle decomposition's fields as lists, to compare two of them."""
     arrays = ("edge_cycle", "ring_ptr", "ring_vertex", "vertex_ptr", "vertex_cycles")
     return (dec.cycles, *(getattr(dec, name).tolist() for name in arrays))
+
+
+def priced(inst, q: GraphPoint, k: int) -> float:
+    """Expected distance of point ``k`` to ``q``: each location's distance,
+    through :func:`ucactus.graph.distance_via`, times its probability,
+    added up location by location."""
+    g = inst.graph
+    dq = g.distances_from(q)
+    total = 0.0
+    for loc in inst.points[k].locations:
+        d = dq[loc.place] if loc.is_vertex else distance_via(g, q, dq, loc.place)
+        total += loc.prob * d
+    return float(total)
+
+
+def vertex_origin(red) -> list[GraphPoint]:
+    """Where each reduced vertex lies on the original graph; empty for an
+    identity reduction."""
+    if red.identity:
+        return []
+    return [red._origin(v) for v in range(red.reduced.graph.vertex_count)]
+
+
+def edge_paths(red) -> list[list[tuple[int, float, float]]]:
+    """The runs along original edges, ``(edge, start, end)``, that each
+    reduced edge stands for, from its ``u`` end; empty for an identity
+    reduction."""
+    if red.identity:
+        return []
+    c, oriented = red._chains, red._split.oriented
+    runs = list(map(oriented, c.edges.tolist(), c.enter.tolist()))
+    return [runs[a:b] for a, b in zip(c.start[:-1].tolist(), c.start[1:].tolist())]

@@ -356,8 +356,98 @@ def test_parse_rejects_non_numeric_fields():
     ):
         with pytest.raises(FormatError, match=f"{what} is not a number"):
             parse_instance(_tri_doc(**changes))
+    # an array conversion would read None as NaN; each is refused by name
+    for bad in (None, [0.5], [[1.0]]):
+        for changes, what in (
+            ({"weight": bad}, "weight of point 'P1'"),
+            ({"locations": [["a", bad], ["b", 0.5]]}, "probability in point 'P1'"),
+            ({"locations": [[["a", "b", bad], 1.0]]}, "offset on edge 'a'-'b'"),
+        ):
+            with pytest.raises(FormatError, match=f"{what} is not a number"):
+                parse_instance(_tri_doc(**changes))
     with pytest.raises(FormatError, match="uncertain_points must be a list"):
         parse_instance({"vertices": ["a"], "edges": [], "uncertain_points": 5})
+
+
+def _point(label, weight, *locations):
+    return {"id": label, "weight": weight, "locations": [list(loc) for loc in locations]}
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        # two faulty points: the first in document order is named
+        (
+            [_point("P1", 1.0, ("a", None)), _point("P2", "heavy", ("b", 1.0))],
+            FormatError,
+            "probability in point 'P1' is not a number: None",
+        ),
+        (
+            [_point("P1", None, ("a", 1.0)), _point("P2", 1.0, ("a", "x"))],
+            FormatError,
+            "weight of point 'P1' is not a number: None",
+        ),
+        (
+            [_point("P1", 1.0, ("a", 0.5), ("q", 0.5)), _point("P2", 1.0, (["a", "b", None], 1.0))],
+            FormatError,
+            "unknown vertex 'q'",
+        ),
+        (
+            [_point("P1", 1.0, (["a", "d", 0.5], 1.0)), "not a point"],
+            FormatError,
+            "no edge 'a'-'d'",
+        ),
+        (
+            [_point("P1", 1.0, (["a", "b", 2.0], 1.0)), {"id": "P2"}],
+            FormatError,
+            "offset 2.0 outside edge 'a'-'b'",
+        ),
+        # within a location, its probability is read before its place
+        ([_point("P1", 1.0, ("q", None))], FormatError, "probability in point 'P1'"),
+        # a format fault in a later point wins over a bad value in an earlier one
+        (
+            [_point("P1", -1.0, ("a", 1.0)), _point("P2", 1.0, ("a", None))],
+            FormatError,
+            "probability in point 'P2' is not a number: None",
+        ),
+        (
+            [_point("P1", 1.0, ("a", 0.5)), _point("P2", 1.0, ("a", 1.0), ("b", 1.0)), "x"],
+            FormatError,
+            "bad uncertain point entry 'x'",
+        ),
+        # value checks, in the same document order
+        (
+            [_point("P1", 1.0, ("a", 0.5)), _point("P2", -1.0, ("a", 2.0))],
+            ValidationError,
+            "point 'P1': probabilities sum to 0.5, not 1",
+        ),
+        (
+            [_point("P1", 1.0, ("a", 1.0)), _point("P2", float("nan"), ("a", 2.0))],
+            ValidationError,
+            "point 'P2' has non-finite weight nan",
+        ),
+        (
+            [_point("P1", 1.0, ("a", 1.0)), _point("P2", 1.0, ("a", 2.0), ("b", -1.0))],
+            ValidationError,
+            "point 'P2': probability 2.0",
+        ),
+        (
+            [_point("P1", 1.0, ("a", 1.0)), _point("P1", -1.0, ("a", 2.0))],
+            ValidationError,
+            "duplicate point label 'P1'",
+        ),
+        (
+            [_point("P1", 1.0, ("a", 1.0)), _point("P2", 1.0), _point("P3", -1.0, ("a", 1.0))],
+            ValidationError,
+            "point 'P2' has no locations",
+        ),
+    ],
+)
+def test_parse_reports_the_first_fault_in_document_order(points, error, message):
+    with pytest.raises(error) as raised:
+        parse_instance(_tri_doc(uncertain_points=points))
+    assert type(raised.value) is error
+    assert message in str(raised.value)
 
 
 def test_cli_one_center_and_median(tmp_path, capsys):

@@ -35,13 +35,13 @@ from ucactus.graph import (
     centroid,
     point_distance,
     validate_cactus,
+    validate_edge_columns,
 )
 from ucactus.io import instance_to_dict, parse_instance, random_instance
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
-    Instance,
     Location,
     UncertainPoint,
     build_instance,
@@ -54,8 +54,8 @@ def test_fully_loaded_vertex_instance_passes_through():
     red = reduce_instance(inst)
     assert red.identity
     assert red.reduced is inst
-    assert red.vertex_origin == []
-    assert red.edge_paths == []
+    assert refs.vertex_origin(red) == []
+    assert refs.edge_paths(red) == []
 
 
 def test_unloaded_vertex_survives_when_structural():
@@ -88,9 +88,39 @@ def test_interior_location_splits_its_edge():
     assert g.vertex_count == 4
     assert sorted(e.length for e in edge_rows(g)) == [1.0, 1.0, 1.0, 1.0]
     assert red.reduced.is_vertex_constrained
-    assert red.vertex_origin[3] == GraphPoint(3, 1.0)
+    assert refs.vertex_origin(red)[3] == GraphPoint(3, 1.0)
     assert red.lift_point(GraphPoint(3, 1.0)) == GraphPoint(3, 1.0)
     assert oracle_solve(red.reduced)[0] == oracle_solve(inst)[0] == 0.5
+
+
+def _reference_kept_cuts(e, t, snap) -> list[bool]:
+    """The loop that ``_kept_cuts`` replaced: along each edge, an offset
+    within snap of the last kept cut joins it."""
+    keep, last = [], (-1, 0.0)
+    for ei, ti, si in zip(e.tolist(), t.tolist(), snap.tolist()):
+        keep.append(ei != last[0] or ti - last[1] > si)
+        if keep[-1]:
+            last = (ei, ti)
+    return keep
+
+
+def test_kept_cuts_follow_the_last_kept_cut():
+    # a run of cuts each within snap of the one before, longer than snap
+    t = 1.0 + np.array([0.0, 0.6, 1.2, 1.8, 2.4, 3.0, 4e12]) * 1e-12
+    e = np.zeros(len(t), dtype=np.intp)
+    snap = np.full(len(t), 1e-12)
+    keep = reduction._kept_cuts(e, t, snap)
+    assert keep.tolist() == [True, False, True, False, True, False, True]
+    assert keep.tolist() == _reference_kept_cuts(e, t, snap)
+    rng = random.Random(5)
+    for _ in range(300):
+        size = rng.randint(0, 30)
+        e = np.sort(np.array([rng.randrange(3) for _ in range(size)], dtype=np.intp))
+        steps = [rng.choice([0.0, 0.3e-12, 0.7e-12, 1e-12, 2e-12, 0.5]) for _ in range(size)]
+        t = 1.0 + np.cumsum(steps)
+        snap = np.full(size, 1e-12)
+        got = reduction._kept_cuts(e, t, snap).tolist()
+        assert got == _reference_kept_cuts(e, t, snap)
 
 
 def test_massless_pendant_is_pruned():
@@ -228,7 +258,7 @@ def test_handed_out_points_hold_python_numbers():
             assert_python(v.centers or ())
         red = reduce_instance(inst)
         rg = red.reduced.graph
-        assert_python(red.vertex_origin)
+        assert_python(refs.vertex_origin(red))
         assert_python(red.lift_point(rg.vertex_point(x)) for x in range(rg.vertex_count))
         assert_python(
             red.lift_point(GraphPoint(e.id, f * e.length))
@@ -239,16 +269,17 @@ def test_handed_out_points_hold_python_numbers():
 
 def test_validate_cactus_runs_once_per_solve_and_decide(monkeypatch):
     # outside input is validated at parse; the reduced network is not
-    # validated again at run time
+    # validated again at run time.  validate_cactus checks its rows as
+    # columns, so the column check counts every validation.
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return validate_cactus(*args)
+        return validate_edge_columns(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("ucactus") and hasattr(module, "validate_cactus"):
-            monkeypatch.setattr(module, "validate_cactus", counted)
+        if name.startswith("ucactus") and hasattr(module, "validate_edge_columns"):
+            monkeypatch.setattr(module, "validate_edge_columns", counted)
     for seed in range(20):
         doc = instance_to_dict(draw_case(seed, edge_locations=True))
         calls.clear()
@@ -534,7 +565,7 @@ def _reference_finish(inst, split, survivors, edges) -> SimpleNamespace:
         first = points[0]
         pad = tuple(Location(v, 0.0) for v in sorted(empty))
         points[0] = UncertainPoint(first.label, first.weight, first.locations + pad)
-    reduced = Instance(graph, points, inst.eps)
+    reduced = build_instance(graph, points, inst.eps)
     origin = [split.origin(v) for v in survivors]
     return SimpleNamespace(
         identity=False, reduced=reduced, vertex_origin=origin, edge_paths=[e.path for e in edges]
@@ -546,7 +577,7 @@ def fixpoint_reduce(inst):
     in place of the package's split and worklist."""
     red = reduce_instance(inst)
     if red.identity:
-        return red
+        return SimpleNamespace(identity=True, reduced=red.reduced, vertex_origin=[])
     split = reference_split(inst)
     verts = dict(enumerate(split.mass))
     cycle_of = [None if c < 0 else c for c in split.graph.cycles.edge_cycle.tolist()]
@@ -566,7 +597,10 @@ def assert_same_split(inst):
     got, want = reduction._split(inst), reference_split(inst)
     n = inst.graph.vertex_count
     assert got.mass.tolist() == want.mass
-    assert got.placed == want.placed
+    placed: list[list[tuple[int, float]]] = [[] for _ in inst.points]
+    for i, w in zip(got.live.tolist(), got.site.tolist()):
+        placed[int(inst.owner[i])].append((w, float(inst.table.prob[i])))
+    assert placed == want.placed
     assert [got.origin(v) for v in range(n, len(got.mass))] == want.cut_points
     assert [
         (got.u[i], got.v[i], got.length[i], [got.oriented(i, int(got.u[i]))])
@@ -587,7 +621,7 @@ def assert_same_reduction(got, want):
     """Same identity flag, vertex origins and points, and the same edges as
     endpoint pairs with lengths within 1e-12 relative."""
     assert got.identity == want.identity
-    assert got.vertex_origin == want.vertex_origin
+    assert refs.vertex_origin(got) == want.vertex_origin
     assert got.reduced.points == want.reduced.points
 
     def edges(red):
@@ -771,21 +805,23 @@ def assert_lifts_match_the_tables(red):
     if red.identity:
         return
     rg = red.reduced.graph
+    origin, paths = refs.vertex_origin(red), refs.edge_paths(red)
     for x in range(rg.vertex_count):
-        assert red.lift_point(rg.vertex_point(x)) == red.vertex_origin[x]
+        assert red.lift_point(rg.vertex_point(x)) == origin[x]
     for k in range(rg.edge_count):
         _, _, total = rg.edge(k)
         for f in (0.0, 1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3, 1.0):
             p = GraphPoint(k, f * total)
             v = rg.point_on_vertex(p)
-            want = red.vertex_origin[v] if v is not None else _table_lift(red, p)
+            want = origin[v] if v is not None else _table_lift(red, paths[p.edge], p)
             assert red.lift_point(p) == want
 
 
-def _table_lift(red, p: GraphPoint) -> GraphPoint:
-    """Lift an interior point by walking its edge's row of ``edge_paths``."""
+def _table_lift(red, path, p: GraphPoint) -> GraphPoint:
+    """Lift an interior point by walking ``path``, its edge's row of
+    ``edge_paths``."""
     walked = 0.0
-    for eid, a, b in red.edge_paths[p.edge]:
+    for eid, a, b in path:
         span = abs(b - a)
         if p.t <= walked + span + reduction._SNAP:
             frac = min(max(p.t - walked, 0.0), span)

@@ -19,11 +19,21 @@ from conftest import (
 )
 import references as refs
 from ucactus.errors import ValidationError
-from ucactus.graph import CYCLE, HINGE, VERTEX, GraphPoint, point_distance, validate_cactus
+from ucactus.graph import (
+    CYCLE,
+    HINGE,
+    VERTEX,
+    GraphPoint,
+    check_point,
+    point_distance,
+    validate_cactus,
+)
 from ucactus.io import parse_instance
+from ucactus.optimizer import solve
 from ucactus.plf import cycle_profiles
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
+    PROB_EPS,
     Location,
     UncertainPoint,
     build_instance,
@@ -117,6 +127,98 @@ def test_rejects_an_eps_that_is_not_finite_and_positive(eps):
         )
 
 
+def reference_point_checks(graph, points) -> None:
+    """The per-point loop that the column checks of ``build_instance``
+    replaced: it raises on the first faulty point, each point's checks in
+    the order label, weight, locations, then each location's probability
+    and place, then the probability sum."""
+    if not points:
+        raise ValidationError("instance needs at least one uncertain point")
+    labels = set()
+    for p in points:
+        if p.label in labels:
+            raise ValidationError(f"duplicate point label {p.label!r}")
+        labels.add(p.label)
+        if not math.isfinite(p.weight):
+            raise ValidationError(f"point {p.label!r} has non-finite weight {p.weight}")
+        if p.weight < 0:
+            raise ValidationError(f"point {p.label!r} has negative weight")
+        if not p.locations:
+            raise ValidationError(f"point {p.label!r} has no locations")
+        total = 0.0
+        for loc in p.locations:
+            if not 0.0 <= loc.prob <= 1.0:
+                raise ValidationError(f"point {p.label!r}: probability {loc.prob}")
+            if loc.is_vertex:
+                if not 0 <= loc.place < graph.vertex_count:
+                    raise ValidationError(f"point {p.label!r}: no vertex {loc.place}")
+            else:
+                check_point(graph, loc.place)
+            total += loc.prob
+        if abs(total - 1.0) > PROB_EPS:
+            raise ValidationError(f"point {p.label!r}: probabilities sum to {total!r}, not 1")
+
+
+_POINT_FAULTS = (
+    "label", "weight", "locations", "prob", "vertex", "edge", "offset", "sentinel", "sum",
+)
+
+
+def _with_fault(inst, rng, points):
+    """``points`` with one fault of a random kind at a random place."""
+    g = inst.graph
+    k = rng.randrange(len(points))
+    p = points[k]
+    locs = list(p.locations)
+    fault = rng.choice(_POINT_FAULTS if locs else _POINT_FAULTS[:3])
+    i = rng.randrange(len(locs)) if locs else None
+    if fault == "label" and len(points) > 1:
+        p = UncertainPoint(points[(k + 1) % len(points)].label, p.weight, p.locations)
+    elif fault == "weight":
+        p = UncertainPoint(p.label, rng.choice([-1.0, math.nan, math.inf]), p.locations)
+    elif fault == "locations":
+        p = UncertainPoint(p.label, p.weight, ())
+    elif fault == "prob":
+        locs[i] = Location(locs[i].place, rng.choice([-0.25, 1.5, math.nan]))
+    elif fault == "vertex":
+        locs[i] = Location(rng.choice([-1, g.vertex_count]), locs[i].prob)
+    elif fault == "edge":
+        locs[i] = Location(GraphPoint(g.edge_count + 2, 0.5), locs[i].prob)
+    elif fault == "offset":
+        e = edge_row(g, rng.randrange(g.edge_count))
+        locs[i] = Location(GraphPoint(e.id, rng.choice([-1.0, e.length + 1.0])), locs[i].prob)
+    elif fault == "sentinel":
+        locs[i] = Location(GraphPoint(-1, 0.0), locs[i].prob)
+    elif fault == "sum":
+        locs[i] = Location(locs[i].place, 0.5 * locs[i].prob)
+    if fault not in ("label", "weight", "locations"):
+        p = UncertainPoint(p.label, p.weight, tuple(locs))
+    return points[:k] + [p] + points[k + 1 :]
+
+
+def test_column_checks_raise_as_the_per_point_loop():
+    raised = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = draw_case(seed, max_vertices=8, edge_locations=True)
+        points = list(inst.points)
+        for _ in range(rng.randint(1, 3)):
+            points = _with_fault(inst, rng, points)
+        try:
+            reference_point_checks(inst.graph, points)
+        except ValidationError as exc:
+            want = exc
+        else:
+            build_instance(inst.graph, points)
+            continue
+        with pytest.raises(ValidationError) as got:
+            build_instance(inst.graph, points)
+        assert type(got.value) is type(want), seed
+        assert str(got.value) == str(want), seed
+        raised.add(str(want).split(" ", 2)[-1][:12])
+    assert len(raised) >= 8
+
+
 # ---------------------------------------------------------------------------
 # expected distance and the two-center objective
 
@@ -138,6 +240,57 @@ def test_expected_distances_match_single_queries():
         vec = expected_distances(inst, q)
         for k in range(inst.n):
             assert vec[k] == pytest.approx(expected_distance(inst, k, q), abs=1e-9)
+
+
+def _assert_priced_as_the_reference(inst, queries):
+    """``expected_distances``, ``expected_distance`` and ``objective`` are
+    ``==`` to the location-by-location reference at every query."""
+    want = {q: [refs.priced(inst, q, k) for k in range(inst.n)] for q in queries}
+    for q in queries:
+        assert expected_distances(inst, q).tolist() == want[q], q
+        assert [expected_distance(inst, k, q) for k in range(inst.n)] == want[q], q
+    for q1, q2 in zip(queries, queries[1:] + queries[:1]):
+        worst = np.max(inst.weights * np.minimum(want[q1], want[q2]))
+        assert objective(inst, q1, q2) == float(worst)
+
+
+def test_pricing_matches_the_location_loop():
+    on_own_edge = 0
+    for seed in range(40):
+        inst = draw_case(seed, edge_locations=True)
+        g = inst.graph
+        rng = random.Random(seed)
+        queries = [g.vertex_point(v) for v in range(g.vertex_count)]
+        for e in edge_rows(g):
+            # both ends of every edge, and a point inside it
+            queries += [GraphPoint(e.id, 0.0), GraphPoint(e.id, e.length)]
+            queries.append(GraphPoint(e.id, rng.uniform(0.0, e.length)))
+        for p in inst.points:
+            for loc in p.locations:
+                if not loc.is_vertex:
+                    # on the location itself, and elsewhere on its edge
+                    at = loc.place
+                    queries += [at, GraphPoint(at.edge, 0.5 * at.t)]
+                    on_own_edge += 1
+        _assert_priced_as_the_reference(inst, queries)
+    assert on_own_edge > 50
+
+
+def test_pricing_on_the_lone_vertex():
+    g = validate_cactus(["solo"], [])
+    inst = build_instance(
+        g,
+        [
+            UncertainPoint("P", 2.0, (Location(0, 1.0),)),
+            # the sentinel point is the lone vertex
+            UncertainPoint("Q", 1.0, (Location(GraphPoint(-1, 0.0), 1.0),)),
+        ],
+    )
+    assert inst.is_vertex_constrained
+    _assert_priced_as_the_reference(inst, [GraphPoint(-1, 0.0)])
+    assert expected_distances(inst, GraphPoint(-1, 0.0)).tolist() == [0.0, 0.0]
+    # the reduction once read the sentinel as an edge and failed
+    assert solve(inst).value == 0.0
 
 
 def _matrix_distance(g, p, q):
