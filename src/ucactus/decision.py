@@ -7,6 +7,8 @@ center must move.  A boundary flag marks the node separating the region still
 being searched from territory delegated to the other center; terminals then
 verify candidate configurations globally, so a "feasible" verdict is always
 backed by an explicit pair of centers.
+Every single-center question (``coverage_witness``, ``decide_on_edge``,
+``one_center``) reads the linear pieces of :mod:`ucactus.plf`.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from ucactus.plf import (
     coverage_set,
     crossings,
     cycle_profiles,
-    intersect_families,
-    stab_one,
+    pieces,
     stab_two,
+    sublevel,
 )
 from ucactus.uncertain import (
     ComponentSums,
@@ -196,9 +198,9 @@ def coverage_witness(
 ) -> GraphPoint | None:
     """A position serving every point of ``subset`` within ``lam``, or None.
 
-    Checked edge by edge; expected distance is affine along out-of-cycle
-    edges and piecewise linear around cycles, so interval intersection is
-    exact.
+    Expected distance is linear along bridges and cycle pieces, so this is
+    exact: the leftmost position of the first piece, bridges before
+    cycles, where every point's sublevel part meets the others.
     """
     idx = np.asarray(list(subset), dtype=int)
     g = inst.graph
@@ -217,35 +219,31 @@ def coverage_witness(
         return g.vertex_point(0) if np.all(edv[0, idx] <= thr) else None
 
     bid = g.bridges
-    if bid.size:
-        bu, bv, bl = g.u[bid], g.v[bid], g.length[bid]
-        y0 = edv[np.ix_(bu, idx)]
-        slope = (edv[np.ix_(bv, idx)] - y0) / bl[:, None]
-        span = thr[None, :] - y0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = span / slope
-        lo = np.maximum(np.where(slope < 0.0, cross, 0.0).max(axis=1), 0.0)
-        hi = np.minimum(np.where(slope > 0.0, cross, np.inf), bl[:, None]).min(
-            axis=1
-        )
-        ok = (lo <= hi) & ~((slope == 0.0) & (span < 0.0)).any(axis=1)
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            e = int(hit[0])
-            return GraphPoint(int(bid[e]), float(lo[e]))
+    y0, y1 = edv[np.ix_(g.u[bid], idx)], edv[np.ix_(g.v[bid], idx)]
+    hit = _first_common(0.0, g.length[bid, None], y0, y1, thr)
+    if hit is not None:
+        return GraphPoint(int(bid[hit[0]]), hit[1])
 
     for cyc in g.cycles.cycles:
         # a point whose minimum over the whole ring misses the threshold
-        # has an empty coverage set there, so the intersection is empty too
+        # has no sublevel part there, so no piece can serve the subset
         floor = _cycle_floor(inst, cyc.id)
         if np.any(inst.weights[idx] * floor[idx] > lam + tol):
             continue
         xs, ys = cycle_profiles(inst, cyc.id)
-        fams = coverage_set(xs, ys[:, idx], w, lam, inst.eps)
-        common = intersect_families(fams)
-        if common:
-            return cyc.coord_point(g, common[0][0])
+        hit = _first_common(xs[:-1, None], xs[1:, None], ys[:-1, idx], ys[1:, idx], thr)
+        if hit is not None:
+            return cyc.coord_point(g, hit[1])
     return None
+
+
+def _first_common(x0, x1, y0, y1, thr) -> tuple[int, float] | None:
+    """The first piece row where every column's sublevel part meets the
+    others, with the leftmost position they share, or None."""
+    a, b, keep = sublevel(x0, x1, y0, y1, thr)
+    lo = a.max(axis=1)
+    at = np.flatnonzero(keep.all(axis=1) & (lo <= b.min(axis=1)))
+    return (int(at[0]), float(lo[at[0]])) if at.size else None
 
 
 def _cycle_floor(inst: Instance, cycle_id: int) -> np.ndarray:
@@ -285,7 +283,6 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
     if g.cycles.edge_cycle[edge] >= 0:
         raise InternalInvariantError("edge terminal on a cycle edge")
     tol = _tol(inst, lam)
-    peps = inst.eps
     tree = g.skeleton
     # mass on the u side once the edge is cut
     side_u = component_mass(inst, tree.node_of_vertex[v], tree.node_of_vertex[u])
@@ -293,19 +290,16 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
     y0 = inst.weights * inst.ed_at_vertices[u]
     y1 = inst.weights * inst.ed_at_vertices[v]
     slope = (y1 - y0) / length
+    # a center for the majority on the u side sits as near v as their reach
+    # allows, one for the v side as near u; points that no position on the
+    # edge reaches fall to the residual
+    a, b, _ = sublevel(0.0, length, y0, y1, lam + tol)
+    heavy = side_u >= 0.5 - inst.eps
+    for_u = np.min(b[heavy & (y0 <= lam + tol)], initial=length)
+    heavy = 1.0 - side_u >= 0.5 - inst.eps
+    for_v = np.max(a[heavy & (y1 <= lam + tol)], initial=0.0)
 
-    for from_u in (True, False):
-        heavy = side_u >= 0.5 - peps if from_u else 1.0 - side_u >= 0.5 - peps
-        t = length if from_u else 0.0
-        for k in np.flatnonzero(heavy):
-            # the on-edge center stays within this majority point's reach;
-            # points unreachable anywhere on the edge fall to the residual
-            if from_u:
-                if slope[k] > 0 and y0[k] <= lam + tol:
-                    t = min(t, (lam + tol - y0[k]) / slope[k])
-            else:
-                if slope[k] < 0 and y1[k] <= lam + tol:
-                    t = max(t, length + (lam + tol - y1[k]) / slope[k])
+    for t in (for_u, for_v):
         t = float(np.clip(t, 0.0, length))
         at_t = y0 + slope * t
         # double slack: t sits on a tolerance boundary, so re-evaluation
@@ -336,12 +330,9 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
     if all(arcs):
         hit = stab_two(arcs)
         if hit is not None:
+            x, y = hit[0], hit[0] if hit[1] is None else hit[1]
             return Verdict(
-                True,
-                (
-                    cyc.coord_point(inst.graph, hit[0]),
-                    cyc.coord_point(inst.graph, hit[1]),
-                ),
+                True, (cyc.coord_point(inst.graph, x), cyc.coord_point(inst.graph, y))
             )
     xs, ys = cycle_profiles(inst, cyc.id)
     tol = _tol(inst, lam)
@@ -387,19 +378,13 @@ def decide_on_two_cycles(
     tree = g.skeleton
     cyc1 = g.cycles.cycles[tree.ref[node1]]
     cyc2 = g.cycles.cycles[tree.ref[node2]]
-    arcs1 = _cycle_arcs(inst, cyc1.id, lam)
-    alone = stab_one(arcs1)
-    if alone is not None:
-        p1 = cyc1.coord_point(g, alone)
-        return Verdict(True, (p1, p1))
-    # no center on the first cycle serves everyone alone, so the stab
-    # returns a true pair
-    hit = stab_two(arcs1, _cycle_arcs(inst, cyc2.id, lam))
+    hit = stab_two(_cycle_arcs(inst, cyc1.id, lam), _cycle_arcs(inst, cyc2.id, lam))
     if hit is None:
         return Verdict(False)
-    return Verdict(
-        True, (cyc1.coord_point(g, hit[0]), cyc2.coord_point(g, hit[1]))
-    )
+    p1 = cyc1.coord_point(g, hit[0])
+    # no second position: the first serves every point alone
+    p2 = p1 if hit[1] is None else cyc2.coord_point(g, hit[1])
+    return Verdict(True, (p1, p2))
 
 
 # ---------------------------------------------------------------------------
@@ -420,44 +405,19 @@ def one_center(inst: Instance) -> tuple[GraphPoint, float]:
     g = inst.graph
     if not np.any(weights > 0) or not g.edge_count:
         return g.vertex_point(0), 0.0
-    best: tuple[float, GraphPoint] | None = None
-
-    for e in g.bridges.tolist():
-        u, v, length = g.edge(e)
-        y0 = weights * inst.ed_at_vertices[u]
-        y1 = weights * inst.ed_at_vertices[v]
-        ts = _envelope_candidates(y0, y1, length)
-        env = np.max(
-            y0[None, :] + (ts[:, None] / length) * (y1 - y0)[None, :], axis=1
-        )
+    # the upper envelope of a piece's linear bundle attains its minimum at
+    # a piece end or at a crossing of two profiles
+    p = pieces(inst)
+    best: tuple[float, int, float] | None = None
+    for row, length in enumerate(p.length.tolist()):
+        y0, y1 = weights * p.y0[row], weights * p.y1[row]
+        ts = np.concatenate([[0.0, length], crossings(y0, y1)[0] * length])
+        env = np.max(y0[None, :] + (ts[:, None] / length) * (y1 - y0)[None, :], axis=1)
         i = int(np.argmin(env))
         if best is None or env[i] < best[0]:
-            best = (float(env[i]), GraphPoint(e, float(ts[i])))
-
-    for cyc in g.cycles.cycles:
-        xs, ys = cycle_profiles(inst, cyc.id)
-        ys = ys * weights
-        for i in range(len(xs) - 1):
-            if xs[i + 1] <= xs[i]:
-                continue
-            ts = _envelope_candidates(ys[i], ys[i + 1], xs[i + 1] - xs[i])
-            frac = ts[:, None] / (xs[i + 1] - xs[i])
-            env = np.max(ys[i][None, :] + frac * (ys[i + 1] - ys[i])[None, :], axis=1)
-            j = int(np.argmin(env))
-            if best is None or env[j] < best[0]:
-                best = (
-                    float(env[j]),
-                    cyc.coord_point(g, float(xs[i] + ts[j])),
-                )
-
+            best = (float(env[i]), row, float(ts[i]))
     assert best is not None
-    return best[1], best[0]
-
-
-def _envelope_candidates(y0: np.ndarray, y1: np.ndarray, length: float) -> np.ndarray:
-    """Offsets where the upper envelope of the affine bundle can attain its
-    minimum: segment ends plus every pairwise crossing."""
-    return np.concatenate([[0.0, length], crossings(y0, y1)[0] * length])
+    return p.point(inst, best[1], best[2]), best[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 with the decision procedure, starting from the lower bound.
 
 The optimum is a weighted expected distance realised somewhere specific: at
-a point's median value, at a vertex, at a cycle profile breakpoint, or at a
-crossing of two point profiles on one bridge edge or cycle piece.  Every
-point costs at least its weighted median value, so the largest of these,
-L, bounds the optimum from below and often attains it.  Otherwise the
-search bisects the sorted base values (medians, vertex and breakpoint
-values) above L for a bracket (down, up] with ``down`` infeasible and
+a point's median value, at an end of a piece of :func:`ucactus.plf.pieces`
+(a vertex or a cycle breakpoint), or at a crossing of two point profiles
+on one piece.  Every point costs at least its weighted median value, so
+the largest of these, L, bounds the optimum from below and often attains
+it.  Otherwise the search bisects the sorted base values (medians and
+piece ends) above L for a bracket (down, up] with ``down`` infeasible and
 ``up`` feasible, and then bisects the crossings inside the bracket.
 Feasibility is monotone in the radius, so no region has to be located
 first, and the decision at the optimum supplies the witness centers.
@@ -22,7 +22,7 @@ import numpy as np
 from ucactus.decision import Verdict, decide
 from ucactus.errors import InternalInvariantError
 from ucactus.graph import GraphPoint
-from ucactus.plf import crossings, cycle_profiles
+from ucactus.plf import crossings, pieces
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import Instance, expected_distances, median_values
 
@@ -57,27 +57,18 @@ def find_critical_pair(inst: Instance) -> FindResult:
 
 def _base_values(inst: Instance) -> np.ndarray:
     """Values the optimum can take regardless of where the centers sit:
-    median values, vertex values, and cycle breakpoint values."""
-    vals = [[0.0], inst.weights * median_values(inst)]
-    vals.append((inst.ed_at_vertices * inst.weights).ravel())
-    for cyc in inst.graph.cycles.cycles:
-        vals.append((cycle_profiles(inst, cyc.id)[1] * inst.weights).ravel())
-    return np.concatenate(vals)
+    median values and the weighted values at every piece end, which are
+    the vertex and cycle breakpoint values."""
+    y0, y1 = _segments(inst)
+    medians = inst.weights * median_values(inst)
+    return np.concatenate([[0.0], medians, y0.ravel(), y1.ravel()])
 
 
 def _segments(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Both ends of every point's weighted profile along every bridge edge
-    and every cycle piece between breakpoints, one row per edge or piece;
-    each profile is linear in between."""
-    g = inst.graph
-    ys = inst.ed_at_vertices * inst.weights
-    starts = [ys[g.u[g.bridges]]]
-    ends = [ys[g.v[g.bridges]]]
-    for cyc in g.cycles.cycles:
-        prof = cycle_profiles(inst, cyc.id)[1] * inst.weights
-        starts.append(prof[:-1])
-        ends.append(prof[1:])
-    return np.concatenate(starts), np.concatenate(ends)
+    """Both ends of every point's weighted profile along every piece of the
+    piece table, one row per piece; each profile is linear in between."""
+    p = pieces(inst)
+    return p.y0 * inst.weights, p.y1 * inst.weights
 
 
 def candidate_values(inst: Instance, down: float, up: float) -> np.ndarray:

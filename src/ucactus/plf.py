@@ -1,22 +1,24 @@
-"""Expected-distance profiles around cycles, their coverage intervals, and
-interval stabbing.
+"""Linear pieces of the expected-distance profiles, their sublevel parts,
+and interval stabbing.
 
+Every point's profile is linear along each bridge and each cycle piece,
+the stretch between two breakpoints (a ring vertex or a ring vertex's
+antipode).  :func:`pieces` lists those stretches as one table, and every
+single-center question reads one :func:`sublevel` pass over piece rows.
 A cycle's profiles are one matrix: every point's expected distance sampled
-at the cycle's shared breakpoints.  A probe turns that matrix into every
-point's coverage intervals at a radius in one array pass, with no loop over
-points or pieces.
-
-Every stabbing question reads one cell matrix over the sorted distinct
-interval endpoints: which family covers each endpoint and each open gap
-between two endpoints.
+at the cycle's shared breakpoints.  Every stabbing question reads one cell
+matrix over the sorted distinct interval endpoints: which family covers
+each endpoint and each open gap between two endpoints.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ucactus.graph import GraphPoint
 from ucactus.uncertain import Instance, ring_mixture
 
 # There is one kernel, in pure Python; the benchmark's env line still reads
@@ -72,6 +74,58 @@ def crossings(y0: np.ndarray, y1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fr, a + (y1[..., i][hit] - a) * fr
 
 
+def sublevel(
+    x0: np.ndarray, x1: np.ndarray, y0: np.ndarray, y1: np.ndarray, thr
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where linear profiles stay at or below ``thr``: for every cell, rows
+    being pieces and columns points, from ``(x0, y0)`` to ``(x1, y1)``, the
+    ends ``(a, b)`` of its sublevel part and whether it has one.  An end
+    within ``thr`` is ``x0`` or ``x1`` itself, the other is cut where the
+    profile meets ``thr``."""
+    lo_in, hi_in = y0 <= thr, y1 <= thr
+    with np.errstate(all="ignore"):  # cells off a crossing are discarded
+        cut = x0 + (thr - y0) * (x1 - x0) / (y1 - y0)
+    return np.where(lo_in, x0, cut), np.where(hi_in, x1, cut), lo_in | hi_in
+
+
+@dataclass(frozen=True, slots=True)
+class Pieces:
+    """Every bridge, then every cycle's pieces in ring order, one row each:
+    each point's unweighted values at the row's two ends (``y0``, ``y1``),
+    its length, and where it lies: a bridge ``edge`` id, or a ``cycle`` id
+    and the arc coordinate ``start`` where it begins (-1 and 0 elsewhere)."""
+
+    y0: np.ndarray
+    y1: np.ndarray
+    length: np.ndarray
+    edge: np.ndarray
+    cycle: np.ndarray
+    start: np.ndarray
+
+    def point(self, inst: Instance, row: int, t: float) -> GraphPoint:
+        """The position ``t`` along piece ``row``."""
+        g = inst.graph
+        if self.edge[row] >= 0:
+            return GraphPoint(int(self.edge[row]), t)
+        cyc = g.cycles.cycles[self.cycle[row]]
+        return cyc.coord_point(g, float(self.start[row] + t))
+
+
+def pieces(inst: Instance) -> Pieces:
+    """The piece table of a vertex-constrained instance."""
+    g, edv, bid = inst.graph, inst.ed_at_vertices, inst.graph.bridges
+    prof = [cycle_profiles(inst, cyc.id) for cyc in g.cycles.cycles]
+    sizes = [xs.size - 1 for xs, _ in prof]
+    return Pieces(
+        np.concatenate([edv[g.u[bid]], *(ys[:-1] for _, ys in prof)]),
+        np.concatenate([edv[g.v[bid]], *(ys[1:] for _, ys in prof)]),
+        np.concatenate([g.length[bid], *(np.diff(xs) for xs, _ in prof)]),
+        np.concatenate([bid, np.full(sum(sizes), -1)]),
+        np.repeat(np.arange(-1, len(prof)), [bid.size, *sizes]),
+        np.concatenate([np.zeros(bid.size), *(xs[:-1] for xs, _ in prof)]),
+    )
+
+
 def coverage_set(
     xs: np.ndarray, ys: np.ndarray, weights: np.ndarray, lam: float, eps: float
 ) -> list[list[Interval]]:
@@ -88,16 +142,8 @@ def coverage_set(
     free = weights == 0.0  # weightless points cost nothing anywhere
     thr = slack / np.where(free, 1.0, weights)
     x0, x1 = xs[:-1, None], xs[1:, None]
-    y0, y1 = ys[:-1], ys[1:]
-    lo_in, hi_in = y0 <= thr, y1 <= thr
-    up = lo_in & (thr < y1)  # leaves the sublevel set inside the piece
-    down = hi_in & (thr < y0)  # enters it inside the piece
-    both = lo_in & hi_in
-    with np.errstate(all="ignore"):  # cells off a crossing are discarded
-        cut = x0 + (thr - y0) * (x1 - x0) / (y1 - y0)
-    a = np.where(both | up, x0, cut)
-    b = np.where(both | down, x1, cut)
-    keep = (both | up | down) & (x1 > x0) & ~free
+    a, b, keep = sublevel(x0, x1, ys[:-1], ys[1:], thr)
+    keep &= (x1 > x0) & ~free
 
     # A piece joins the running interval when it starts at or before the
     # running interval's end.  Cuts land at most an ulp past their piece, and
@@ -160,7 +206,7 @@ def stab_one(sets: Sequence[Sequence[Interval]]) -> float | None:
 def stab_two(
     sets: Sequence[Sequence[Interval]],
     other: Sequence[Sequence[Interval]] | None = None,
-) -> tuple[float, float] | None:
+) -> tuple[float, float | None] | None:
     """Two positions jointly hitting every family, or None.
 
     Family ``k`` is hit when the first position lies in ``sets[k]`` or the
@@ -169,7 +215,8 @@ def stab_two(
     it and a second left onto an endpoint, so the first ranges over the
     close endpoints of ``sets`` in order, the second over the endpoints of
     ``other``.  The first close endpoint that works wins, with the leftmost
-    second position, or itself when it hits every family alone.
+    second position, or with None in its place when the first position
+    hits every family alone.
     """
     other = sets if other is None else other
     assert len(other) == len(sets)
@@ -188,7 +235,7 @@ def stab_two(
         row, col = np.nonzero(~fail)
         if row.size:
             x = float(firsts[lo + row[0]])
-            return (x, x) if col[0] == 0 else (x, float(ys[col[0] - 1]))
+            return (x, None) if col[0] == 0 else (x, float(ys[col[0] - 1]))
     return None
 
 

@@ -366,15 +366,14 @@ def _chains(split: _Split, live: np.ndarray, survivor: np.ndarray, root: int) ->
     edges = ids[heads[by][k] + np.where(onward[k], step, sizes[k] - 1 - step)]
     entered = np.where(onward[k], enter[edges], leave[edges])
     last = start[1:] - 1
-    runs = split.length[edges].tolist()
     return _Chains(
         np.flatnonzero(survivor),
         edges,
         entered,
         start,
         (entered[start[:-1]], u[edges[last]] + v[edges[last]] - entered[last]),
-        # summed in walk order
-        np.array([sum(runs[a:b]) for a, b in zip(start[:-1].tolist(), start[1:].tolist())]),
+        # bincount adds each chain's lengths in walk order
+        np.bincount(k, split.length[edges], len(by)),
     )
 
 

@@ -1,9 +1,11 @@
 """Reference versions of what the package computes in array passes,
 written as loops over Python objects one item at a time: the skeleton tree
 as node and link lists and the quantities read off it, a query point's
-expected distances priced location by location, and the whole map from a
-reduced graph back to the original one.  The tests check that both give
-the same tree, masses, expected distances, centroids and lifts."""
+expected distances priced location by location, the whole map from a
+reduced graph back to the original one, and the single-center questions
+asked edge by edge and piece by piece.  The tests check that both give the
+same tree, masses, expected distances, centroids, lifts, witnesses,
+terminal verdicts, 1-centers and base values."""
 
 from __future__ import annotations
 
@@ -12,7 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ucactus.decision import Verdict
 from ucactus.graph import CYCLE, HINGE, VERTEX, GraphPoint, distance_via
+from ucactus.plf import coverage_set, crossings, cycle_profiles, intersect_families
+from ucactus.uncertain import component_mass, median_values
 
 KIND = {"vertex": VERTEX, "hinge": HINGE, "cycle": CYCLE}
 
@@ -269,3 +274,131 @@ def edge_paths(red) -> list[list[tuple[int, float, float]]]:
     c, oriented = red._chains, red._split.oriented
     runs = list(map(oriented, c.edges.tolist(), c.enter.tolist()))
     return [runs[a:b] for a, b in zip(c.start[:-1].tolist(), c.start[1:].tolist())]
+
+
+# ---------------------------------------------------------------------------
+# single-center questions, edge by edge and piece by piece
+
+
+def _tol(inst, lam: float) -> float:
+    return inst.eps * max(1.0, abs(lam))
+
+
+def coverage_witness(inst, subset, lam: float) -> GraphPoint | None:
+    """A position serving every point of ``subset`` within ``lam``, or None:
+    each bridge's reach from the slopes of its profiles, then each cycle's
+    coverage sets intersected as interval families."""
+    idx = np.asarray(list(subset), dtype=int)
+    g = inst.graph
+    if idx.size == 0:
+        return g.vertex_point(0)
+    tol = _tol(inst, lam)
+    w = inst.weights[idx]
+    thr = np.where(
+        w > 0.0,
+        (lam + tol) / np.where(w > 0.0, w, 1.0),
+        np.inf if lam + tol >= 0.0 else -np.inf,
+    )
+    edv = inst.ed_at_vertices
+    if not g.edge_count:
+        return g.vertex_point(0) if np.all(edv[0, idx] <= thr) else None
+
+    bid = g.bridges
+    if bid.size:
+        bu, bv, bl = g.u[bid], g.v[bid], g.length[bid]
+        y0 = edv[np.ix_(bu, idx)]
+        slope = (edv[np.ix_(bv, idx)] - y0) / bl[:, None]
+        span = thr[None, :] - y0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = span / slope
+        lo = np.maximum(np.where(slope < 0.0, cross, 0.0).max(axis=1), 0.0)
+        hi = np.minimum(np.where(slope > 0.0, cross, np.inf), bl[:, None]).min(axis=1)
+        ok = (lo <= hi) & ~((slope == 0.0) & (span < 0.0)).any(axis=1)
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            e = int(hit[0])
+            return GraphPoint(int(bid[e]), float(lo[e]))
+
+    for cyc in g.cycles.cycles:
+        xs, ys = cycle_profiles(inst, cyc.id)
+        if np.any(inst.weights[idx] * ys.min(axis=0)[idx] > lam + tol):
+            continue
+        common = intersect_families(coverage_set(xs, ys[:, idx], w, lam, inst.eps))
+        if common:
+            return cyc.coord_point(g, common[0][0])
+    return None
+
+
+def decide_on_edge(inst, edge: int, lam: float) -> Verdict:
+    """The edge terminal with its push computed point by point: each
+    majority point on the far side caps how far the on-edge center moves
+    toward it, and the rest go to :func:`coverage_witness`."""
+    g = inst.graph
+    u, v, length = g.edge(edge)
+    tol = _tol(inst, lam)
+    tree = g.skeleton
+    side_u = component_mass(inst, tree.node_of_vertex[v], tree.node_of_vertex[u])
+    y0 = inst.weights * inst.ed_at_vertices[u]
+    y1 = inst.weights * inst.ed_at_vertices[v]
+    slope = (y1 - y0) / length
+    for from_u in (True, False):
+        heavy = side_u >= 0.5 - inst.eps if from_u else 1.0 - side_u >= 0.5 - inst.eps
+        t = length if from_u else 0.0
+        for k in np.flatnonzero(heavy):
+            if from_u:
+                if slope[k] > 0 and y0[k] <= lam + tol:
+                    t = min(t, (lam + tol - y0[k]) / slope[k])
+            else:
+                if slope[k] < 0 and y1[k] <= lam + tol:
+                    t = max(t, length + (lam + tol - y1[k]) / slope[k])
+        t = float(np.clip(t, 0.0, length))
+        rest = np.flatnonzero(y0 + slope * t > lam + 2.0 * tol)
+        if rest.size == 0:
+            here = GraphPoint(edge, t)
+            return Verdict(True, (here, here))
+        other = coverage_witness(inst, rest, lam)
+        if other is not None:
+            return Verdict(True, (GraphPoint(edge, t), other))
+    return Verdict(False)
+
+
+def one_center(inst) -> tuple[GraphPoint, float]:
+    """The exact weighted 1-center of a vertex-constrained instance from
+    two loops: every bridge, then every cycle piece, each trying its ends
+    and every crossing of two weighted profiles."""
+    weights = inst.weights
+    g = inst.graph
+    if not np.any(weights > 0) or not g.edge_count:
+        return g.vertex_point(0), 0.0
+    best = None
+    for e in g.bridges.tolist():
+        u, v, length = g.edge(e)
+        y0 = weights * inst.ed_at_vertices[u]
+        y1 = weights * inst.ed_at_vertices[v]
+        ts = np.concatenate([[0.0, length], crossings(y0, y1)[0] * length])
+        env = np.max(y0[None, :] + (ts[:, None] / length) * (y1 - y0)[None, :], axis=1)
+        i = int(np.argmin(env))
+        if best is None or env[i] < best[0]:
+            best = (float(env[i]), GraphPoint(e, float(ts[i])))
+    for cyc in g.cycles.cycles:
+        xs, ys = cycle_profiles(inst, cyc.id)
+        ys = ys * weights
+        for i in range(len(xs) - 1):
+            length = xs[i + 1] - xs[i]
+            ts = np.concatenate([[0.0, length], crossings(ys[i], ys[i + 1])[0] * length])
+            frac = ts[:, None] / length
+            env = np.max(ys[i][None, :] + frac * (ys[i + 1] - ys[i])[None, :], axis=1)
+            j = int(np.argmin(env))
+            if best is None or env[j] < best[0]:
+                best = (float(env[j]), cyc.coord_point(g, float(xs[i] + ts[j])))
+    return best[1], best[0]
+
+
+def base_values(inst) -> np.ndarray:
+    """Median values, every vertex's weighted values, and every cycle
+    profile's weighted values at its breakpoints."""
+    vals = [[0.0], inst.weights * median_values(inst)]
+    vals.append((inst.ed_at_vertices * inst.weights).ravel())
+    for cyc in inst.graph.cycles.cycles:
+        vals.append((cycle_profiles(inst, cyc.id)[1] * inst.weights).ravel())
+    return np.concatenate(vals)

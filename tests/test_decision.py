@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import references as refs
 from conftest import draw_case, draw_many_cycles, square_instance, tri_instance
 from ucactus import decision
 from ucactus.decision import (
@@ -505,3 +506,87 @@ def test_coverage_witness_serves_exactly_when_one_center_can():
 
 def test_coverage_witness_of_nobody_is_anywhere(tri):
     assert coverage_witness(tri, [], 0.0) is not None
+
+
+def _with_flat_and_free_points(inst, rng):
+    """The draw plus a weightless point and a point split half and half
+    between two vertices, whose profile is flat along every bridge between
+    them."""
+    a, b = rng.sample(range(inst.graph.vertex_count), 2)
+    extra = [
+        UncertainPoint("free", 0.0, (Location(a, 1.0),)),
+        UncertainPoint(
+            "flat", rng.choice([0.5, 1.0, 2.0]), (Location(a, 0.5), Location(b, 0.5))
+        ),
+    ]
+    return build_instance(inst.graph, [*inst.points, *extra], inst.eps)
+
+
+def test_coverage_witness_equals_the_edge_by_edge_reference():
+    found = missed = flat = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        inst = _with_flat_and_free_points(draw_case(seed), rng)
+        g, w = inst.graph, inst.weights
+        edv = inst.ed_at_vertices
+        flat += int(np.sum(edv[g.u[g.bridges], -1] == edv[g.v[g.bridges], -1]))
+        # every weighted value at a vertex or cycle breakpoint
+        ends = [inst.ed_at_vertices] + [
+            cycle_profiles(inst, cyc.id)[1] for cyc in g.cycles.cycles
+        ]
+        ends = np.concatenate([(y * w).ravel() for y in ends]).tolist()
+        for _ in range(6):
+            subset = sorted(rng.sample(range(inst.n), rng.randint(1, inst.n)))
+            lams = [-1.0, -0.5 * inst.eps, rng.uniform(0.0, max(ends))]
+            lams += rng.sample(ends, 3)
+            for lam in lams:
+                got = coverage_witness(inst, subset, lam)
+                want = refs.coverage_witness(inst, subset, lam)
+                assert (got is None) == (want is None), (seed, subset, lam)
+                if got is None:
+                    missed += 1
+                    continue
+                found += 1
+                # a cut sits on lam + tol, and pricing it again may land an
+                # ulp above: the terminals' double slack
+                tol = inst.eps * max(1.0, abs(lam))
+                costs = w[subset] * expected_distances(inst, got)[subset]
+                assert np.all(costs <= lam + 2.0 * tol), (seed, subset, lam)
+    # 2306 witnesses, 3094 misses, 164 flat bridge cells
+    assert found >= 2000 and missed >= 2500 and flat >= 150, (found, missed, flat)
+
+
+def test_edge_terminal_equals_the_point_loop(monkeypatch):
+    calls = []
+    terminal = decision.decide_on_edge
+
+    def both(inst, edge, lam):
+        got = terminal(inst, edge, lam)
+        want = refs.decide_on_edge(inst, edge, lam)
+        assert got.feasible == want.feasible, (edge, lam)
+        calls.append(got.feasible)
+        return got
+
+    monkeypatch.setattr(decision, "decide_on_edge", both)
+    for seed in range(150):
+        inst = draw_case(seed, max_cycles=1, edge_locations=seed % 2 == 1)
+        star = solve(inst).value
+        for lam in (0.5 * star, 0.9 * star, star, 1.1 * star, 2.0 * star):
+            decide(inst, lam)
+    # 474 calls, 318 of them feasible
+    assert len(calls) >= 400 and 250 <= sum(calls) <= len(calls) - 100
+
+
+def test_one_center_equals_the_bridge_and_cycle_loops():
+    lifted = 0
+    for seed in range(80):
+        inst = draw_case(seed, edge_locations=seed % 2 == 1)
+        if inst.is_vertex_constrained:
+            want = refs.one_center(inst)
+        else:
+            red = reduce_instance(inst)
+            where, value = refs.one_center(red.reduced)
+            want = (red.lift_point(where), value)
+            lifted += 1
+        assert one_center(inst) == want, seed
+    assert lifted >= 20

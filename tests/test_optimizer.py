@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import references as refs
 from conftest import draw_case, edge_row
 from ucactus import optimizer
 from ucactus.decision import decide, one_center
@@ -129,6 +130,20 @@ def test_base_values_and_crossings_carry_the_optimum(edge_locations, draws):
         work = reduce_instance(inst).reduced
         family = np.concatenate([_base_values(work), crossings(*_segments(work))[1]])
         assert np.min(np.abs(family - star)) <= 1e-9 * max(1.0, star), seed
+
+
+def test_base_values_are_the_vertex_and_breakpoint_values():
+    # every vertex ends a piece, and a cycle's pieces end at its breakpoints
+    lone = build_instance(
+        validate_cactus(["a"], []), [UncertainPoint("P", 2.0, (Location(0, 1.0),))]
+    )
+    draws = [lone]
+    for seed in range(80):
+        inst = draw_case(seed, edge_locations=seed % 2 == 1)
+        draws.append(reduce_instance(inst).reduced)
+    for work in draws:
+        got = np.unique(_base_values(work)).tolist()
+        assert got == np.unique(refs.base_values(work)).tolist()
 
 
 def test_pruned_crossings_are_the_unpruned_ones_inside_the_bracket():

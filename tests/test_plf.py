@@ -16,10 +16,18 @@ from ucactus.plf import (
     crossings,
     cycle_profiles,
     intersect_families,
+    pieces,
     stab_one,
     stab_two,
 )
-from ucactus.uncertain import Location, UncertainPoint, build_instance, expected_distance
+from ucactus.reduction import reduce_instance
+from ucactus.uncertain import (
+    Location,
+    UncertainPoint,
+    build_instance,
+    expected_distance,
+    expected_distances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,28 @@ def test_cycle_profiles_sample_to_expected_distances():
                 x = rng.uniform(0.0, cyc.perimeter)
                 want = expected_distance(inst, k, cyc.coord_point(g, x))
                 assert np.interp(x, xs, ys[:, k]) == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the piece table
+
+
+def test_piece_rows_are_linear_between_their_ends():
+    rows = 0
+    for seed in range(40):
+        inst = reduce_instance(draw_case(seed, edge_locations=seed % 2 == 1)).reduced
+        g = inst.graph
+        p = pieces(inst)
+        # every bridge in id order, then each cycle's pieces around it
+        assert p.edge[: g.bridges.size].tolist() == g.bridges.tolist()
+        assert p.cycle.tolist() == sorted(p.cycle.tolist())
+        for row in range(p.length.size):
+            rows += 1
+            for f in (0.0, 0.3, 1.0):
+                want = expected_distances(inst, p.point(inst, row, f * p.length[row]))
+                line = p.y0[row] + f * (p.y1[row] - p.y0[row])
+                assert np.all(np.abs(line - want) <= 1e-9 * np.maximum(1.0, want))
+    assert rows >= 300
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +499,12 @@ def _grid_family(rng):
     return _disjoint([sorted((end(), end())) for _ in range(rng.randint(0, 4))])
 
 
+def _twin(hit):
+    """A stab as the terminals place it: with no second position, both
+    centers sit at the first."""
+    return hit if hit is None or hit[1] is not None else (hit[0], hit[0])
+
+
 def test_stabbing_kernel_equals_the_endpoint_sweeps():
     rng = random.Random(20261019)
     for draw in range(4000):
@@ -481,14 +517,15 @@ def test_stabbing_kernel_equals_the_endpoint_sweeps():
             other = _random_families(rng, n)
         assert stab_one(sets) == _sweep_stab_one(sets)
         assert intersect_families(sets) == _sweep_intersect(sets)
-        assert stab_two(sets) == _sweep_stab_two(sets)
-        assert stab_two(sets) == _sweep_stab_two_lists(sets, sets)
-        assert stab_two(sets, other) == _sweep_stab_two_lists(sets, other)
+        assert _twin(stab_two(sets)) == _sweep_stab_two(sets)
+        assert _twin(stab_two(sets)) == _sweep_stab_two_lists(sets, sets)
+        assert _twin(stab_two(sets, other)) == _sweep_stab_two_lists(sets, other)
 
 
 def test_stab_two_second_list_serves_what_the_first_misses():
     assert stab_two([[(0.0, 1.0)], []], [[], [(5.0, 6.0)]]) == (1.0, 5.0)
-    assert stab_two([[(0.0, 1.0)], [(0.5, 2.0)]], [[], []]) == (1.0, 1.0)
+    # the first position serves both alone: no second position
+    assert stab_two([[(0.0, 1.0)], [(0.5, 2.0)]], [[], []]) == (1.0, None)
     # no close endpoint: the first position hits nothing anywhere
     assert stab_two([[], []], [[(0.0, 2.0)], [(1.0, 3.0)]]) == (0.0, 1.0)
     assert stab_two([[], []], [[(0.0, 1.0)], [(2.0, 3.0)]]) is None

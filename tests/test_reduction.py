@@ -797,6 +797,10 @@ def assert_same_chains(inst):
     assert walks == chains
     lengths = split.length.tolist()
     assert got.length.tolist() == [sum(lengths[i] for i in chain) for _, chain in chains]
+    # the package's own walk, summed in Python as the bincount must add it
+    runs = split.length[got.edges].tolist()
+    bounds = got.start.tolist()
+    assert got.length.tolist() == [sum(runs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def assert_lifts_match_the_tables(red):
