@@ -224,16 +224,16 @@ def coverage_witness(
     if hit is not None:
         return GraphPoint(int(bid[hit[0]]), hit[1])
 
-    for cyc in g.cycles.cycles:
+    for c in range(len(g.cycles)):
         # a point whose minimum over the whole ring misses the threshold
         # has no sublevel part there, so no piece can serve the subset
-        floor = _cycle_floor(inst, cyc.id)
+        floor = _cycle_floor(inst, c)
         if np.any(inst.weights[idx] * floor[idx] > lam + tol):
             continue
-        xs, ys = cycle_profiles(inst, cyc.id)
+        xs, ys = cycle_profiles(inst, c)
         hit = _first_common(xs[:-1, None], xs[1:, None], ys[:-1, idx], ys[1:, idx], thr)
         if hit is not None:
-            return cyc.coord_point(g, hit[1])
+            return g.cycles.point(g, c, hit[1])
     return None
 
 
@@ -324,17 +324,15 @@ def _cycle_arcs(
 def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
     """Terminal for a cycle holding a center; tries both centers on the
     cycle first, then one on-cycle center with the other anywhere."""
-    tree = inst.graph.skeleton
-    cyc = inst.graph.cycles.cycles[tree.ref[node]]
-    arcs = _cycle_arcs(inst, cyc.id, lam)
+    g = inst.graph
+    c = int(g.skeleton.ref[node])
+    arcs = _cycle_arcs(inst, c, lam)
     if all(arcs):
         hit = stab_two(arcs)
         if hit is not None:
             x, y = hit[0], hit[0] if hit[1] is None else hit[1]
-            return Verdict(
-                True, (cyc.coord_point(inst.graph, x), cyc.coord_point(inst.graph, y))
-            )
-    xs, ys = cycle_profiles(inst, cyc.id)
+            return Verdict(True, (g.cycles.point(g, c, x), g.cycles.point(g, c, y)))
+    xs, ys = cycle_profiles(inst, c)
     tol = _tol(inst, lam)
     cands = sorted({0.0} | {end for fam in arcs for ab in fam for end in ab})
     seen_masks: set[frozenset[int]] = set()
@@ -344,7 +342,7 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
         # tolerance boundary
         rest = np.flatnonzero(inst.weights * yx > lam + 2.0 * tol)
         if rest.size == 0:
-            here = cyc.coord_point(inst.graph, x)
+            here = g.cycles.point(g, c, x)
             return Verdict(True, (here, here))
         mask = frozenset(rest.tolist())
         if mask in seen_masks:
@@ -352,7 +350,7 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
         seen_masks.add(mask)
         other = coverage_witness(inst, rest, lam)
         if other is not None:
-            return Verdict(True, (cyc.coord_point(inst.graph, x), other))
+            return Verdict(True, (g.cycles.point(g, c, x), other))
     return Verdict(False)
 
 
@@ -375,15 +373,13 @@ def decide_on_two_cycles(
     center's cycle, so this is one stab of the two cycles' arc families.
     """
     g = inst.graph
-    tree = g.skeleton
-    cyc1 = g.cycles.cycles[tree.ref[node1]]
-    cyc2 = g.cycles.cycles[tree.ref[node2]]
-    hit = stab_two(_cycle_arcs(inst, cyc1.id, lam), _cycle_arcs(inst, cyc2.id, lam))
+    c1, c2 = int(g.skeleton.ref[node1]), int(g.skeleton.ref[node2])
+    hit = stab_two(_cycle_arcs(inst, c1, lam), _cycle_arcs(inst, c2, lam))
     if hit is None:
         return Verdict(False)
-    p1 = cyc1.coord_point(g, hit[0])
+    p1 = g.cycles.point(g, c1, hit[0])
     # no second position: the first serves every point alone
-    p2 = p1 if hit[1] is None else cyc2.coord_point(g, hit[1])
+    p2 = p1 if hit[1] is None else g.cycles.point(g, c2, hit[1])
     return Verdict(True, (p1, p2))
 
 

@@ -10,7 +10,11 @@ the network is a ``GraphPoint``: an edge id plus an offset from the edge's
 The cycle decomposition is one depth-first search in C (scipy's
 ``depth_first_order``, which takes each vertex's edges in index order);
 the tree and the back edges are read off in array passes, with no loop
-over the levels of the tree, and each back edge closes one cycle.
+over the levels of the tree, and each back edge closes one cycle.  The
+cycles are one ring table, flat columns over every cycle's positions in
+ring order that every later stage slices.  The walk up each cycle's tree
+path is the one Python pass, once per ring vertex; the ring order, the
+orientation and the arc coordinates are array passes.
 
 The skeleton tree is a set of arrays built from one more such search,
 which roots it; every component query (what one removed node cuts off,
@@ -23,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import eq
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -249,79 +252,59 @@ def validate_edge_columns(
 # cycle decomposition
 
 
-@dataclass(slots=True)
-class Cycle:
-    """One simple cycle in ring order.
-
-    ``vertices[i]`` and ``vertices[(i+1) % c]`` are joined by ``edges[i]``;
-    ``forward[i]`` says whether that edge's ``u`` endpoint is ``vertices[i]``.
-    ``pos[i]`` is the arc coordinate of ``vertices[i]``; coordinates live in
-    ``[0, perimeter)`` increasing along the ring.
-    """
-
-    id: int
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    forward: tuple[bool, ...]
-    pos: tuple[float, ...]
-    perimeter: float
-
-    def coord_point(self, graph: CactusGraph, x: float) -> GraphPoint:
-        """The point at arc coordinate ``x``, taken modulo the perimeter."""
-        x %= self.perimeter
-        c = len(self.vertices)
-        for i in range(c):
-            end = self.pos[i + 1] if i + 1 < c else self.perimeter
-            if x <= end + _POS_EPS:
-                off = min(x - self.pos[i], end - self.pos[i])
-                length = float(graph.length[self.edges[i]])
-                t = off if self.forward[i] else length - off
-                return GraphPoint(self.edges[i], min(max(t, 0.0), length))
-        raise AssertionError("coordinate outside ring")
-
-    def ring_distances(self, at: Sequence[float] | np.ndarray) -> np.ndarray:
-        """``(len(at), c)`` distances along the ring from each arc coordinate
-        of ``at`` to every ring vertex."""
-        gaps = np.abs(np.asarray(at)[:, None] - np.array(self.pos)[None, :])
-        return np.minimum(gaps, self.perimeter - gaps)
-
-
+@dataclass(frozen=True, slots=True)
 class CycleDecomposition:
-    """The cycles, numbered in the order the search closes them, and maps
-    built on first read.  Cycle ``c``'s vertices in ring order are
-    ``ring_vertex[ring_ptr[c]:ring_ptr[c + 1]]``, and ``ring_cycle`` names
-    each position's cycle; ``edge_cycle[e]`` is the cycle of edge ``e``, -1
-    for a bridge; the cycles through vertex ``x`` are
-    ``vertex_cycles[vertex_ptr[x]:vertex_ptr[x + 1]]``, ascending."""
+    """The cycles as one ring table, numbered in the order the search closes
+    them, built by one Python walk, once per ring vertex, and array passes.
+    Cycle ``c`` holds positions ``ring(c)`` of the ring columns, from its
+    smallest vertex toward that vertex's smaller neighbour, so the order of
+    the search never shows in a coordinate.  At position ``i``,
+    ``ring_vertex[i]`` is a vertex, ``ring_edge[i]`` the edge on to the next
+    position (the last one back to the first), ``ring_forward[i]`` whether
+    its ``u`` endpoint is ``ring_vertex[i]``, ``ring_pos[i]`` the vertex's
+    arc coordinate, the ring's edge lengths added up in ring order from 0,
+    and ``ring_cycle[i]`` its cycle.  Coordinates of cycle ``c`` live in
+    ``[0, perimeter[c])``; ``edge_cycle[e]`` is the cycle of edge ``e``, -1
+    for a bridge."""
 
-    def __init__(self, cycles: list[Cycle], vertex_count: int, edge_count: int) -> None:
-        self.cycles, self.vertex_count, self.edge_count = cycles, vertex_count, edge_count
-        self.ring_ptr = np.cumsum([0] + [len(c.vertices) for c in cycles])
+    ring_ptr: np.ndarray
+    ring_vertex: np.ndarray
+    ring_edge: np.ndarray
+    ring_forward: np.ndarray
+    ring_pos: np.ndarray
+    perimeter: np.ndarray
+    ring_cycle: np.ndarray
+    edge_cycle: np.ndarray
 
-    @cached_property
-    def ring_vertex(self) -> np.ndarray:
-        return np.fromiter(chain(*(c.vertices for c in self.cycles)), np.intp, self.ring_ptr[-1])
+    def __len__(self) -> int:
+        return len(self.perimeter)
 
-    @cached_property
-    def ring_cycle(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.cycles)), np.diff(self.ring_ptr))
+    def ring(self, c: int) -> slice:
+        """Cycle ``c``'s positions in the ring columns."""
+        return slice(self.ring_ptr[c], self.ring_ptr[c + 1])
 
-    @cached_property
-    def edge_cycle(self) -> np.ndarray:
-        ring_edge = np.fromiter(chain(*(c.edges for c in self.cycles)), np.intp, self.ring_ptr[-1])
-        out = np.full(self.edge_count, -1, dtype=np.intp)
-        out[ring_edge] = self.ring_cycle
-        return out
+    def point(self, graph: CactusGraph, c: int, x: float) -> GraphPoint:
+        """The point at arc coordinate ``x`` of cycle ``c``, taken modulo the
+        perimeter, on the first ring edge whose far end is at least ``x -
+        _POS_EPS``."""
+        at, per = self.ring(c), self.perimeter[c].item()
+        x %= per
+        ends = np.append(self.ring_pos[at][1:], per)
+        i = int(np.searchsorted(ends + _POS_EPS, x))
+        if i == len(ends):
+            raise AssertionError("coordinate outside ring")
+        start, end = self.ring_pos[at][i].item(), ends[i].item()
+        eid = self.ring_edge[at][i].item()
+        off = min(x - start, end - start)
+        length = graph.length[eid].item()
+        t = off if self.ring_forward[at][i] else length - off
+        return GraphPoint(eid, min(max(t, 0.0), length))
 
-    @cached_property
-    def vertex_ptr(self) -> np.ndarray:
-        held = np.bincount(self.ring_vertex, minlength=self.vertex_count)
-        return np.concatenate([[0], np.cumsum(held)])
-
-    @cached_property
-    def vertex_cycles(self) -> np.ndarray:
-        # a stable sort by vertex keeps each vertex's cycles ascending
-        return self.ring_cycle[np.argsort(self.ring_vertex, kind="stable")]
+    def ring_distances(self, c: int, at: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``(len(at), size)`` distances along cycle ``c`` from each arc
+        coordinate of ``at`` to every ring vertex."""
+        gaps = np.abs(np.asarray(at)[:, None] - self.ring_pos[self.ring(c)][None, :])
+        return np.minimum(gaps, self.perimeter[c] - gaps)
 
 
 class DepthFirst(NamedTuple):
@@ -403,45 +386,68 @@ def _decompose(graph: CactusGraph) -> CycleDecomposition:
 
     parent, parent_edge = walk.parent.tolist(), walk.parent_edge.tolist()
     ends = zip(tail[back].tolist(), nbr[back].tolist(), graph.half_edge[back].tolist())
-    u, length = graph.u.tolist(), graph.length.tolist()
-    closed = bytearray(m)
-    cycles = []
-    for cid, (x, top, eid) in enumerate(ends):
-        # the tree path from the deeper end up to the top, then the back edge
-        verts, edges = [x], [eid]
+    verts, edges, ptr, closed = [], [], [0], bytearray(m)
+    for x, top, eid in ends:
+        # the tree path up from the deeper end, each vertex with its edge up,
+        # then the top with the back edge; of the edges closed before, the
+        # topmost is named
+        shared = -1
         while x != top:
-            edges.append(parent_edge[x])
-            x = parent[x]
-            verts.append(x)
-        verts.reverse()
-        edges = edges[:0:-1] + edges[:1]
-        for e in edges:
+            e = parent_edge[x]
             if closed[e]:
-                a, b = graph.names[u[e]], graph.names[int(graph.v[e])]
-                raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
+                shared = e
             closed[e] = 1
-        cycles.append(_canonical_cycle(cid, verts, edges, u, length))
+            verts.append(x)
+            edges.append(e)
+            x = parent[x]
+        if shared >= 0:
+            a, b = graph.names[int(graph.u[shared])], graph.names[int(graph.v[shared])]
+            raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
+        verts.append(top)
+        edges.append(eid)
+        ptr.append(len(verts))
     if len(walk.order) < n:
         raise NotConnected("graph is not connected")
-    return CycleDecomposition(cycles, n, m)
+    return _ring_table(graph, np.array(ptr), np.array(verts, np.intp), np.array(edges, np.intp))
 
 
-def _canonical_cycle(
-    cid: int, verts: list[int], edges: list[int], u: list[int], length: list[float]
-) -> Cycle:
-    # rotate the ring to start at the smallest vertex, then orient toward its
-    # smaller neighbour, so decomposition order never affects coordinates
-    i0 = verts.index(min(verts))
-    if verts[i0 - 1] < verts[(i0 + 1) % len(verts)]:
-        verts = verts[i0::-1] + verts[:i0:-1]
-        edges = edges[i0 - 1 :: -1] + edges[: i0 - 1 : -1]
-    else:
-        verts = verts[i0:] + verts[:i0]
-        edges = edges[i0:] + edges[:i0]
-    forward = tuple(map(eq, map(u.__getitem__, edges), verts))
-    lengths = list(map(length.__getitem__, edges))
-    pos = tuple(accumulate(lengths[:-1], initial=0.0))
-    return Cycle(cid, tuple(verts), tuple(edges), forward, pos, pos[-1] + lengths[-1])
+def _ring_table(
+    graph: CactusGraph, ring_ptr: np.ndarray, vert: np.ndarray, edge: np.ndarray
+) -> CycleDecomposition:
+    """The decomposition of rings walked up the tree: ring ``r`` visits
+    ``vert[ring_ptr[r]:ring_ptr[r + 1]]``, and ``edge[i]`` joins ``vert[i]``
+    to the ring's next vertex."""
+    size, first = np.diff(ring_ptr), ring_ptr[:-1]
+    ring_cycle = np.repeat(np.arange(len(size)), size)
+    # rotate each ring to start at its smallest vertex and turn it toward
+    # that vertex's smaller neighbour; the walk ran up the tree, so a tie,
+    # on a ring of two, turns it down the tree as the search went
+    low = np.flatnonzero(vert == np.minimum.reduceat(vert, first)[ring_cycle]) - first
+    back = (vert[first + (low - 1) % size] <= vert[first + (low + 1) % size])[ring_cycle]
+    base, wrap = first[ring_cycle], size[ring_cycle]
+    k = np.arange(len(vert)) - base
+    turn = low[ring_cycle] + np.where(back, -k, k)
+    ring_vertex = vert[base + turn % wrap]
+    ring_edge = edge[base + (turn - back) % wrap]
+    # running sums in ring order, one block of equal-sized rings at a time:
+    # at most sqrt(2 * len(vert)) sizes
+    length, run = graph.length[ring_edge], np.empty(len(vert))
+    for s in set(size.tolist()):
+        at = first[size == s, None] + np.arange(s)
+        run[at] = np.cumsum(length[at], axis=1)
+    ring_pos = np.where(k == 0, 0.0, np.concatenate([run[-1:], run[:-1]]))
+    edge_cycle = np.full(graph.edge_count, -1, dtype=np.intp)
+    edge_cycle[ring_edge] = ring_cycle
+    return CycleDecomposition(
+        ring_ptr=ring_ptr,
+        ring_vertex=ring_vertex,
+        ring_edge=ring_edge,
+        ring_forward=graph.u[ring_edge] == ring_vertex,
+        ring_pos=ring_pos,
+        perimeter=run[ring_ptr[1:] - 1],
+        ring_cycle=ring_cycle,
+        edge_cycle=edge_cycle,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +538,10 @@ class SplitComponent:
 
 def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
     dec = graph.cycles
-    on_ring = np.diff(dec.vertex_ptr) > 0
+    on_ring = np.zeros(graph.vertex_count, dtype=bool)
+    on_ring[dec.ring_vertex] = True
     held = np.flatnonzero(~on_ring | (np.diff(graph.indptr) >= 3))
-    h, c = len(held), len(dec.cycles)
+    h, c = len(held), len(dec)
     node_of_vertex = np.full(graph.vertex_count, -1, dtype=np.intp)
     node_of_vertex[held] = np.arange(h)
     ring_node = node_of_vertex[dec.ring_vertex]

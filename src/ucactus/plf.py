@@ -44,14 +44,14 @@ def cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarra
 def _cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarray]:
     # each profile is the ring mixture of ed_at_vertices, which is linear
     # between ring vertices and their antipodes, so those are the breakpoints
-    cyc = inst.graph.cycles.cycles[cycle_id]
-    coords = np.array(cyc.pos)
-    per = cyc.perimeter
+    dec = inst.graph.cycles
+    ring = dec.ring(cycle_id)
+    coords, per = dec.ring_pos[ring], dec.perimeter[cycle_id]
     xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
     ys = ring_mixture(inst, cycle_id, xs, inst.ed_at_vertices)
     # at its ring vertices a profile takes their own rows, so the two agree
     # bit for bit whatever order the rerooting summed them in
-    ys[np.searchsorted(xs, coords)] = inst.ed_at_vertices[list(cyc.vertices)]
+    ys[np.searchsorted(xs, coords)] = inst.ed_at_vertices[dec.ring_vertex[ring]]
     xs.setflags(write=False)
     ys.setflags(write=False)
     return xs, ys
@@ -107,14 +107,13 @@ class Pieces:
         g = inst.graph
         if self.edge[row] >= 0:
             return GraphPoint(int(self.edge[row]), t)
-        cyc = g.cycles.cycles[self.cycle[row]]
-        return cyc.coord_point(g, float(self.start[row] + t))
+        return g.cycles.point(g, int(self.cycle[row]), float(self.start[row] + t))
 
 
 def pieces(inst: Instance) -> Pieces:
     """The piece table of a vertex-constrained instance."""
     g, edv, bid = inst.graph, inst.ed_at_vertices, inst.graph.bridges
-    prof = [cycle_profiles(inst, cyc.id) for cyc in g.cycles.cycles]
+    prof = [cycle_profiles(inst, c) for c in range(len(g.cycles))]
     sizes = [xs.size - 1 for xs, _ in prof]
     return Pieces(
         np.concatenate([edv[g.u[bid]], *(ys[:-1] for _, ys in prof)]),

@@ -32,7 +32,6 @@ preserved exactly, so solution values need no lifting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -313,9 +312,8 @@ def _rings(split: _Split) -> tuple[np.ndarray, ...]:
     ``bounds[r]:bounds[r + 1]`` of ``ring_edges`` hold ring ``r``, and
     position ``i`` leaves vertex ``ring_from[i]`` and lies on ring
     ``ring[i]``."""
-    cycles = split.graph.cycles.cycles
-    orig = np.fromiter(chain.from_iterable(c.edges for c in cycles), np.intp)
-    fwd = np.fromiter(chain.from_iterable(c.forward for c in cycles), bool)
+    dec = split.graph.cycles
+    orig, fwd = dec.ring_edge, dec.ring_forward
     # a forward edge is split from its u end on, a backward one from its v end
     pieces = split.first[orig + 1] - split.first[orig]
     slot = np.repeat(np.arange(len(orig)), pieces)
@@ -324,8 +322,8 @@ def _rings(split: _Split) -> tuple[np.ndarray, ...]:
         fwd[slot], split.first[orig[slot]] + step, split.first[orig[slot] + 1] - 1 - step
     )
     ring_from = np.where(fwd[slot], split.u[ring_edges], split.v[ring_edges])
-    ring = split.graph.cycles.ring_cycle[slot]
-    bounds = np.searchsorted(ring, np.arange(len(cycles) + 1))
+    ring = dec.ring_cycle[slot]
+    bounds = np.searchsorted(ring, np.arange(len(dec) + 1))
     return ring_edges, ring_from, ring, bounds
 
 

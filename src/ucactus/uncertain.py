@@ -151,12 +151,12 @@ class Instance:
         at_entry = np.repeat(entry, np.diff(dec.ring_ptr))
         ring = np.flatnonzero(at_entry != np.arange(len(at_entry)))
         up[dec.ring_vertex[ring]] = dec.ring_vertex[at_entry[ring]]
+        shift = np.empty((len(at_entry), self.n))
+        for c in range(len(dec)):
+            shift[dec.ring(c)] = ring_shift(self, c, dec.ring_pos[dec.ring(c)])
+        # an entry takes its step from a bridge, the cycle above or the root
         step = np.empty((g.vertex_count, self.n))
-        # children's cycles first: each writes a zero row at its entry, which
-        # the entry's own step, from a cycle above or a bridge, overwrites
-        for c in np.argsort(-tree.start[tree.node_of_cycle]).tolist():
-            cyc = dec.cycles[c]
-            step[list(cyc.vertices)] = ring_shift(self, c, cyc.pos)
+        step[dec.ring_vertex[ring]] = shift[ring]
         x = np.flatnonzero(tree.up_edge >= 0)  # entered across a bridge
         v = tree.ref[x]
         up[v] = tree.ref[tree.parent[x]]
@@ -459,10 +459,10 @@ def ring_shift(
     the entry, weighted by the gate masses of :attr:`Instance.ring_gates`;
     one product, and no expected distance enters it."""
     dec = inst.graph.cycles
-    cyc, a, b = dec.cycles[cycle_id], dec.ring_ptr[cycle_id], dec.ring_ptr[cycle_id + 1]
     entry, gate = inst.ring_gates
-    shift = cyc.ring_distances(at) - cyc.ring_distances([cyc.pos[entry[cycle_id] - a]])
-    return shift @ gate[a:b]
+    here = [dec.ring_pos[entry[cycle_id]]]
+    shift = dec.ring_distances(cycle_id, at) - dec.ring_distances(cycle_id, here)
+    return shift @ gate[dec.ring(cycle_id)]
 
 
 def ring_mixture(

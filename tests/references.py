@@ -1,11 +1,12 @@
 """Reference versions of what the package computes in array passes,
-written as loops over Python objects one item at a time: the skeleton tree
-as node and link lists and the quantities read off it, a query point's
+written as loops over Python objects one item at a time: each cycle of
+the ring table as tuples, with its points found edge by edge, the skeleton
+tree as node and link lists and the quantities read off it, a query point's
 expected distances priced location by location, the whole map from a
 reduced graph back to the original one, and the single-center questions
 asked edge by edge and piece by piece.  The tests check that both give the
-same tree, masses, expected distances, centroids, lifts, witnesses,
-terminal verdicts, 1-centers and base values."""
+same ring points, tree, masses, expected distances, centroids, lifts,
+witnesses, terminal verdicts, 1-centers and base values."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ucactus.decision import Verdict
-from ucactus.graph import CYCLE, HINGE, VERTEX, GraphPoint, distance_via
+from ucactus.graph import _POS_EPS, CYCLE, HINGE, VERTEX, GraphPoint, distance_via
 from ucactus.plf import coverage_set, crossings, cycle_profiles, intersect_families
 from ucactus.uncertain import component_mass, median_values
 
@@ -53,11 +54,58 @@ class Skeleton:
         return [link.other for link in self.links[cycle_node]]
 
 
+@dataclass(frozen=True)
+class Ring:
+    """One cycle of a decomposition as tuples: ``vertices[i]`` and the next
+    ring vertex are joined by ``edges[i]``, whose ``u`` endpoint is
+    ``vertices[i]`` when ``forward[i]``, and ``pos[i]`` is the arc coordinate
+    of ``vertices[i]``."""
+
+    id: int
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
+    forward: tuple[bool, ...]
+    pos: tuple[float, ...]
+    perimeter: float
+
+    def coord_point(self, graph, x: float) -> GraphPoint:
+        """The point at arc coordinate ``x``, taken modulo the perimeter:
+        the edges tried in ring order, on the first whose far end is at
+        least ``x - _POS_EPS``."""
+        x %= self.perimeter
+        c = len(self.vertices)
+        for i in range(c):
+            end = self.pos[i + 1] if i + 1 < c else self.perimeter
+            if x <= end + _POS_EPS:
+                off = min(x - self.pos[i], end - self.pos[i])
+                length = float(graph.length[self.edges[i]])
+                t = off if self.forward[i] else length - off
+                return GraphPoint(self.edges[i], min(max(t, 0.0), length))
+        raise AssertionError("coordinate outside ring")
+
+    def ring_distances(self, at) -> np.ndarray:
+        """``(len(at), c)`` distances along the ring from each arc
+        coordinate of ``at`` to every ring vertex."""
+        gaps = np.abs(np.asarray(at)[:, None] - np.array(self.pos)[None, :])
+        return np.minimum(gaps, self.perimeter - gaps)
+
+
+def rings(dec) -> list[Ring]:
+    """Every cycle of a decomposition's ring table, in cycle order."""
+    cut = dec.ring_ptr[1:-1]
+    columns = (dec.ring_vertex, dec.ring_edge, dec.ring_forward, dec.ring_pos)
+    split = (np.split(col, cut) for col in columns)
+    return [
+        Ring(c, *(tuple(col.tolist()) for col in cols), per)
+        for c, (cols, per) in enumerate(zip(zip(*split), dec.perimeter.tolist()))
+    ]
+
+
 def skeleton(graph) -> Skeleton:
     """One node per out-of-cycle vertex, hinge and cycle, numbered in that
     order; links for bridges in edge order, then each cycle's hinge links
     in ring order; rooted at node 0 with a stack, children in link order."""
-    cycles = graph.cycles.cycles
+    cycles = rings(graph.cycles)
     n = graph.vertex_count
     on_cycle = [False] * n
     for cyc in cycles:
@@ -174,6 +222,7 @@ def ed_at_vertices(inst, ref: Skeleton) -> np.ndarray:
     from its parent in preorder: ``l·(T − 2M)`` across a bridge, and the
     ring mixture of the entry vertex's row around a cycle."""
     g = inst.graph
+    cycles = rings(g.cycles)
     sub = subtree_mass(inst, ref)
     total = sub[ref.order[0]]
     ed = np.empty((g.vertex_count, inst.n))
@@ -182,8 +231,8 @@ def ed_at_vertices(inst, ref: Skeleton) -> np.ndarray:
     for x in ref.order:
         node, up = ref.nodes[x], ref.parent[x]
         if node.kind == "cycle":
-            cyc = g.cycles.cycles[node.ref]
-            entry, gate = _cycle_gates(inst, ref, sub, node.ref)
+            cyc = cycles[node.ref]
+            entry, gate = _cycle_gates(inst, ref, sub, cyc)
             shift = cyc.ring_distances(cyc.pos) - cyc.ring_distances([cyc.pos[entry]])
             ed[list(cyc.vertices)] = ed[cyc.vertices[entry]] + shift @ gate
         elif up >= 0 and ref.nodes[up].kind != "cycle":
@@ -192,9 +241,8 @@ def ed_at_vertices(inst, ref: Skeleton) -> np.ndarray:
     return ed
 
 
-def _cycle_gates(inst, ref: Skeleton, sub: np.ndarray, cycle_id: int):
-    cyc = inst.graph.cycles.cycles[cycle_id]
-    node = ref.node_of_cycle[cycle_id]
+def _cycle_gates(inst, ref: Skeleton, sub: np.ndarray, cyc: Ring):
+    node = ref.node_of_cycle[cyc.id]
     up = ref.parent[node]
     # the root's own vertex serves as the entry of a cycle at the root
     entry = cyc.vertices.index(ref.node_vertices[node][0]) if up < 0 else -1
@@ -240,8 +288,11 @@ def nodes(tree, active: np.ndarray) -> frozenset[int]:
 
 def decomposition(dec) -> tuple:
     """A cycle decomposition's fields as lists, to compare two of them."""
-    arrays = ("edge_cycle", "ring_ptr", "ring_vertex", "vertex_ptr", "vertex_cycles")
-    return (dec.cycles, *(getattr(dec, name).tolist() for name in arrays))
+    arrays = (
+        "ring_ptr", "ring_vertex", "ring_edge", "ring_forward", "ring_pos", "perimeter",
+        "ring_cycle", "edge_cycle",
+    )
+    return tuple(getattr(dec, name).tolist() for name in arrays)
 
 
 def priced(inst, q: GraphPoint, k: int) -> float:
@@ -319,7 +370,7 @@ def coverage_witness(inst, subset, lam: float) -> GraphPoint | None:
             e = int(hit[0])
             return GraphPoint(int(bid[e]), float(lo[e]))
 
-    for cyc in g.cycles.cycles:
+    for cyc in rings(g.cycles):
         xs, ys = cycle_profiles(inst, cyc.id)
         if np.any(inst.weights[idx] * ys.min(axis=0)[idx] > lam + tol):
             continue
@@ -380,7 +431,7 @@ def one_center(inst) -> tuple[GraphPoint, float]:
         i = int(np.argmin(env))
         if best is None or env[i] < best[0]:
             best = (float(env[i]), GraphPoint(e, float(ts[i])))
-    for cyc in g.cycles.cycles:
+    for cyc in rings(g.cycles):
         xs, ys = cycle_profiles(inst, cyc.id)
         ys = ys * weights
         for i in range(len(xs) - 1):
@@ -399,6 +450,6 @@ def base_values(inst) -> np.ndarray:
     profile's weighted values at its breakpoints."""
     vals = [[0.0], inst.weights * median_values(inst)]
     vals.append((inst.ed_at_vertices * inst.weights).ravel())
-    for cyc in inst.graph.cycles.cycles:
+    for cyc in rings(inst.graph.cycles):
         vals.append((cycle_profiles(inst, cyc.id)[1] * inst.weights).ravel())
     return np.concatenate(vals)

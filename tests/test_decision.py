@@ -192,8 +192,8 @@ def _rescan_two_cycles(inst, node1, node2, lam):
     its own gateway as the points left to it allow."""
     tree = inst.graph.skeleton
     g = inst.graph
-    cyc1 = g.cycles.cycles[tree.ref[node1]]
-    cyc2 = g.cycles.cycles[tree.ref[node2]]
+    cycles = refs.rings(g.cycles)
+    cyc1, cyc2 = cycles[tree.ref[node1]], cycles[tree.ref[node2]]
     tol = inst.eps * max(1.0, abs(lam))
 
     h1 = tree.step_toward(node1, node2)
@@ -326,7 +326,7 @@ def test_cycle_matrix_rows_price_positions_like_expected_distances():
             inst = reduce_instance(inst).reduced
         g = inst.graph
         rng = random.Random(seed)
-        for cyc in g.cycles.cycles:
+        for cyc in refs.rings(g.cycles):
             cycles += 1
             xs, ys = cycle_profiles(inst, cyc.id)
             lam = rng.uniform(0.0, float((ys * inst.weights).max()))
@@ -532,7 +532,7 @@ def test_coverage_witness_equals_the_edge_by_edge_reference():
         flat += int(np.sum(edv[g.u[g.bridges], -1] == edv[g.v[g.bridges], -1]))
         # every weighted value at a vertex or cycle breakpoint
         ends = [inst.ed_at_vertices] + [
-            cycle_profiles(inst, cyc.id)[1] for cyc in g.cycles.cycles
+            cycle_profiles(inst, c)[1] for c in range(len(g.cycles))
         ]
         ends = np.concatenate([(y * w).ravel() for y in ends]).tolist()
         for _ in range(6):

@@ -25,11 +25,11 @@ from ucactus.errors import (
 )
 import references as refs
 from ucactus.graph import (
+    _POS_EPS,
     CYCLE,
     HINGE,
     VERTEX,
     CactusGraph,
-    Cycle,
     CycleDecomposition,
     GraphPoint,
     _decompose,
@@ -191,7 +191,7 @@ def test_triangle_with_pendant_decomposition():
     ]
     assert list(tree.node_of_vertex) == [-1, -1, 0, 1]
     assert list(tree.node_of_cycle) == [2]
-    cyc = g.cycles.cycles[0]
+    cyc = refs.rings(g.cycles)[0]
     assert tuple(cyc.vertices) == (0, 1, 2)
     assert cyc.perimeter == 3.0
     assert list(g.cycles.edge_cycle) == [0, 0, 0, -1]
@@ -688,27 +688,26 @@ def reference_decompose(graph) -> SimpleNamespace:
         _reference_cycle(cid, verts, edges, u, length)
         for cid, (verts, edges) in enumerate(raw_cycles)
     ]
-    vertex_cycles: list[list[int]] = [[] for _ in range(n)]
-    ring_ptr, ring_vertex = [0], []
+    ring_ptr = [0]
     for cyc in cycles:
-        ring_vertex += cyc.vertices
-        ring_ptr.append(len(ring_vertex))
-        for v in cyc.vertices:
-            vertex_cycles[v].append(cyc.id)
-    vertex_ptr = [0]
-    for at in vertex_cycles:
-        vertex_ptr.append(vertex_ptr[-1] + len(at))
+        ring_ptr.append(ring_ptr[-1] + len(cyc.vertices))
+
+    def column(field: str) -> np.ndarray:
+        return np.array([x for cyc in cycles for x in getattr(cyc, field)])
+
     return SimpleNamespace(
-        cycles=cycles,
-        edge_cycle=np.array(edge_cycle),
         ring_ptr=np.array(ring_ptr),
-        ring_vertex=np.array(ring_vertex),
-        vertex_ptr=np.array(vertex_ptr),
-        vertex_cycles=np.array([c for at in vertex_cycles for c in at]),
+        ring_vertex=column("vertices"),
+        ring_edge=column("edges"),
+        ring_forward=column("forward"),
+        ring_pos=column("pos"),
+        perimeter=np.array([cyc.perimeter for cyc in cycles]),
+        ring_cycle=np.array([cyc.id for cyc in cycles for _ in cyc.vertices]),
+        edge_cycle=np.array(edge_cycle),
     )
 
 
-def _reference_cycle(cid, verts, edges, u, length) -> Cycle:
+def _reference_cycle(cid, verts, edges, u, length) -> refs.Ring:
     c = len(verts)
     i0 = verts.index(min(verts))
     if verts[(i0 - 1) % c] < verts[(i0 + 1) % c]:
@@ -722,7 +721,7 @@ def _reference_cycle(cid, verts, edges, u, length) -> Cycle:
     pos = [0.0]
     for x in lengths[:-1]:
         pos.append(pos[-1] + x)
-    return Cycle(cid, tuple(verts), tuple(edges), forward, tuple(pos), pos[-1] + lengths[-1])
+    return refs.Ring(cid, tuple(verts), tuple(edges), forward, tuple(pos), pos[-1] + lengths[-1])
 
 
 def _decomposition_or_error(decompose, graph):
@@ -738,19 +737,58 @@ def test_decomposition_equals_the_reference_on_draws_and_their_reductions():
         inst = draw_case(seed, edge_locations=seed % 2 == 1)
         for g in (inst.graph, reduce_instance(inst).reduced.graph):
             assert refs.decomposition(_decompose(g)) == refs.decomposition(reference_decompose(g))
-        cycles += len(inst.graph.cycles.cycles)
+        cycles += len(inst.graph.cycles)
     assert cycles >= 2000
 
 
-@pytest.mark.parametrize("n", [60, 250, 1000, 4000])
-def test_decomposition_equals_the_reference_on_benchmark_networks(n):
+def _benchmark_graphs(n: int):
+    """Networks of the benchmark's two shapes at ``n`` vertices, each
+    followed by its reduction."""
     rng = random.Random(n)
     networks = [gen.tree_like(rng, n, n_points=4), gen.tree_like(rng, n, n_points=4)]
     networks.append(gen.rings(rng, n_rings=6, ring_size=n // 6, n_points=4))
     for data in networks:
         inst = parse_instance(data)
-        for g in (inst.graph, reduce_instance(inst).reduced.graph):
-            assert refs.decomposition(_decompose(g)) == refs.decomposition(reference_decompose(g))
+        yield inst.graph
+        yield reduce_instance(inst).reduced.graph
+
+
+@pytest.mark.parametrize("n", [60, 250, 1000, 4000])
+def test_decomposition_equals_the_reference_on_benchmark_networks(n):
+    for g in _benchmark_graphs(n):
+        assert refs.decomposition(_decompose(g)) == refs.decomposition(reference_decompose(g))
+
+
+def _assert_ring_queries_equal_the_reference(graph) -> None:
+    """``point`` and ``ring_distances`` equal the edge-by-edge loop and the
+    tuple arithmetic of :class:`references.Ring` on every cycle of
+    ``graph``: at each ring position, at each far end of a ring edge,
+    ``_POS_EPS``/2 and 2·``_POS_EPS`` either side of it and ``_POS_EPS``
+    past it, at 0 and the perimeter, and below 0 and above the perimeter."""
+    dec = graph.cycles
+    for ring in refs.rings(dec):
+        per = ring.perimeter
+        near = (-2 * _POS_EPS, -_POS_EPS / 2, _POS_EPS / 2, _POS_EPS, 2 * _POS_EPS)
+        at = [*ring.pos, *(end + d for end in (*ring.pos[1:], per) for d in near)]
+        at += [0.0, per, -1e-300, -per / 3, -per - ring.pos[-1], 1.5 * per, 7 * per + ring.pos[1]]
+        for x in [*at, *np.array(at)]:
+            assert dec.point(graph, ring.id, x) == ring.coord_point(graph, x), x
+        assert np.array_equal(dec.ring_distances(ring.id, at), ring.ring_distances(at))
+
+
+def test_ring_points_and_distances_equal_the_reference_on_draws():
+    cycles = 0
+    for seed in range(200):
+        inst = draw_case(seed, edge_locations=seed % 2 == 1)
+        _assert_ring_queries_equal_the_reference(inst.graph)
+        cycles += len(inst.graph.cycles)
+    assert cycles >= 200
+
+
+@pytest.mark.parametrize("n", [60, 250, 1000, 4000])
+def test_ring_points_and_distances_equal_the_reference_on_benchmark_networks(n):
+    for g in _benchmark_graphs(n):
+        _assert_ring_queries_equal_the_reference(g)
 
 
 def test_decomposition_errors_equal_the_reference_on_random_graphs():

@@ -125,7 +125,7 @@ def test_generator_output_shape():
         )
         g = inst.graph
         assert g.vertex_count == 10
-        assert len(g.cycles.cycles) == 2
+        assert len(g.cycles) == 2
         assert inst.n == 3
         for e in edge_rows(g):
             assert e.length == int(e.length) and 1 <= e.length <= 10
