@@ -3,9 +3,16 @@
 Vertices are dense integers internally; external names live in
 ``CactusGraph.names``.  A network is one edge table, ``u``/``v``/``length``
 arrays indexed by edge id, and one half-edge index that the cycle
-decomposition, the Dijkstra matrix and the skeleton all read.  A point on
-the network is a ``GraphPoint``: an edge id plus an offset from the edge's
-``u`` endpoint, both Python numbers.
+decomposition, the skeleton and Dijkstra all read.  A point on the network
+is a ``GraphPoint``: an edge id plus an offset from the edge's ``u``
+endpoint, both Python numbers.  Every integer index key is sorted by
+:func:`stable_order`, which hands numpy keys of 16 bits, the width it radix
+sorts.
+
+Dijkstra serves only the pricing of an arbitrary point
+(:meth:`CactusGraph.distances_from`), which ``objective`` and
+``expected_distance`` read to check a solution independently of the
+solver; ``solve`` and ``decide`` read distances off the skeleton instead.
 
 The cycle decomposition is one depth-first search in C (scipy's
 ``depth_first_order``, which takes each vertex's edges in index order);
@@ -94,7 +101,7 @@ class CactusGraph:
         id of the edge holding each; the edges between two vertices are found
         by one ``searchsorted``."""
         key = pair_key(self.vertex_count, self.u, self.v)
-        order = np.argsort(key, kind="stable")
+        order = stable_order(key, self.vertex_count**2)
         return key[order], order
 
     def edges_between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,9 +136,8 @@ class CactusGraph:
 
     def distance_rows(self, sources: Sequence[int] | np.ndarray) -> np.ndarray:
         """Row ``i`` holds the distances from vertex ``sources[i]`` to every
-        vertex, from one Dijkstra run.  The solver reads it in two places:
-        :meth:`distances_from` and the skeleton root's row of
-        ``Instance.ed_at_vertices``."""
+        vertex, from one Dijkstra run.  Only :meth:`distances_from` reads
+        it; no stage of ``solve`` or ``decide`` runs it."""
         return dijkstra(self.adjacency, directed=False, indices=sources)
 
     def distances_from(self, p: GraphPoint) -> np.ndarray:
@@ -180,13 +186,25 @@ class CactusGraph:
 
 
 def half_edge_index(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``indptr``, ``nbr`` and ``half_edge`` of the edges ``u[i]``-``v[i]``.
-    Half-edge 2i leaves u[i] and 2i + 1 leaves v[i]; a stable sort by the
-    vertex left keeps each vertex's edges in id order."""
+    """``indptr``, ``nbr`` and ``half_edge`` of the edges ``u[i]``-``v[i]``
+    among ``n`` vertices.  Half-edge 2i leaves u[i] and 2i + 1 leaves v[i];
+    a stable sort by the vertex left, :func:`stable_order` at ``n``, keeps
+    each vertex's edges in id order."""
     tail = np.column_stack([u, v]).ravel()
-    order = np.argsort(tail, kind="stable")
+    order = stable_order(tail, n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
     return indptr, np.column_stack([v, u]).ravel()[order], order // 2
+
+
+def stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integer keys in ``[0,
+    bound)``.  numpy radix sorts 16-bit keys, so the key is sorted one
+    16-bit digit at a time, the lowest first, each pass stable."""
+    order = np.argsort((key & 0xFFFF).astype(np.uint16), kind="stable")
+    for shift in range(16, (bound - 1).bit_length(), 16):
+        digit = ((key[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def pair_key(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,25 +243,28 @@ def validate_edge_columns(
     u = np.fromiter(map(index.get, u_names, repeat(-1)), np.intp, m)
     v = np.fromiter(map(index.get, v_names, repeat(-1)), np.intp, m)
     length = np.array(lengths, dtype=float)
-    # every edge but the first of its vertex pair is a parallel one
-    parallel = np.ones(m, dtype=bool)
-    keys, first = np.unique(pair_key(len(names), u, v), return_index=True)
-    parallel[first] = False
-    checks = (
-        ((u < 0) | (v < 0), ValidationError, "edge endpoint {0!r} or {1!r} unknown"),
-        (u == v, ValidationError, "self-loop at {0!r}"),
-        (~np.isfinite(length), ValidationError, "edge {0!r}-{1!r} has non-finite length {2}"),
-        (length <= 0, NonPositiveEdgeLength, "edge {0!r}-{1!r} has length {2}"),
-        (parallel, ValidationError, "parallel edge {0!r}-{1!r}"),
-    )
-    for bad, error, message in checks:
+
+    def check(bad: np.ndarray, error: type[Exception], message: str) -> None:
         if bad.any():
             i = np.argmax(bad)
             raise error(message.format(u_names[i], v_names[i], lengths[i]))
+
+    check((u < 0) | (v < 0), ValidationError, "edge endpoint {0!r} or {1!r} unknown")
+    check(u == v, ValidationError, "self-loop at {0!r}")
+    check(~np.isfinite(length), ValidationError, "edge {0!r}-{1!r} has non-finite length {2}")
+    check(length <= 0, NonPositiveEdgeLength, "edge {0!r}-{1!r} has length {2}")
+    # with every endpoint known, each key is a pair's; in the stable order,
+    # every edge but the first of its pair is a parallel one
+    key = pair_key(len(names), u, v)
+    order = stable_order(key, len(names) ** 2)
+    keys = key[order]
+    parallel = np.zeros(m, dtype=bool)
+    parallel[order[1:][keys[1:] == keys[:-1]]] = True
+    check(parallel, ValidationError, "parallel edge {0!r}-{1!r}")
     total = sum(lengths)
     if not math.isfinite(total):
         raise ValidationError(f"total edge length {total} is not finite")
-    graph = CactusGraph(names, u, v, length, index, (keys, first))
+    graph = CactusGraph(names, u, v, length, index, (keys, order))
     graph.cycles  # the decomposition raises NotConnected or SharedCycleEdge
     return graph
 
@@ -300,11 +321,18 @@ class CycleDecomposition:
         t = off if self.ring_forward[at][i] else length - off
         return GraphPoint(eid, min(max(t, 0.0), length))
 
-    def ring_distances(self, c: int, at: Sequence[float] | np.ndarray) -> np.ndarray:
-        """``(len(at), size)`` distances along cycle ``c`` from each arc
-        coordinate of ``at`` to every ring vertex."""
-        gaps = np.abs(np.asarray(at)[:, None] - self.ring_pos[self.ring(c)][None, :])
-        return np.minimum(gaps, self.perimeter[c] - gaps)
+    def block(self, cycles: np.ndarray) -> np.ndarray:
+        """The ring positions of a block of cycles of one size, one row per
+        cycle."""
+        size = self.ring_ptr[cycles[0] + 1] - self.ring_ptr[cycles[0]]
+        return self.ring_ptr[cycles, None] + np.arange(size)
+
+    def ring_distances(self, cycles: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Distances along each cycle of a block of one size, as a
+        ``(len(cycles), k, size)`` array, from the ``k`` arc coordinates
+        ``at[b]`` of cycle ``cycles[b]`` to every one of its ring vertices."""
+        gaps = np.abs(at[:, :, None] - self.ring_pos[self.block(cycles)][:, None, :])
+        return np.minimum(gaps, self.perimeter[cycles, None, None] - gaps)
 
 
 class DepthFirst(NamedTuple):
@@ -382,7 +410,7 @@ def _decompose(graph: CactusGraph) -> CycleDecomposition:
     # every other edge of the reached part joins a vertex to an ancestor,
     # and the search meets it when it takes it up from the deeper end
     back = np.flatnonzero(~tree_edge[graph.half_edge] & (start[tail] > start[nbr]))
-    back = back[np.argsort(walk.taken[back])]
+    back = back[stable_order(walk.taken[back], n + len(walk.taken))]
 
     parent, parent_edge = walk.parent.tolist(), walk.parent_edge.tolist()
     ends = zip(tail[back].tolist(), nbr[back].tolist(), graph.half_edge[back].tolist())
@@ -603,26 +631,6 @@ def check_point(graph: CactusGraph, p: GraphPoint) -> None:
         raise InvalidPoint(f"no edge {p.edge}")
     if not -_POS_EPS <= p.t <= graph.length[p.edge] + _POS_EPS:
         raise InvalidPoint(f"offset {p.t} outside edge {p.edge}")
-
-
-def distance_via(
-    graph: CactusGraph, q: GraphPoint, dq: np.ndarray, p: GraphPoint
-) -> float:
-    """Distance between ``q`` and ``p``, given ``dq = graph.distances_from(q)``:
-    through an end of ``p``'s edge, or along that edge when ``q`` shares it."""
-    if p.edge < 0:
-        return float(dq[0])
-    u, v, length = graph.edge(p.edge)
-    d = min(p.t + dq[u], (length - p.t) + dq[v])
-    if p.edge == q.edge:
-        d = min(d, abs(p.t - q.t))
-    return float(d)
-
-
-def point_distance(graph: CactusGraph, p: GraphPoint, q: GraphPoint) -> float:
-    """Exact shortest-path distance between two points of the network."""
-    check_point(graph, p)
-    return distance_via(graph, q, graph.distances_from(q), p)
 
 
 def centroid(tree: SkeletonTree, active: np.ndarray) -> int:

@@ -24,7 +24,7 @@ from ucactus.errors import InternalInvariantError
 from ucactus.graph import GraphPoint
 from ucactus.plf import crossings, pieces
 from ucactus.reduction import reduce_instance
-from ucactus.uncertain import Instance, expected_distances, median_values
+from ucactus.uncertain import Instance, ed_at_point, median_values
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,10 +127,10 @@ def solve(inst: Instance) -> Solution:
 
     centers = (red.lift_point(v.centers[0]), red.lift_point(v.centers[1]))
     # the reduction preserves expected distances and the order of the
-    # points, so price on the reduced network at the points the centers
-    # were lifted from
+    # points, so price on the reduced network's vertex rows at the points
+    # the centers were lifted from
     costs = np.column_stack(
-        [work.weights * expected_distances(work, red.lift_source(c)) for c in v.centers]
+        [work.weights * ed_at_point(work, red.lift_source(c)) for c in v.centers]
     )
     assignments = []
     for label, pair in zip(inst.labels, costs.tolist()):

@@ -6,8 +6,8 @@ endpoints, level crossings, and pairwise crossing ordinates is exhaustive.
 Deliberately independent of the skeleton-tree machinery so the two can check
 each other.  Distances come from the all-pairs matrix
 ``CactusGraph.vertex_distances``, which only this module reads; the solver
-reroots its expected distances over the skeleton from one Dijkstra row and
-prices a query point from a run out of its edge's ends.
+reroots its expected distances over the skeleton with no Dijkstra run, and
+``objective`` prices a query point from a run out of its edge's ends.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ rest are array passes over that tree:
 Every removed position is dominated by a survivor: a dropped bridge or
 ring by where it hangs, a longer arc by the shorter.  The split cactus is
 an edge table with a half-edge index, as a ``CactusGraph`` is: one sort of
-the edge ends and the snapped interior cuts by (edge, offset) numbers its
-vertices and edges.  Ring membership and ring order come from the original
+the snapped interior cuts by (edge, offset) numbers its vertices, and each
+edge's stations, its ends and its cuts, are placed by index arithmetic,
+with no sort.  Ring membership and ring order come from the original
 graph's cycle decomposition.  The interior locations are read from the
 instance's location table as columns; the reduced instance's table keeps
 the locations with mass in location order, each on its survivor, and pads
@@ -42,6 +43,7 @@ from ucactus.graph import (
     GraphPoint,
     depth_first,
     half_edge_index,
+    stable_order,
     subtree_stop,
 )
 from ucactus.uncertain import Instance, LocationTable
@@ -202,22 +204,29 @@ def _split(inst: Instance) -> _Split:
     site[inside[order]] = n + np.cumsum(keep, dtype=np.intp) - 1
     cut_edge, cut_t = e[kept], t[kept]
 
-    # the stations of every edge, its ends and its cuts, in (edge, offset)
-    # order; consecutive stations of one edge bound a split edge
-    st_edge = np.concatenate([np.arange(m), np.arange(m), cut_edge])
-    st_t = np.concatenate([np.zeros(m), graph.length, cut_t])
-    st_v = np.concatenate([graph.u, graph.v, n + np.arange(kept.size)])
-    by = np.lexsort((st_t, st_edge))
-    st_edge, st_t, st_v = st_edge[by], st_t[by], st_v[by]
-    a = np.flatnonzero(st_edge[:-1] == st_edge[1:])
+    # the stations of every edge in order along it: edge e's start at
+    # first[e] + e with its u end, then its cuts, which ``kept`` holds in
+    # (edge, offset) order, so cut j of edge e is station 2e + 1 + j, then
+    # its v end; consecutive stations of one edge bound a split edge
+    pieces = np.bincount(cut_edge, minlength=m) + 1
+    first = np.concatenate([[0], np.cumsum(pieces)])
+    ids = np.arange(m)
+    st_v = np.empty(first[-1] + m, dtype=np.intp)
+    st_t = np.empty(first[-1] + m)
+    at_u, at_v = first[:-1] + ids, first[1:] + ids
+    st_v[at_u], st_t[at_u] = graph.u, 0.0
+    st_v[at_v], st_t[at_v] = graph.v, graph.length
+    at = 2 * cut_edge + 1 + np.arange(kept.size)
+    st_v[at], st_t[at] = n + np.arange(kept.size), cut_t
+    edge = np.repeat(ids, pieces)
+    a = np.arange(first[-1]) + edge
     u, v, t0, t1 = st_v[a], st_v[a + 1], st_t[a], st_t[a + 1]
-    first = np.concatenate([[0], np.cumsum(np.bincount(cut_edge, minlength=m) + 1)])
 
     mass = np.zeros(n + kept.size, dtype=bool)
     mass[site] = True
     index = half_edge_index(mass.size, u, v)
     return _Split(
-        graph, mass, cut_edge, cut_t, u, v, t1 - t0, st_edge[a], t0, t1, first, *index,
+        graph, mass, cut_edge, cut_t, u, v, t1 - t0, edge, t0, t1, first, *index,
         live, site,
     )
 
@@ -348,14 +357,16 @@ def _chains(split: _Split, live: np.ndarray, survivor: np.ndarray, root: int) ->
         if np.array_equal(higher, follows):
             break
         follows = higher
-    # each chain's edges top down, chain after chain
+    # each chain's edges top down, chain after chain: two stable sorts, the
+    # minor key first
     ids = np.flatnonzero(live)
-    ids = ids[np.lexsort((np.where(tree, walk.start[low], n)[ids], follows[ids]))]
+    ids = ids[stable_order(np.where(tree, walk.start[low], n)[ids], n + 1)]
+    ids = ids[stable_order(follows[ids], m)]
     heads = np.flatnonzero(np.diff(follows[ids], prepend=-1))
     # chains in order of their lowest split edge, each turned to pass that
     # edge from its u end
     lowest = np.minimum.reduceat(ids, heads) if len(ids) else ids
-    by = np.argsort(lowest)
+    by = stable_order(lowest, m)
     onward = (enter[lowest] == u[lowest])[by]
     sizes = np.diff(heads, append=len(ids))[by]
     start = np.concatenate([[0], np.cumsum(sizes)])

@@ -10,8 +10,11 @@ types; :attr:`Instance.points` rebuilds them from the table.
 The tables read off the skeleton tree are array passes over its arrays:
 each node's mass is one bincount, each subtree's mass is preorder prefix
 sums differenced at the subtree's ends, and the expected distances at
-every vertex are rerooted from one Dijkstra row by summing per-vertex
-steps along root paths with pointer doubling.
+every vertex are rerooted from the skeleton root's vertex by summing
+per-vertex steps along root paths with pointer doubling; the root's own
+row comes from its distances, summed along the same paths.  No Dijkstra
+runs for these tables: only :func:`expected_distances`, the independent
+pricing of an arbitrary point, reads the graph's Dijkstra rows.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from ucactus.graph import _POS_EPS, CactusGraph, GraphPoint
 
 DEFAULT_EPS = 1e-9
 PROB_EPS = 1e-12
+# floats in one block of :func:`ring_shifts`' ring distances and products:
+# rings of one size share a block while they fit, and a larger ring takes
+# a block of its own
+_RING_BLOCK = 1 << 18
 
 T = TypeVar("T")
 
@@ -136,33 +143,43 @@ class Instance:
     def ed_at_vertices(self) -> np.ndarray:
         """``ed_at_vertices[v, k]`` is the expected distance of point k to v.
 
-        One Dijkstra row prices the vertex held by the skeleton root.  Every
-        other vertex differs from one vertex nearer the root by a row that
-        neither one's value enters: across a bridge of length ``l`` into a
-        subtree holding mass ``M`` of a point whose total mass is ``T``, by
-        ``l·(T − 2M)``; around a cycle, from its entry vertex, by
-        :func:`ring_shift`, one product per cycle.  All rows are built at
-        once and summed along root paths by pointer doubling, so no loop runs
-        once per level.  O(|V|·n·log(depth) + Σ c²·n) for cycles of c
-        vertices."""
+        Every vertex but the skeleton root's differs from one vertex nearer
+        the root by a row that neither one's value enters: across a bridge
+        of length ``l`` into a subtree holding mass ``M`` of a point whose
+        total mass is ``T``, by ``l·(T − 2M)``; around a cycle, from its
+        entry vertex, by :func:`ring_shifts`, one product per block of
+        equal-sized cycles.  The root's row is its distance to every vertex
+        against the vertex masses, and those distances are steps along the
+        same paths: ``l`` across a bridge and the ring distance from the
+        entry around a cycle.  Both are summed along root paths by pointer
+        doubling, so no loop runs once per level or once per cycle.
+        O(|V|·n·log(depth) + Σ c²·n) for cycles of c vertices."""
         g, tree, sub = self.graph, self.graph.skeleton, self.subtree_mass
         dec, entry = g.cycles, self.ring_gates[0]
         up = np.full(g.vertex_count, -1, dtype=np.intp)
-        at_entry = np.repeat(entry, np.diff(dec.ring_ptr))
+        size = np.diff(dec.ring_ptr)
+        at_entry = np.repeat(entry, size)
         ring = np.flatnonzero(at_entry != np.arange(len(at_entry)))
         up[dec.ring_vertex[ring]] = dec.ring_vertex[at_entry[ring]]
-        shift = np.empty((len(at_entry), self.n))
-        for c in range(len(dec)):
-            shift[dec.ring(c)] = ring_shift(self, c, dec.ring_pos[dec.ring(c)])
+        shift, reach = np.empty((len(at_entry), self.n)), np.empty(len(at_entry))
+        for s in set(size.tolist()):
+            cycles = np.flatnonzero(size == s)
+            per = max(1, _RING_BLOCK // (s * (s + self.n)))
+            for lo in range(0, len(cycles), per):
+                block = cycles[lo : lo + per]
+                at = dec.block(block)
+                shift[at], reach[at] = ring_shifts(self, block, dec.ring_pos[at])
         # an entry takes its step from a bridge, the cycle above or the root
-        step = np.empty((g.vertex_count, self.n))
+        step, dist = np.empty((g.vertex_count, self.n)), np.zeros((g.vertex_count, 1))
         step[dec.ring_vertex[ring]] = shift[ring]
+        dist[dec.ring_vertex[ring], 0] = reach[ring]
         x = np.flatnonzero(tree.up_edge >= 0)  # entered across a bridge
         v = tree.ref[x]
         up[v] = tree.ref[tree.parent[x]]
         step[v] = tree.up_length[x, None] * (sub[0] - 2.0 * sub[x])
+        dist[v, 0] = tree.up_length[x]
         top = tree.node_vertex[0]
-        step[top] = g.distance_rows([top])[0] @ self.vertex_mass
+        step[top] = _sum_root_paths(up.copy(), dist)[:, 0] @ self.vertex_mass
         return _sum_root_paths(up, step)
 
     @cached_property
@@ -449,20 +466,32 @@ def component_mass(inst: Instance, removed: int, start: int) -> np.ndarray:
     return inst.subtree_mass[tree.order[0]] - inst.subtree_mass[removed]
 
 
+def ring_shifts(
+    inst: Instance, cycles: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """How much every point's expected distance exceeds that at the entry
+    vertex, for a block of cycles of one size: ``at[b]`` holds arc
+    coordinates of cycle ``cycles[b]``, and the first result is a
+    ``(len(cycles), at.shape[1], n)`` array.  Each location reaches its
+    ring through one gate vertex, so the shift is the ring distances from
+    ``at`` less those from the entry, weighted by the gate masses of
+    :attr:`Instance.ring_gates`; one batched product, and no expected
+    distance enters it.  The second result holds each cycle's ring
+    distances from its entry to its ring vertices."""
+    dec = inst.graph.cycles
+    entry, gate = inst.ring_gates
+    here = dec.ring_distances(cycles, dec.ring_pos[entry[cycles], None])
+    shift = (dec.ring_distances(cycles, at) - here) @ gate[dec.block(cycles)]
+    return shift, here[:, 0]
+
+
 def ring_shift(
     inst: Instance, cycle_id: int, at: Sequence[float] | np.ndarray
 ) -> np.ndarray:
-    """How much every point's expected distance at the arc coordinates
-    ``at`` of one cycle exceeds that at the cycle's entry vertex, as an
-    ``(len(at), n)`` matrix: each location reaches the ring through one
-    gate vertex, so it is the ring distances from ``at`` less those from
-    the entry, weighted by the gate masses of :attr:`Instance.ring_gates`;
-    one product, and no expected distance enters it."""
-    dec = inst.graph.cycles
-    entry, gate = inst.ring_gates
-    here = [dec.ring_pos[entry[cycle_id]]]
-    shift = dec.ring_distances(cycle_id, at) - dec.ring_distances(cycle_id, here)
-    return shift @ gate[dec.ring(cycle_id)]
+    """:func:`ring_shifts` of one cycle at the arc coordinates ``at``, as an
+    ``(len(at), n)`` matrix."""
+    at = np.asarray(at, dtype=float)[None]
+    return ring_shifts(inst, np.array([cycle_id]), at)[0][0]
 
 
 def ring_mixture(
@@ -473,6 +502,29 @@ def ring_mixture(
     cycle's entry vertex must hold that vertex's expected distances."""
     entry = inst.ring_gates[0][cycle_id]
     return ed[inst.graph.cycles.ring_vertex[entry]] + ring_shift(inst, cycle_id, at)
+
+
+def ed_at_point(inst: Instance, q: GraphPoint) -> np.ndarray:
+    """Every point's expected distance to ``q`` on a vertex-constrained
+    instance, read off :attr:`Instance.ed_at_vertices`: a vertex's row;
+    inside a bridge, the line between its two end rows, since every
+    location lies off the edge on one side; inside a ring edge, the ring
+    mixture at ``q``'s arc coordinate."""
+    g, ed = inst.graph, inst.ed_at_vertices
+    if q.edge < 0:
+        return ed[0]
+    u, v, length = g.edge(q.edge)
+    if q.t <= 0.0:
+        return ed[u]
+    if q.t >= length:
+        return ed[v]
+    dec = g.cycles
+    c = int(dec.edge_cycle[q.edge])
+    if c < 0:
+        return ed[u] + (q.t / length) * (ed[v] - ed[u])
+    i = int(np.flatnonzero(dec.ring_edge == q.edge)[0])
+    x = dec.ring_pos[i] + (q.t if dec.ring_forward[i] else length - q.t)
+    return ring_mixture(inst, c, [x], ed)[0]
 
 
 def component_sums(inst: Instance, node: int) -> ComponentSums:

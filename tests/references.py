@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ucactus.decision import Verdict
-from ucactus.graph import _POS_EPS, CYCLE, HINGE, VERTEX, GraphPoint, distance_via
+from ucactus.graph import _POS_EPS, CYCLE, HINGE, VERTEX, GraphPoint, check_point
 from ucactus.plf import coverage_set, crossings, cycle_profiles, intersect_families
 from ucactus.uncertain import component_mass, median_values
 
@@ -295,9 +295,27 @@ def decomposition(dec) -> tuple:
     return tuple(getattr(dec, name).tolist() for name in arrays)
 
 
+def distance_via(graph, q: GraphPoint, dq: np.ndarray, p: GraphPoint) -> float:
+    """Distance between ``q`` and ``p``, given ``dq = graph.distances_from(q)``:
+    through an end of ``p``'s edge, or along that edge when ``q`` shares it."""
+    if p.edge < 0:
+        return float(dq[0])
+    u, v, length = graph.edge(p.edge)
+    d = min(p.t + dq[u], (length - p.t) + dq[v])
+    if p.edge == q.edge:
+        d = min(d, abs(p.t - q.t))
+    return float(d)
+
+
+def point_distance(graph, p: GraphPoint, q: GraphPoint) -> float:
+    """Exact shortest-path distance between two points of the network."""
+    check_point(graph, p)
+    return distance_via(graph, q, graph.distances_from(q), p)
+
+
 def priced(inst, q: GraphPoint, k: int) -> float:
     """Expected distance of point ``k`` to ``q``: each location's distance,
-    through :func:`ucactus.graph.distance_via`, times its probability,
+    through :func:`distance_via`, times its probability,
     added up location by location."""
     g = inst.graph
     dq = g.distances_from(q)

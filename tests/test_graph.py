@@ -35,7 +35,9 @@ from ucactus.graph import (
     _decompose,
     centroid,
     descend,
-    point_distance,
+    half_edge_index,
+    pair_key,
+    stable_order,
     validate_cactus,
 )
 from ucactus.reduction import reduce_instance
@@ -169,6 +171,78 @@ def test_vectorised_checks_raise_as_the_per_edge_loop(case):
         validate_cactus(names, spec)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# index sorts
+
+
+@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32, 2**32 + 1])
+def test_stable_order_equals_the_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    assert stable_order(np.zeros(0, dtype=np.intp), bound).tolist() == []
+    for size in (1, 7, 5000):
+        # few distinct keys, so ties are many, and keys at the bound's edge
+        for key in (
+            rng.integers(0, bound, size),
+            rng.integers(0, min(bound, 5), size),
+            np.full(size, bound - 1),
+            rng.choice([0, bound - 1, (bound - 1) // 2], size),
+        ):
+            key = key.astype(np.intp)
+            want = np.argsort(key, kind="stable")
+            assert np.array_equal(stable_order(key, bound), want)
+
+
+def test_half_edge_index_equals_the_argsort_index_past_16_bits():
+    # a 70,000-vertex path sorts two 16-bit digits; its index must equal
+    # the one a stable argsort of the edge tails builds
+    n = 70_000
+    order = np.random.default_rng(5).permutation(n)
+    u, v = order[:-1], order[1:]
+    tail = np.column_stack([u, v]).ravel()
+    by = np.argsort(tail, kind="stable")
+    indptr, nbr, half_edge = half_edge_index(n, u, v)
+    assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))]))
+    assert np.array_equal(nbr, np.column_stack([v, u]).ravel()[by])
+    assert np.array_equal(half_edge, by // 2)
+
+
+def _path_graph(n: int, seed: int):
+    """A path through ``n`` vertices in a random order."""
+    order = np.random.default_rng(seed).permutation(n)
+    names = [f"v{i}" for i in range(n)]
+    return validate_cactus(names, [(names[a], names[b], 1.0) for a, b in zip(order, order[1:])])
+
+
+def _wide_graphs():
+    """Networks whose vertex-pair keys need two 16-bit digits (1000
+    vertices) and three (70,000 vertices)."""
+    yield parse_instance(gen.tree_like(random.Random(21), 1000, n_points=4)).graph
+    yield _path_graph(70_000, 21)
+
+
+def test_pair_index_equals_the_unique_keys_on_draws():
+    draws = (draw_case(seed, max_vertices=30, max_cycles=6).graph for seed in range(50))
+    for g in (*draws, *_wide_graphs()):
+        keys, first = np.unique(pair_key(g.vertex_count, g.u, g.v), return_index=True)
+        assert np.array_equal(g.pair_index[0], keys)
+        assert np.array_equal(g.pair_index[1], first)
+
+
+def test_parallel_edge_past_16_bits_raises_as_the_per_edge_loop():
+    rng = random.Random(22)
+    for g in _wide_graphs():
+        spec = [(g.names[a], g.names[b], float(w)) for a, b, w in zip(g.u, g.v, g.length)]
+        for _ in range(3):
+            u, v, _w = spec[rng.randrange(len(spec))]
+            case = list(spec)
+            case.insert(rng.randrange(len(case) + 1), (*rng.choice([(u, v), (v, u)]), 2.0))
+            with pytest.raises(ValidationError) as want:
+                reference_edge_checks(g.names, case)
+            with pytest.raises(ValidationError) as got:
+                validate_cactus(g.names, case)
+            assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +492,8 @@ def test_centroid_equals_the_sorting_reference_on_random_draws():
 
 def test_fixed_distances_on_triangle_with_pendant():
     g = tri_graph()
-    assert point_distance(g, g.vertex_point(0), g.vertex_point(3)) == 3.0
-    assert point_distance(g, GraphPoint(0, 0.5), g.vertex_point(2)) == 1.5
+    assert refs.point_distance(g, g.vertex_point(0), g.vertex_point(3)) == 3.0
+    assert refs.point_distance(g, GraphPoint(0, 0.5), g.vertex_point(2)) == 1.5
 
 
 def test_distance_wraps_around_a_long_cycle_edge():
@@ -427,7 +501,7 @@ def test_distance_wraps_around_a_long_cycle_edge():
         ["a", "b", "c"], [("a", "b", 10.0), ("b", "c", 1.0), ("c", "a", 1.0)]
     )
     # going around through c beats staying on the long edge
-    assert point_distance(g, GraphPoint(0, 1.0), GraphPoint(0, 9.0)) == 4.0
+    assert refs.point_distance(g, GraphPoint(0, 1.0), GraphPoint(0, 9.0)) == 4.0
 
 
 def test_vertex_distance_matrix_matches_floyd_warshall():
@@ -454,13 +528,13 @@ def test_point_distance_is_a_metric_on_samples():
             for e in rng.choices(edge_rows(g), k=4)
         ]
         for p in pts:
-            assert point_distance(g, p, p) == pytest.approx(0.0, abs=1e-9)
+            assert refs.point_distance(g, p, p) == pytest.approx(0.0, abs=1e-9)
             for q in pts:
-                dpq = point_distance(g, p, q)
-                assert dpq == pytest.approx(point_distance(g, q, p), abs=1e-9)
+                dpq = refs.point_distance(g, p, q)
+                assert dpq == pytest.approx(refs.point_distance(g, q, p), abs=1e-9)
                 for r in pts:
                     assert dpq <= (
-                        point_distance(g, p, r) + point_distance(g, r, q) + 1e-9
+                        refs.point_distance(g, p, r) + refs.point_distance(g, r, q) + 1e-9
                     )
 
 
@@ -474,7 +548,7 @@ def test_distances_from_agree_with_pairwise_queries():
             assert np.allclose(vec, ref, rtol=1e-12, atol=1e-12)
             for v in range(g.vertex_count):
                 assert vec[v] == pytest.approx(
-                    point_distance(g, p, g.vertex_point(v)), abs=1e-12
+                    refs.point_distance(g, p, g.vertex_point(v)), abs=1e-12
                 )
 
 
@@ -766,6 +840,7 @@ def _assert_ring_queries_equal_the_reference(graph) -> None:
     ``_POS_EPS``/2 and 2·``_POS_EPS`` either side of it and ``_POS_EPS``
     past it, at 0 and the perimeter, and below 0 and above the perimeter."""
     dec = graph.cycles
+    by_size: dict[int, list] = {}
     for ring in refs.rings(dec):
         per = ring.perimeter
         near = (-2 * _POS_EPS, -_POS_EPS / 2, _POS_EPS / 2, _POS_EPS, 2 * _POS_EPS)
@@ -773,7 +848,15 @@ def _assert_ring_queries_equal_the_reference(graph) -> None:
         at += [0.0, per, -1e-300, -per / 3, -per - ring.pos[-1], 1.5 * per, 7 * per + ring.pos[1]]
         for x in [*at, *np.array(at)]:
             assert dec.point(graph, ring.id, x) == ring.coord_point(graph, x), x
-        assert np.array_equal(dec.ring_distances(ring.id, at), ring.ring_distances(at))
+        by_size.setdefault(len(ring.pos), []).append((ring, at))
+    # the rings of one size as one block, and each alone
+    for rows in by_size.values():
+        block = np.array([ring.id for ring, _ in rows])
+        got = dec.ring_distances(block, np.array([at for _, at in rows]))
+        for b, (ring, at) in enumerate(rows):
+            want = ring.ring_distances(at)
+            assert np.array_equal(got[b], want)
+            assert np.array_equal(dec.ring_distances(block[b : b + 1], np.array([at]))[0], want)
 
 
 def test_ring_points_and_distances_equal_the_reference_on_draws():

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import references as refs
-from conftest import draw_case, edge_row
-from ucactus import optimizer
+from conftest import draw_case, edge_row, gen
+from ucactus import graph, optimizer
 from ucactus.decision import decide, one_center
-from ucactus.graph import GraphPoint, point_distance, validate_cactus
+from ucactus.graph import CactusGraph, GraphPoint, validate_cactus
+from ucactus.io import parse_instance
 from ucactus.optimizer import (
     _base_values,
     _segments,
@@ -259,7 +262,7 @@ def test_solve_never_builds_the_original_distance_matrix():
             "objective": lambda: objective(inst, *sol.centers),
             "expected_distance": lambda: expected_distance(inst, 0, inside),
             "expected_distances": lambda: expected_distances(inst, q),
-            "point_distance": lambda: point_distance(g, inside, q),
+            "point_distance": lambda: refs.point_distance(g, inside, q),
             "decide": lambda: decide(inst, sol.value),
             "one_center": lambda: one_center(inst),
             "median": lambda: median(inst, 0),
@@ -269,6 +272,28 @@ def test_solve_never_builds_the_original_distance_matrix():
             assert "vertex_distances" not in g.__dict__, name
     # interior locations, and vertex-only ones with and without a reduction
     assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_solve_and_decide_run_no_dijkstra(monkeypatch):
+    # the vertex tables and the pricing come from the skeleton alone; only
+    # the certificate, objective, prices by Dijkstra
+    def refuse(*args, **kwargs):
+        raise AssertionError("Dijkstra run inside solve or decide")
+
+    rng = random.Random(3)
+    datas = [gen.tree_like(rng, 1000), gen.rings(rng, n_rings=6, ring_size=30, n_points=12)]
+    cases = [(lambda s=seed: draw_case(s, edge_locations=True)) for seed in range(40)]
+    cases += [(lambda d=data: parse_instance(d)) for data in datas]
+    for fresh in cases:
+        with monkeypatch.context() as m:
+            m.setattr(CactusGraph, "distance_rows", refuse)
+            m.setattr(graph, "dijkstra", refuse)
+            sol = solve(fresh())
+            inst = fresh()
+            verdict = decide(inst, sol.value)
+        assert verdict.feasible
+        tol = inst.eps * max(1.0, sol.value)
+        assert objective(inst, *verdict.centers) <= sol.value + 2.0 * tol
 
 
 def test_two_centers_never_beat_one_center():

@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -33,14 +34,13 @@ from ucactus.graph import (
     GraphPoint,
     _decompose,
     centroid,
-    point_distance,
     validate_cactus,
     validate_edge_columns,
 )
 from ucactus.io import instance_to_dict, parse_instance, random_instance
 from ucactus.optimizer import solve
 from ucactus.oracle import oracle_solve
-from ucactus.reduction import reduce_instance
+from ucactus.reduction import Reduction, reduce_instance
 from ucactus.uncertain import (
     Location,
     UncertainPoint,
@@ -197,7 +197,7 @@ def test_lifting_preserves_distances_between_kept_vertices():
             i = rng.randrange(rg.vertex_count)
             j = rng.randrange(rg.vertex_count)
             want = rg.vertex_distances[i, j]
-            got = point_distance(
+            got = refs.point_distance(
                 inst.graph, red.lift_point(rg.vertex_point(i)), red.lift_point(rg.vertex_point(j))
             )
             assert got == pytest.approx(want, abs=1e-9)
@@ -572,13 +572,28 @@ def _reference_finish(inst, split, survivors, edges) -> SimpleNamespace:
     )
 
 
-def fixpoint_reduce(inst):
-    """``reduce_instance`` with the reference split and the fixpoint above
-    in place of the package's split and worklist."""
+class Splits(NamedTuple):
+    """``reduce_instance`` of one instance and, unless it is the identity,
+    the package's split and the reference split, each computed once."""
+
+    red: Reduction
+    got: reduction._Split | None
+    want: _RefSplit | None
+
+
+def splits(inst) -> Splits:
     red = reduce_instance(inst)
     if red.identity:
-        return SimpleNamespace(identity=True, reduced=red.reduced, vertex_origin=[])
-    split = reference_split(inst)
+        return Splits(red, None, None)
+    return Splits(red, reduction._split(inst), reference_split(inst))
+
+
+def fixpoint_reduce(inst, sp: Splits):
+    """``reduce_instance`` with the reference split and the fixpoint above
+    in place of the package's split and worklist."""
+    if sp.red.identity:
+        return SimpleNamespace(identity=True, reduced=sp.red.reduced, vertex_origin=[])
+    split = sp.want
     verts = dict(enumerate(split.mass))
     cycle_of = [None if c < 0 else c for c in split.graph.cycles.edge_cycle.tolist()]
     edges = {
@@ -589,12 +604,12 @@ def fixpoint_reduce(inst):
     return _reference_finish(inst, split, sorted(verts), [e for _, e in sorted(edges.items())])
 
 
-def assert_same_split(inst):
+def assert_same_split(inst, sp: Splits):
     """The package's split numbers vertices and split edges, and places the
     locations, exactly as the reference does."""
-    if reduce_instance(inst).identity:
+    if sp.red.identity:
         return
-    got, want = reduction._split(inst), reference_split(inst)
+    got, want = sp.got, sp.want
     n = inst.graph.vertex_count
     assert got.mass.tolist() == want.mass
     placed: list[list[tuple[int, float]]] = [[] for _ in inst.points]
@@ -784,9 +799,12 @@ def worklist_reduce(split) -> tuple[list[int], list[tuple[list[int], list[int]]]
 def assert_same_chains(inst):
     """The rooted mass count keeps the worklist's survivors and chains, and
     sums each chain's length in walk order."""
-    if reduce_instance(inst).identity:
-        return
-    split = reduction._split(inst)
+    if not reduce_instance(inst).identity:
+        assert_same_chains_of(reduction._split(inst))
+
+
+def assert_same_chains_of(split):
+    """:func:`assert_same_chains` on the package's split of an instance."""
     got = reduction._reduce(split)
     survivors, chains = worklist_reduce(split)
     assert got.survivors.tolist() == survivors
@@ -844,10 +862,12 @@ def test_one_pass_matches_the_fixpoint_on_random_draws(max_vertices, edge_locati
     reduced = 0
     for seed in range(1000):
         inst = draw_case(seed, max_vertices=max_vertices, edge_locations=edge_locations)
-        got = reduce_instance(inst)
-        assert_same_split(inst)
-        assert_same_reduction(got, fixpoint_reduce(inst))
-        assert_same_chains(inst)
+        sp = splits(inst)
+        got = sp.red
+        assert_same_split(inst, sp)
+        assert_same_reduction(got, fixpoint_reduce(inst, sp))
+        if sp.got is not None:
+            assert_same_chains_of(sp.got)
         assert_lifts_match_the_tables(got)
         assert_passes_validation(got)
         reduced += not got.identity
@@ -860,11 +880,13 @@ def test_one_pass_matches_the_fixpoint_on_large_draws():
             seed, n_vertices=1000, n_cycles=60, n_points=20, n_locations=6,
             edge_locations=True,
         )
-        got = reduce_instance(inst)
+        sp = splits(inst)
+        got = sp.red
         assert got.reduced.graph.vertex_count < 400
-        assert_same_split(inst)
-        assert_same_reduction(got, fixpoint_reduce(inst))
-        assert_same_chains(inst)
+        assert_same_split(inst, sp)
+        assert_same_reduction(got, fixpoint_reduce(inst, sp))
+        if sp.got is not None:
+            assert_same_chains_of(sp.got)
         assert_lifts_match_the_tables(got)
         assert_passes_validation(got)
 

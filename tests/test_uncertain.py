@@ -25,7 +25,6 @@ from ucactus.graph import (
     VERTEX,
     GraphPoint,
     check_point,
-    point_distance,
     validate_cactus,
 )
 from ucactus.io import parse_instance
@@ -38,6 +37,7 @@ from ucactus.uncertain import (
     UncertainPoint,
     build_instance,
     component_sums,
+    ed_at_point,
     expected_distance,
     expected_distances,
     group_eccentricity,
@@ -45,6 +45,8 @@ from ucactus.uncertain import (
     median,
     median_values,
     objective,
+    ring_shift,
+    ring_shifts,
 )
 
 
@@ -327,7 +329,7 @@ def test_interior_expected_distances_match_the_matrix_formula():
                 for loc in p.locations:
                     here = location_point(g, loc)
                     d = _matrix_distance(g, here, q)
-                    assert abs(point_distance(g, here, q) - d) <= 1e-9 * max(1.0, d)
+                    assert abs(refs.point_distance(g, here, q) - d) <= 1e-9 * max(1.0, d)
                     want += loc.prob * d
                 tol = 1e-9 * max(1.0, want)
                 assert abs(vec[k] - want) <= tol, (seed, q, k)
@@ -460,6 +462,68 @@ def test_rerooting_matches_the_reference_loop_on_random_draws():
             assert close(inst.ed_at_vertices, g.vertex_distances @ inst.vertex_mass, 1e-9)
             matrix_checks += 1
     assert matrix_checks >= 350
+
+
+def test_ring_shifts_of_a_block_equal_each_cycle_alone():
+    # ed_at_vertices runs the blocked product over equal-sized rings; each
+    # block's rows must equal the one-cycle case bit for bit, at the ring
+    # vertices and between them
+    blocks = 0
+    for inst in _rerooting_cases():
+        dec, entry = inst.graph.cycles, inst.ring_gates[0]
+        size = np.diff(dec.ring_ptr)
+        for s in set(size.tolist()):
+            block = np.flatnonzero(size == s)
+            pos = dec.ring_pos[dec.block(block)]
+            at = np.concatenate([pos, pos + 0.3 * dec.perimeter[block, None] / s], axis=1)
+            shift, reach = ring_shifts(inst, block, at)
+            for b, c in enumerate(block.tolist()):
+                assert np.array_equal(shift[b], ring_shift(inst, c, at[b]))
+                here = np.abs(dec.ring_pos[dec.ring(c)] - dec.ring_pos[entry[c]])
+                here = np.minimum(here, dec.perimeter[c] - here)
+                assert np.array_equal(reach[b], here)
+            blocks += len(block) > 1
+    assert blocks >= 10
+
+
+def _row_pricing_cases():
+    """The rerooting cases and benchmark-shaped networks whose points all
+    sit on vertices."""
+    yield from _rerooting_cases()
+    rng = random.Random(11)
+    yield parse_instance(gen.tree_like(rng, 250, n_points=6, edge_share=0.0))
+    yield parse_instance(gen.rings(rng, n_rings=6, ring_size=40, n_points=6))
+
+
+def test_row_pricing_agrees_with_expected_distances():
+    # solve prices its centers from the vertex rows; objective prices them
+    # by Dijkstra, and the two must agree at vertices, inside bridges,
+    # inside ring edges walked either way round, and at antipodes
+    seen = set()
+    for inst in _row_pricing_cases():
+        g, dec = inst.graph, inst.graph.cycles
+
+        def check(q, kind):
+            want = expected_distances(inst, q)
+            got = ed_at_point(inst, q)
+            assert np.all(np.abs(got - want) <= inst.eps * np.maximum(1.0, np.abs(want)))
+            seen.add(kind)
+
+        for v in range(g.vertex_count):
+            check(g.vertex_point(v), "vertex")
+        for e in edge_rows(g):
+            c = int(dec.edge_cycle[e.id])
+            if c < 0:
+                kind = "bridge"
+            else:
+                i = int(np.flatnonzero(dec.ring_edge == e.id)[0])
+                kind = "forward" if dec.ring_forward[i] else "backward"
+            for f in (0.0, 1e-3, 0.3, 0.5, 1.0 - 1e-3, 1.0):
+                check(GraphPoint(e.id, f * e.length), kind)
+        for i, c in enumerate(dec.ring_cycle.tolist()):
+            per = dec.perimeter[c]
+            check(dec.point(g, c, dec.ring_pos[i] + per / 2.0), "antipode")
+    assert seen == {"vertex", "bridge", "forward", "backward", "antipode"}
 
 
 def test_objective_takes_the_better_center_per_point():
