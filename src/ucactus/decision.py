@@ -7,14 +7,20 @@ center must move.  A boundary flag marks the node separating the region still
 being searched from territory delegated to the other center; terminals then
 verify candidate configurations globally, so a "feasible" verdict is always
 backed by an explicit pair of centers.
-Every single-center question (``coverage_witness``, ``decide_on_edge``,
-``one_center``) reads the linear pieces of :mod:`ucactus.plf`.
+Every terminal ends in one question, answered by one search
+(:func:`_second_center`): with one center fixed at each place tried in
+turn, do the points it leaves unserved fit one more?  Every single-center
+question (``coverage_witness``, ``decide_on_edge``, ``one_center``) reads
+the linear pieces of :mod:`ucactus.plf`; ``coverage_witness`` skips a ring
+by its floor (:attr:`ucactus.uncertain.Instance.ring_floor`) before
+building the ring's profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from ucactus.plf import (
     crossings,
     cycle_profiles,
     pieces,
+    profile_at,
     stab_two,
     sublevel,
 )
@@ -202,7 +209,7 @@ def coverage_witness(
     exact: the leftmost position of the first piece, bridges before
     cycles, where every point's sublevel part meets the others.
     """
-    idx = np.asarray(list(subset), dtype=int)
+    idx = np.asarray(subset, dtype=np.intp)
     g = inst.graph
     if idx.size == 0:
         return g.vertex_point(0)
@@ -224,12 +231,10 @@ def coverage_witness(
     if hit is not None:
         return GraphPoint(int(bid[hit[0]]), hit[1])
 
-    for c in range(len(g.cycles)):
-        # a point whose minimum over the whole ring misses the threshold
-        # has no sublevel part there, so no piece can serve the subset
-        floor = _cycle_floor(inst, c)
-        if np.any(inst.weights[idx] * floor[idx] > lam + tol):
-            continue
+    # a point whose minimum over the whole ring misses the threshold has no
+    # sublevel part there, so no piece of that ring can serve the subset
+    reach = ~np.any(w * inst.ring_floor[:, idx] > lam + tol, axis=1)
+    for c in np.flatnonzero(reach).tolist():
         xs, ys = cycle_profiles(inst, c)
         hit = _first_common(xs[:-1, None], xs[1:, None], ys[:-1, idx], ys[1:, idx], thr)
         if hit is not None:
@@ -246,29 +251,39 @@ def _first_common(x0, x1, y0, y1, thr) -> tuple[int, float] | None:
     return (int(at[0]), float(lo[at[0]])) if at.size else None
 
 
-def _cycle_floor(inst: Instance, cycle_id: int) -> np.ndarray:
-    """Per-point minimum of the unweighted profile around one cycle."""
-    return inst.memo(
-        ("cycle_floor", cycle_id),
-        lambda: cycle_profiles(inst, cycle_id)[1].min(axis=0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # terminals
 
 
+def _second_center(
+    inst: Instance, lam: float, costs: np.ndarray, slack: float, place: Callable[[int], GraphPoint]
+) -> Verdict:
+    """The terminals' last step: fix one center and ask whether the points
+    it leaves unserved fit one more.  Row ``i`` of ``costs`` holds every
+    point's weighted cost with the first center at ``place(i)``; a point
+    costing more than ``lam + slack`` is left to the second.  The first
+    row whose residual is empty or has a :func:`coverage_witness` wins; a
+    residual already tried is skipped."""
+    tried: set[bytes] = set()
+    for i, over in enumerate(costs > lam + slack):
+        rest = np.flatnonzero(over)
+        if rest.size == 0:
+            here = place(i)
+            return Verdict(True, (here, here))
+        key = over.tobytes()
+        if key in tried:
+            continue
+        tried.add(key)
+        other = coverage_witness(inst, rest, lam)
+        if other is not None:
+            return Verdict(True, (place(i), other))
+    return Verdict(False)
+
+
 def _finish_at_vertex(inst: Instance, v: int, lam: float) -> Verdict:
-    tol = _tol(inst, lam)
-    served = inst.weights * inst.ed_at_vertices[v] <= lam + tol
-    rest = np.flatnonzero(~served)
+    costs = inst.weights * inst.ed_at_vertices[[v]]
     here = inst.graph.vertex_point(v)
-    if rest.size == 0:
-        return Verdict(True, (here, here))
-    other = coverage_witness(inst, rest, lam)
-    if other is None:
-        return Verdict(False)
-    return Verdict(True, (here, other))
+    return _second_center(inst, lam, costs, _tol(inst, lam), lambda i: here)
 
 
 def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
@@ -299,19 +314,11 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
     heavy = 1.0 - side_u >= 0.5 - inst.eps
     for_v = np.max(a[heavy & (y1 <= lam + tol)], initial=0.0)
 
-    for t in (for_u, for_v):
-        t = float(np.clip(t, 0.0, length))
-        at_t = y0 + slope * t
-        # double slack: t sits on a tolerance boundary, so re-evaluation
-        # may land an ulp above it
-        rest = np.flatnonzero(at_t > lam + 2.0 * tol)
-        if rest.size == 0:
-            here = GraphPoint(edge, t)
-            return Verdict(True, (here, here))
-        other = coverage_witness(inst, rest, lam)
-        if other is not None:
-            return Verdict(True, (GraphPoint(edge, t), other))
-    return Verdict(False)
+    ts = np.clip([for_u, for_v], 0.0, length)
+    # double slack: each t sits on a tolerance boundary, so re-evaluation
+    # may land an ulp above it
+    costs = y0 + slope * ts[:, None]
+    return _second_center(inst, lam, costs, 2.0 * tol, lambda i: GraphPoint(edge, float(ts[i])))
 
 
 def _cycle_arcs(
@@ -332,36 +339,13 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
         if hit is not None:
             x, y = hit[0], hit[0] if hit[1] is None else hit[1]
             return Verdict(True, (g.cycles.point(g, c, x), g.cycles.point(g, c, y)))
-    xs, ys = cycle_profiles(inst, c)
-    tol = _tol(inst, lam)
     cands = sorted({0.0} | {end for fam in arcs for ab in fam for end in ab})
-    seen_masks: set[frozenset[int]] = set()
-    for x in cands:
-        yx = _interp_rows(xs, ys, x)
-        # double slack: x is an arc endpoint, so its own cost sits on the
-        # tolerance boundary
-        rest = np.flatnonzero(inst.weights * yx > lam + 2.0 * tol)
-        if rest.size == 0:
-            here = g.cycles.point(g, c, x)
-            return Verdict(True, (here, here))
-        mask = frozenset(rest.tolist())
-        if mask in seen_masks:
-            continue
-        seen_masks.add(mask)
-        other = coverage_witness(inst, rest, lam)
-        if other is not None:
-            return Verdict(True, (g.cycles.point(g, c, x), other))
-    return Verdict(False)
-
-
-def _interp_rows(xs: np.ndarray, ys: np.ndarray, x: float) -> np.ndarray:
-    i = int(np.searchsorted(xs, x))
-    if i >= len(xs):
-        return ys[-1]
-    if xs[i] == x or i == 0:
-        return ys[i]
-    frac = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
-    return ys[i - 1] + frac * (ys[i] - ys[i - 1])
+    costs = inst.weights * profile_at(*cycle_profiles(inst, c), cands)
+    # double slack: each candidate is an arc endpoint, so its own cost sits
+    # on the tolerance boundary
+    return _second_center(
+        inst, lam, costs, 2.0 * _tol(inst, lam), lambda i: g.cycles.point(g, c, cands[i])
+    )
 
 
 def decide_on_two_cycles(

@@ -22,9 +22,9 @@ import numpy as np
 from ucactus.decision import Verdict, decide
 from ucactus.errors import InternalInvariantError
 from ucactus.graph import GraphPoint
-from ucactus.plf import crossings, pieces
+from ucactus.plf import crossings, ed_at_point, pieces
 from ucactus.reduction import reduce_instance
-from ucactus.uncertain import Instance, ed_at_point, median_values
+from ucactus.uncertain import Instance, median_values
 
 
 @dataclass(frozen=True, slots=True)

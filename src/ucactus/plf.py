@@ -6,9 +6,12 @@ the stretch between two breakpoints (a ring vertex or a ring vertex's
 antipode).  :func:`pieces` lists those stretches as one table, and every
 single-center question reads one :func:`sublevel` pass over piece rows.
 A cycle's profiles are one matrix: every point's expected distance sampled
-at the cycle's shared breakpoints.  Every stabbing question reads one cell
-matrix over the sorted distinct interval endpoints: which family covers
-each endpoint and each open gap between two endpoints.
+at the cycle's shared breakpoints.  A position on a ring is priced by one
+interpolation of that matrix (:func:`profile_at`), both in the cycle
+terminal and in :func:`ed_at_point`, which prices a solved center.  Every
+stabbing question reads one cell matrix over the sorted distinct interval
+endpoints: which family covers each endpoint and each open gap between two
+endpoints.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ucactus.graph import GraphPoint
-from ucactus.uncertain import Instance, ring_mixture
+from ucactus.uncertain import Instance, ring_shifts
 
 # There is one kernel, in pure Python; the benchmark's env line still reads
 # this flag (perfbench/run.py).
@@ -42,19 +45,62 @@ def cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _cycle_profiles(inst: Instance, cycle_id: int) -> tuple[np.ndarray, np.ndarray]:
-    # each profile is the ring mixture of ed_at_vertices, which is linear
-    # between ring vertices and their antipodes, so those are the breakpoints
-    dec = inst.graph.cycles
+    # each profile is the entry vertex's row plus its ring shift, which is
+    # linear between ring vertices and their antipodes, so those are the
+    # breakpoints
+    dec, ed = inst.graph.cycles, inst.ed_at_vertices
     ring = dec.ring(cycle_id)
     coords, per = dec.ring_pos[ring], dec.perimeter[cycle_id]
     xs = np.unique(np.concatenate([coords, (coords + per / 2) % per, [0.0, per]]))
-    ys = ring_mixture(inst, cycle_id, xs, inst.ed_at_vertices)
+    shift = ring_shifts(inst, np.array([cycle_id]), xs[None])[0][0]
+    ys = ed[dec.ring_vertex[inst.ring_gates[0][cycle_id]]] + shift
     # at its ring vertices a profile takes their own rows, so the two agree
     # bit for bit whatever order the rerooting summed them in
-    ys[np.searchsorted(xs, coords)] = inst.ed_at_vertices[dec.ring_vertex[ring]]
+    ys[np.searchsorted(xs, coords)] = ed[dec.ring_vertex[ring]]
     xs.setflags(write=False)
     ys.setflags(write=False)
     return xs, ys
+
+
+def profile_at(xs: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Rows of the profile matrix ``ys``, sampled at the sorted ``xs``, at
+    the coordinates ``at``, one row each: a sample's own row at a
+    breakpoint, the first row at or below ``xs[0]``, the last at or past
+    ``xs[-1]``, and the line between the two rows around it elsewhere."""
+    at = np.asarray(at, dtype=float)
+    i = np.searchsorted(xs, at)
+    j = np.minimum(i, len(xs) - 1)
+    own = (i == 0) | (i == len(xs)) | (xs[j] == at)
+    out = ys[j]
+    mid = np.flatnonzero(~own)
+    k = i[mid]
+    frac = (at[mid] - xs[k - 1]) / (xs[k] - xs[k - 1])
+    out[mid] = ys[k - 1] + frac[:, None] * (ys[k] - ys[k - 1])
+    return out
+
+
+def ed_at_point(inst: Instance, q: GraphPoint) -> np.ndarray:
+    """Every point's expected distance to ``q`` on a vertex-constrained
+    instance, read off :attr:`Instance.ed_at_vertices`: a vertex's row;
+    inside a bridge, the line between its two end rows, since every
+    location lies off the edge on one side; inside a ring edge, the
+    cycle's profiles at ``q``'s arc coordinate, which are linear between
+    breakpoints."""
+    g, ed = inst.graph, inst.ed_at_vertices
+    if q.edge < 0:
+        return ed[0]
+    u, v, length = g.edge(q.edge)
+    if q.t <= 0.0:
+        return ed[u]
+    if q.t >= length:
+        return ed[v]
+    dec = g.cycles
+    c = int(dec.edge_cycle[q.edge])
+    if c < 0:
+        return ed[u] + (q.t / length) * (ed[v] - ed[u])
+    i = int(np.flatnonzero(dec.ring_edge == q.edge)[0])
+    x = dec.ring_pos[i] + (q.t if dec.ring_forward[i] else length - q.t)
+    return profile_at(*cycle_profiles(inst, c), [x])[0]
 
 
 def crossings(y0: np.ndarray, y1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

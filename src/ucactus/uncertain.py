@@ -12,15 +12,18 @@ each node's mass is one bincount, each subtree's mass is preorder prefix
 sums differenced at the subtree's ends, and the expected distances at
 every vertex are rerooted from the skeleton root's vertex by summing
 per-vertex steps along root paths with pointer doubling; the root's own
-row comes from its distances, summed along the same paths.  No Dijkstra
-runs for these tables: only :func:`expected_distances`, the independent
-pricing of an arbitrary point, reads the graph's Dijkstra rows.
+row comes from its distances, summed along the same paths.  Around a
+cycle every step is one ring-shift formula, :func:`ring_shifts`, which the
+cycle profiles of :mod:`ucactus.plf` also read.  Expected distance is
+concave along every edge, so each point's least value around a cycle
+(:attr:`Instance.ring_floor`) is read off the ring vertices' rows.  No
+Dijkstra runs for these tables: only :func:`expected_distances`, the
+independent pricing of an arbitrary point, reads the graph's Dijkstra rows.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -183,6 +186,15 @@ class Instance:
         return _sum_root_paths(up, step)
 
     @cached_property
+    def ring_floor(self) -> np.ndarray:
+        """``ring_floor[c, k]`` is point k's least expected distance around
+        cycle c, a (cycles × n) matrix.  Each point's expected distance is
+        concave along every edge of a vertex-constrained instance, so a
+        ring vertex attains it, as a vertex attains the median."""
+        dec = self.graph.cycles
+        return np.minimum.reduceat(self.ed_at_vertices[dec.ring_vertex], dec.ring_ptr[:-1], axis=0)
+
+    @cached_property
     def ring_gates(self) -> tuple[np.ndarray, np.ndarray]:
         """``(entry, gate)`` over the ring positions of every cycle, in the
         order of ``graph.cycles.ring_vertex``.  ``gate[i, k]`` is the mass of
@@ -249,23 +261,14 @@ def _sum_root_paths(up: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 def instance_eps(explicit: float | None) -> float:
-    """The comparison tolerance: ``explicit`` if given, else ``UCACTUS_EPS``,
-    else :data:`DEFAULT_EPS`; it must be finite and positive, since with no
+    """The comparison tolerance: ``explicit`` if given, else
+    :data:`DEFAULT_EPS`; it must be finite and positive, since with no
     slack a comparison one rounding error off flips a verdict."""
-    if explicit is not None:
-        eps, source = explicit, "eps"
-    else:
-        env = os.environ.get("UCACTUS_EPS")
-        if not env:
-            return DEFAULT_EPS
-        source = "UCACTUS_EPS"
-        try:
-            eps = float(env)
-        except ValueError as exc:
-            raise ValidationError(f"UCACTUS_EPS is not a number: {env!r}") from exc
-    if not 0.0 < eps < math.inf:
-        raise ValidationError(f"{source} must be finite and positive, got {eps}")
-    return eps
+    if explicit is None:
+        return DEFAULT_EPS
+    if not 0.0 < explicit < math.inf:
+        raise ValidationError(f"eps must be finite and positive, got {explicit}")
+    return explicit
 
 
 def build_instance(
@@ -485,48 +488,6 @@ def ring_shifts(
     return shift, here[:, 0]
 
 
-def ring_shift(
-    inst: Instance, cycle_id: int, at: Sequence[float] | np.ndarray
-) -> np.ndarray:
-    """:func:`ring_shifts` of one cycle at the arc coordinates ``at``, as an
-    ``(len(at), n)`` matrix."""
-    at = np.asarray(at, dtype=float)[None]
-    return ring_shifts(inst, np.array([cycle_id]), at)[0][0]
-
-
-def ring_mixture(
-    inst: Instance, cycle_id: int, at: Sequence[float] | np.ndarray, ed: np.ndarray
-) -> np.ndarray:
-    """Every point's expected distance at the arc coordinates ``at`` of one
-    cycle, as an ``(len(at), n)`` matrix, given ``ed``, whose row for the
-    cycle's entry vertex must hold that vertex's expected distances."""
-    entry = inst.ring_gates[0][cycle_id]
-    return ed[inst.graph.cycles.ring_vertex[entry]] + ring_shift(inst, cycle_id, at)
-
-
-def ed_at_point(inst: Instance, q: GraphPoint) -> np.ndarray:
-    """Every point's expected distance to ``q`` on a vertex-constrained
-    instance, read off :attr:`Instance.ed_at_vertices`: a vertex's row;
-    inside a bridge, the line between its two end rows, since every
-    location lies off the edge on one side; inside a ring edge, the ring
-    mixture at ``q``'s arc coordinate."""
-    g, ed = inst.graph, inst.ed_at_vertices
-    if q.edge < 0:
-        return ed[0]
-    u, v, length = g.edge(q.edge)
-    if q.t <= 0.0:
-        return ed[u]
-    if q.t >= length:
-        return ed[v]
-    dec = g.cycles
-    c = int(dec.edge_cycle[q.edge])
-    if c < 0:
-        return ed[u] + (q.t / length) * (ed[v] - ed[u])
-    i = int(np.flatnonzero(dec.ring_edge == q.edge)[0])
-    x = dec.ring_pos[i] + (q.t if dec.ring_forward[i] else length - q.t)
-    return ring_mixture(inst, c, [x], ed)[0]
-
-
 def component_sums(inst: Instance, node: int) -> ComponentSums:
     tree, sub = inst.graph.skeleton, inst.subtree_mass
     comps = tree.split_components(node)
@@ -561,9 +522,10 @@ def median_values(inst: Instance) -> np.ndarray:
 
 
 def group_eccentricity(
-    inst: Instance, subset: Sequence[int] | np.ndarray, where: int | GraphPoint
+    inst: Instance, subset: Sequence[int] | np.ndarray, where: int
 ) -> tuple[float, int | None]:
-    """Largest weighted expected distance from ``where`` over ``subset``.
+    """Largest weighted expected distance from vertex ``where`` over
+    ``subset``.
 
     Returns ``(value, worst_point)``; an empty subset yields ``(0.0, None)``
     and means there is nothing to serve.
@@ -571,10 +533,6 @@ def group_eccentricity(
     idx = np.asarray(subset, dtype=np.intp)
     if idx.size == 0:
         return 0.0, None
-    if isinstance(where, int):
-        ed = inst.ed_at_vertices[where, idx]
-    else:
-        ed = expected_distances(inst, where)[idx]
-    vals = inst.weights[idx] * ed
+    vals = inst.weights[idx] * inst.ed_at_vertices[where, idx]
     best = int(np.argmax(vals))
     return float(vals[best]), int(idx[best])

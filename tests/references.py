@@ -4,8 +4,9 @@ the ring table as tuples, with its points found edge by edge, the skeleton
 tree as node and link lists and the quantities read off it, a query point's
 expected distances priced location by location, the whole map from a
 reduced graph back to the original one, and the single-center questions
-asked edge by edge and piece by piece.  The tests check that both give the
-same ring points, tree, masses, expected distances, centroids, lifts,
+asked edge by edge and piece by piece, and the cycle terminal's residual
+sweep one candidate at a time.  The tests check that both give the same
+ring points, tree, masses, expected distances, centroids, lifts,
 witnesses, terminal verdicts, 1-centers and base values."""
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ucactus import decision
 from ucactus.decision import Verdict
 from ucactus.graph import _POS_EPS, CYCLE, HINGE, VERTEX, GraphPoint, check_point
-from ucactus.plf import coverage_set, crossings, cycle_profiles, intersect_families
+from ucactus.plf import coverage_set, crossings, cycle_profiles, intersect_families, stab_two
 from ucactus.uncertain import component_mass, median_values
 
 KIND = {"vertex": VERTEX, "hinge": HINGE, "cycle": CYCLE}
@@ -428,6 +430,52 @@ def decide_on_edge(inst, edge: int, lam: float) -> Verdict:
         other = coverage_witness(inst, rest, lam)
         if other is not None:
             return Verdict(True, (GraphPoint(edge, t), other))
+    return Verdict(False)
+
+
+def interp_rows(xs: np.ndarray, ys: np.ndarray, x: float) -> np.ndarray:
+    """The row of the profile matrix ``ys`` at one arc coordinate ``x``:
+    found by one binary search, then a breakpoint's own row, an end row,
+    or the line between the two rows around ``x``."""
+    i = int(np.searchsorted(xs, x))
+    if i >= len(xs):
+        return ys[-1]
+    if xs[i] == x or i == 0:
+        return ys[i]
+    frac = (x - xs[i - 1]) / (xs[i] - xs[i - 1])
+    return ys[i - 1] + frac * (ys[i] - ys[i - 1])
+
+
+def decide_on_cycle(inst, node: int, lam: float) -> Verdict:
+    """The cycle terminal with its residual sweep as a loop: both centers
+    on the ring by one stab, else each arc endpoint in order as the
+    on-ring center, priced by :func:`interp_rows`, its residual set handed
+    to the package's ``coverage_witness`` once per distinct set."""
+    g = inst.graph
+    c = int(g.skeleton.ref[node])
+    arcs = decision._cycle_arcs(inst, c, lam)
+    if all(arcs):
+        hit = stab_two(arcs)
+        if hit is not None:
+            x, y = hit[0], hit[0] if hit[1] is None else hit[1]
+            return Verdict(True, (g.cycles.point(g, c, x), g.cycles.point(g, c, y)))
+    xs, ys = cycle_profiles(inst, c)
+    tol = _tol(inst, lam)
+    cands = sorted({0.0} | {end for fam in arcs for ab in fam for end in ab})
+    seen_masks: set[frozenset[int]] = set()
+    for x in cands:
+        yx = interp_rows(xs, ys, x)
+        rest = np.flatnonzero(inst.weights * yx > lam + 2.0 * tol)
+        if rest.size == 0:
+            here = g.cycles.point(g, c, x)
+            return Verdict(True, (here, here))
+        mask = frozenset(rest.tolist())
+        if mask in seen_masks:
+            continue
+        seen_masks.add(mask)
+        other = decision.coverage_witness(inst, rest, lam)
+        if other is not None:
+            return Verdict(True, (g.cycles.point(g, c, x), other))
     return Verdict(False)
 
 

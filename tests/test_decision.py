@@ -19,7 +19,6 @@ from ucactus.decision import (
     FEASIBLE_SINGLE,
     Verdict,
     _cycle_arcs,
-    _interp_rows,
     coverage_witness,
     decide,
     decide_on_cycle,
@@ -39,7 +38,7 @@ from ucactus.oracle import (
     oracle_one_center,
     oracle_solve,
 )
-from ucactus.plf import cycle_profiles, intersect_families, stab_one
+from ucactus.plf import cycle_profiles, intersect_families, profile_at, stab_one
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Location,
@@ -245,7 +244,7 @@ def _rescan_two_cycles(inst, node1, node2, lam):
             continue
         seen.add(x)
         p1 = cyc1.coord_point(g, x)
-        vals = inst.weights * _interp_rows(xs1, ys1, x)
+        vals = inst.weights * refs.interp_rows(xs1, ys1, x)
         rest = np.flatnonzero(vals > lam + 2.0 * tol)
         if rest.size == 0:
             return Verdict(True, (p1, p1))
@@ -334,7 +333,7 @@ def test_cycle_matrix_rows_price_positions_like_expected_distances():
             ends = [x for fam in arcs for ab in fam for x in ab]
             for x in [*xs.tolist(), *ends, rng.uniform(0.0, cyc.perimeter)]:
                 want = expected_distances(inst, cyc.coord_point(g, x))
-                err = np.abs(_interp_rows(xs, ys, x) - want)
+                err = np.abs(profile_at(xs, ys, [x])[0] - want)
                 assert np.all(err <= 1e-9 * np.maximum(1.0, np.abs(want)))
     assert cycles >= 30
 
@@ -590,3 +589,36 @@ def test_one_center_equals_the_bridge_and_cycle_loops():
             lifted += 1
         assert one_center(inst) == want, seed
     assert lifted >= 20
+
+
+def test_cycle_terminal_equals_the_candidate_loop(monkeypatch):
+    # the one second-center search against the loop it replaced, on the
+    # acceptance sweep's draws and radius ladder: the same verdicts and
+    # centers, with coverage_witness asked as often (once per residual)
+    asked = []
+    witness = decision.coverage_witness
+    monkeypatch.setattr(
+        decision, "coverage_witness", lambda *a: asked.append(a) or witness(*a)
+    )
+    calls = []
+    terminal = decision.decide_on_cycle
+
+    def both(inst, node, lam):
+        start = len(asked)
+        got = terminal(inst, node, lam)
+        mid = len(asked)
+        want = refs.decide_on_cycle(inst, node, lam)
+        assert got == want, (node, lam)
+        assert mid - start == len(asked) - mid, (node, lam)
+        calls.append(mid - start)
+        return got
+
+    monkeypatch.setattr(decision, "decide_on_cycle", both)
+    for seed in range(500):
+        inst = draw_case(seed, max_vertices=12, max_cycles=3, max_points=5, max_locations=3)
+        star = solve(inst).value
+        delta = max(1e-3, 1e-3 * star)
+        for lam in (0.5 * star, star - delta, star, star + delta, 2.0 * star):
+            decide(inst, lam)
+    # 1220 terminal calls, 342 of them asking 942 residuals in all
+    assert len(calls) >= 1000 and sum(calls) >= 800, (len(calls), sum(calls))

@@ -327,17 +327,6 @@ def test_cli_rejects_bad_input(tmp_path, capsys, changes, flags, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
-def test_cli_rejects_a_bad_eps_from_the_environment(tmp_path, capsys, monkeypatch, value):
-    doc = _tri_doc()
-    del doc["eps"]  # an eps in the file would take precedence
-    path = tmp_path / "tri.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("UCACTUS_EPS", value)
-    assert main(["solve", str(path)]) == 2
-    assert "UCACTUS_EPS" in capsys.readouterr().err
-
-
 def test_cli_rejects_an_integer_too_long_to_read(tmp_path, capsys):
     # past Python's limit on integer digits, json itself refuses the number
     doc = json.dumps(_tri_doc(edge_length=0.5)).replace("0.5", "1" * 5000, 1)

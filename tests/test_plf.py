@@ -18,6 +18,7 @@ from ucactus.plf import (
     cycle_profiles,
     intersect_families,
     pieces,
+    profile_at,
     stab_one,
     stab_two,
 )
@@ -86,6 +87,35 @@ def test_cycle_profiles_sample_to_expected_distances():
                 x = rng.uniform(0.0, cyc.perimeter)
                 want = expected_distance(inst, k, cyc.coord_point(g, x))
                 assert np.interp(x, xs, ys[:, k]) == pytest.approx(want, abs=1e-9)
+
+
+def test_profile_at_equals_the_row_loop():
+    # every breakpoint and the floats beside it, random interior points, 0,
+    # the perimeter and past both ends, asked in one shuffled call
+    rings = 0
+    for seed in range(60):
+        inst = reduce_instance(draw_case(seed, edge_locations=seed % 2 == 1)).reduced
+        rng = random.Random(seed)
+        for c in range(len(inst.graph.cycles)):
+            xs, ys = cycle_profiles(inst, c)
+            per = float(xs[-1])
+            at = [
+                *xs.tolist(),
+                *np.nextafter(xs, np.inf).tolist(),
+                *np.nextafter(xs, -np.inf).tolist(),
+                *(rng.uniform(0.0, per) for _ in range(20)),
+                0.0,
+                -0.0,
+                per,
+                -0.5,
+                per + 0.5,
+            ]
+            rng.shuffle(at)
+            want = np.array([refs.interp_rows(xs, ys, x) for x in at])
+            assert np.array_equal(profile_at(xs, ys, at), want), seed
+            assert np.array_equal(profile_at(xs, ys, at[:1]), want[:1]), seed
+            rings += 1
+    assert rings >= 30, rings
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from ucactus.graph import (
 )
 from ucactus.io import parse_instance
 from ucactus.optimizer import solve
-from ucactus.plf import cycle_profiles
+from ucactus.plf import cycle_profiles, ed_at_point
 from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     PROB_EPS,
@@ -37,7 +37,6 @@ from ucactus.uncertain import (
     UncertainPoint,
     build_instance,
     component_sums,
-    ed_at_point,
     expected_distance,
     expected_distances,
     group_eccentricity,
@@ -45,7 +44,6 @@ from ucactus.uncertain import (
     median,
     median_values,
     objective,
-    ring_shift,
     ring_shifts,
 )
 
@@ -478,12 +476,30 @@ def test_ring_shifts_of_a_block_equal_each_cycle_alone():
             at = np.concatenate([pos, pos + 0.3 * dec.perimeter[block, None] / s], axis=1)
             shift, reach = ring_shifts(inst, block, at)
             for b, c in enumerate(block.tolist()):
-                assert np.array_equal(shift[b], ring_shift(inst, c, at[b]))
+                alone = ring_shifts(inst, np.array([c]), at[b][None])[0][0]
+                assert np.array_equal(shift[b], alone)
                 here = np.abs(dec.ring_pos[dec.ring(c)] - dec.ring_pos[entry[c]])
                 here = np.minimum(here, dec.perimeter[c] - here)
                 assert np.array_equal(reach[b], here)
             blocks += len(block) > 1
     assert blocks >= 10
+
+
+def test_ring_floor_is_the_least_ring_value():
+    # the least ring vertex row, bit for bit; the profile around the ring,
+    # antipodes included, goes no lower by more than the tolerance
+    rings = 0
+    for inst in _row_pricing_cases():
+        dec = inst.graph.cycles
+        assert inst.ring_floor.shape == (len(dec), inst.n)
+        for c in range(len(dec)):
+            rows = inst.ed_at_vertices[dec.ring_vertex[dec.ring(c)]]
+            assert np.array_equal(inst.ring_floor[c], rows.min(axis=0))
+            low = cycle_profiles(inst, c)[1].min(axis=0)
+            gap = np.abs(inst.ring_floor[c] - low)
+            assert np.all(gap <= inst.eps * np.maximum(1.0, np.abs(low)))
+            rings += 1
+    assert rings >= 100, rings
 
 
 def _row_pricing_cases():
@@ -657,14 +673,6 @@ def test_group_eccentricity_on_fixed_instance():
     inst = tri_instance()
     assert group_eccentricity(inst, [0, 1], 2) == (2.0, 1)
     assert group_eccentricity(inst, [], 2) == (0.0, None)
-
-
-def test_group_eccentricity_accepts_interior_points():
-    # P1 is two units from the pendant midpoint, P2 only one
-    inst = tri_instance()
-    val, worst = group_eccentricity(inst, [0, 1], GraphPoint(3, 1.0))
-    assert val == pytest.approx(2.0)
-    assert worst == 0
 
 
 # ---------------------------------------------------------------------------
