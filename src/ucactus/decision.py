@@ -1,12 +1,17 @@
 """Feasibility decision: can two centers serve every point within ``lam``?
 
-The search probes skeleton-tree nodes.  A probe classifies each point by
-where the majority of its mass sits and measures group eccentricities; the
-outcome either settles feasibility, pins a center, or names the directions a
-center must move.  A boundary flag marks the node separating the region still
-being searched from territory delegated to the other center; terminals then
-verify candidate configurations globally, so a "feasible" verdict is always
-backed by an explicit pair of centers.
+The search probes skeleton-tree nodes.  A probe reads one split table: the
+components around the node as ``(gate, first)`` arrays with one row of
+point masses each (:func:`ucactus.uncertain.component_sums`), one group per
+point by where the majority of its mass sits (:func:`_classify`), and every
+group's eccentricity and worst point from one
+:func:`ucactus.uncertain.group_eccentricity` pass.  Its checks are masks
+over those arrays; the outcome either settles feasibility, pins a center,
+or names the directions a center must move.  A boundary flag marks the
+node separating the region still being searched from territory delegated
+to the other center; terminals then verify candidate configurations
+globally, so a "feasible" verdict is always backed by an explicit pair of
+centers.
 Every terminal ends in one question, answered by one search
 (:func:`_second_center`): with one center fixed at each place tried in
 turn, do the points it leaves unserved fit one more?  Every single-center
@@ -74,113 +79,75 @@ def _tol(inst: Instance, lam: float) -> float:
     return inst.eps * max(1.0, abs(lam))
 
 
-@dataclass(slots=True)
-class _Buckets:
-    """Majority-mass classification of points around a removed structure."""
-
-    exclusive: list[np.ndarray]  # per component: majority inside it
-    local: np.ndarray  # majority nowhere: all medians on the structure
-    split: np.ndarray  # exactly half the mass in each of two components
-
-
-def _classify(inst: Instance, cs: ComponentSums) -> _Buckets:
-    # a weightless point is served everywhere for free; it pins and loads
-    # nothing, so it lands in no bucket
-    served = inst.weights > 0.0
-    heavy = (cs.sums >= 0.5 - inst.eps) & served
+def _classify(inst: Instance, cs: ComponentSums) -> np.ndarray:
+    """Each point's group around a removed structure with ``c`` components:
+    the one component holding at least half its mass; ``c`` when none
+    does, so that its medians all lie on the structure; ``c + 1`` when two
+    components hold half each (more would need mass above 1); and -1 for a
+    weightless point, which is served everywhere for free and so pins and
+    loads nothing."""
+    heavy = cs.sums >= 0.5 - inst.eps
     count = heavy.sum(axis=0)
-    comp, k = np.nonzero(heavy & (count == 1))
-    return _Buckets(
-        [k[comp == i] for i in range(len(cs.comps))],
-        np.flatnonzero(served & (count == 0)),
-        # two half-mass components; more would need mass above 1
-        np.flatnonzero(count >= 2),
-    )
+    c = len(heavy)
+    group = np.where(count == 1, np.arange(c) @ heavy, c + (count >= 2))
+    group[inst.weights <= 0.0] = -1
+    return group
 
 
 def probe_articulation(inst: Instance, node: int, lam: float) -> ProbeOutcome:
     """Classify feasibility directions at a vertex-holding node."""
     tree = inst.graph.skeleton
     assert tree.kind[node] != CYCLE
-    v = int(tree.ref[node])
     tol = _tol(inst, lam)
     cs = component_sums(inst, node)
-    b = _classify(inst, cs)
-
-    lam_local, local_worst = group_eccentricity(inst, b.local, v)
-    lam_split, split_worst = group_eccentricity(inst, b.split, v)
-    if local_worst is not None and lam_local > lam + tol:
+    c = len(cs.gate)
+    # each component's group, then the local and split groups, all at the node
+    value, _ = group_eccentricity(inst, _classify(inst, cs), np.full(c + 2, tree.ref[node]))
+    over = value > lam + tol
+    exceed = over[:c].nonzero()[0]
+    if over[c:].any() or len(exceed) >= 3:
         return ProbeOutcome(INFEASIBLE)
-    if split_worst is not None and lam_split > lam + tol:
-        return ProbeOutcome(INFEASIBLE)
-
-    vals = [group_eccentricity(inst, grp, v) for grp in b.exclusive]
-    exceed = [i for i, (val, worst) in enumerate(vals) if worst is not None and val > lam + tol]
-    if len(exceed) >= 3:
-        return ProbeOutcome(INFEASIBLE)
-    pinned = local_worst is not None and lam_local >= lam - tol
-    pinned = pinned or any(
-        worst is not None and lam - tol <= val <= lam + tol for val, worst in vals
-    )
-    if pinned:
+    # a component's or the local group's worst point at the radius pins the
+    # center here; the local group is within it once past the check above
+    if ((value >= lam - tol) & ~over)[: c + 1].any():
         return ProbeOutcome(CENTER_AT, node)
+    first = cs.first[exceed].tolist()
     if len(exceed) == 2:
-        i, j = exceed
-        return ProbeOutcome(
-            DESCEND_TWO,
-            cs.comps[i].first,
-            cs.comps[j].first,
-            node,
-            node,
-        )
+        return ProbeOutcome(DESCEND_TWO, *first, node, node)
     if len(exceed) == 1:
-        return ProbeOutcome(DESCEND, cs.comps[exceed[0]].first, via_primary=node)
+        return ProbeOutcome(DESCEND, first[0], via_primary=node)
     return ProbeOutcome(FEASIBLE_SINGLE, node)
 
 
 def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
     """Classify feasibility directions at a cycle node.
 
-    Components hang off the cycle's hinges; each exclusive group is measured
-    at its own hinge.  With one overloaded direction the hinge itself is
-    probed and the outcome translated back to the cycle's frame.
+    Components hang off the cycle's hinges; each component's group is
+    measured at its own hinge.  With one overloaded direction the hinge
+    itself is probed and the outcome translated back to the cycle's frame.
     """
     tree = inst.graph.skeleton
     assert tree.kind[node] == CYCLE
     tol = _tol(inst, lam)
     cs = component_sums(inst, node)
-    b = _classify(inst, cs)
-
-    vals = []
-    for comp, grp in zip(cs.comps, b.exclusive):
-        hinge_vertex = int(tree.ref[comp.gate])
-        vals.append(group_eccentricity(inst, grp, hinge_vertex))
+    value, worst = group_eccentricity(inst, _classify(inst, cs), tree.ref[cs.gate])
     # a tight point pins its hinge only when more than half its mass lies
     # beyond it: its expected distance then rises moving into the ring, while
     # with half it can stay flat along an arc that holds the center instead
-    for i, ((val, worst), comp) in enumerate(zip(vals, cs.comps)):
-        if (
-            worst is not None
-            and lam - tol <= val <= lam + tol
-            and cs.sums[i, worst] > 0.5 + inst.eps
-        ):
-            return ProbeOutcome(CENTER_AT, comp.gate)
-    exceed = [i for i, (val, worst) in enumerate(vals) if worst is not None and val > lam + tol]
+    over = value > lam + tol
+    tight = (value >= lam - tol) & ~over
+    pin = (tight & (cs.sums[np.arange(len(worst)), worst] > 0.5 + inst.eps)).nonzero()[0]
+    if pin.size:
+        return ProbeOutcome(CENTER_AT, int(cs.gate[pin[0]]))
+    exceed = over.nonzero()[0]
     if len(exceed) > 2:
         return ProbeOutcome(INFEASIBLE)
     if len(exceed) == 2:
-        i, j = exceed
-        return ProbeOutcome(
-            DESCEND_TWO,
-            cs.comps[i].first,
-            cs.comps[j].first,
-            cs.comps[i].gate,
-            cs.comps[j].gate,
-        )
+        return ProbeOutcome(DESCEND_TWO, *cs.first[exceed].tolist(), *cs.gate[exceed].tolist())
     if len(exceed) == 0:
         return ProbeOutcome(DESCEND, node, via_primary=node)
 
-    gate = cs.comps[exceed[0]].gate
+    gate = int(cs.gate[exceed[0]])
     inner = probe_articulation(inst, gate, lam)
     if inner.kind in (INFEASIBLE, CENTER_AT, FEASIBLE_SINGLE):
         return inner

@@ -526,13 +526,18 @@ class SkeletonTree:
     def neighbours(self, node: int) -> list[int]:
         return self.nbr[self.indptr[node] : self.indptr[node + 1]].tolist()
 
-    def split_components(self, node: int) -> list[SplitComponent]:
+    def split_components(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Components of the tree after removing ``node`` (and, for cycle
-        nodes, its adjacent hinge nodes), one per link leaving the removed
-        structure."""
+        nodes, its adjacent hinge nodes) as ``(gate, first)``, one entry per
+        link leaving the removed structure: component ``i`` attaches to it
+        at ``gate[i]`` and is entered through ``first[i]``.  The gates come
+        in link order (a cycle's hinges in ring order), and each gate's
+        links in link order."""
         # in a cactus no two hinges of one cycle are linked to each other
         gates = self.neighbours(node) if self.kind[node] == CYCLE else [node]
-        return [SplitComponent(g, x) for g in gates for x in self.neighbours(g) if x != node]
+        pairs = [(g, x) for g in gates for x in self.neighbours(g) if x != node]
+        gate, first = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        return gate, first
 
     def step_toward(self, removed: int, target: int) -> int:
         """Neighbour of ``removed`` on the side of ``target``."""
@@ -553,15 +558,6 @@ class SkeletonTree:
         mask = np.full(len(self.kind), not inside)
         mask[self.start[x] : self.stop[x]] = inside
         return mask
-
-
-@dataclass(frozen=True, slots=True)
-class SplitComponent:
-    """One component left by a split: it attaches to the removed structure at
-    ``gate`` and enters the component through ``first``."""
-
-    gate: int
-    first: int
 
 
 def _build_skeleton(graph: CactusGraph) -> SkeletonTree:

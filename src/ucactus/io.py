@@ -13,7 +13,8 @@ File schema::
     }
 
 A location is a vertex name, or ``[u, v, t]`` for the point ``t`` units from
-``u`` along edge ``(u, v)``.  ``eps`` is optional.
+``u`` along edge ``(u, v)``.  ``eps`` is optional.  Every numeric field is a
+JSON number; a boolean or a string there is a format error.
 
 The parser reads the edge rows as columns and the point rows as one
 location table (see :class:`ucactus.uncertain.LocationTable`), in one pass
@@ -51,13 +52,22 @@ def _fmt(x: float) -> float:
 
 
 def _number(value: Any, what: str, *args: Any) -> float:
-    """``value`` as a float; ``what.format(*args)`` names it in an error."""
+    """``value`` as a float; ``what.format(*args)`` names it in an error.
+    A boolean or a string is no number, though ``float`` takes both."""
+    if isinstance(value, (bool, str)):
+        raise FormatError(f"{what.format(*args)} is not a number: {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what.format(*args)} is not a number: {value!r}") from exc
     except OverflowError as exc:  # an integer beyond the float range
         raise FormatError(f"{what.format(*args)} is out of range: {value!r}") from exc
+
+
+def _numeric(column: tuple) -> bool:
+    """Whether a column holds no boolean or string, which :func:`_number`
+    refuses and ``float`` does not."""
+    return {bool, str}.isdisjoint(map(type, column))
 
 
 def _list(value: Any, what: str) -> list | tuple:
@@ -89,7 +99,7 @@ def _edge_columns(rows: list | tuple) -> tuple[tuple, tuple, list[float]]:
     row, the first one raises its error."""
     if _all_rows(rows, 3):
         us, vs, lengths = zip(*rows) if rows else ((), (), ())
-        if all(map(isinstance, us + vs, repeat(str))):
+        if all(map(isinstance, us + vs, repeat(str))) and _numeric(lengths):
             try:
                 return us, vs, list(map(float, lengths))
             except (TypeError, ValueError, OverflowError):
@@ -142,8 +152,11 @@ _POINT_KEYS = itemgetter("id", "weight", "locations")
 def _location_columns(graph: CactusGraph, rows: list) -> LocationTable | None:
     """The table of well-formed point rows, or None when a row is not.
     Each numeric field goes through ``float`` as :func:`_number` takes it,
-    so a bad one raises here."""
+    so a bad one raises here, and a column holding a boolean or a string
+    reads as not well-formed."""
     labels, weights, loc_rows = zip(*map(_POINT_KEYS, rows)) if rows else ((), (), ())
+    if not _numeric(weights):
+        return None
     weight = np.fromiter(map(float, weights), float, len(rows))
     if not all(map(isinstance, loc_rows, repeat((list, tuple)))):
         return None
@@ -151,6 +164,8 @@ def _location_columns(graph: CactusGraph, rows: list) -> LocationTable | None:
     if not _all_rows(pairs, 2):
         return None
     places, probs = zip(*pairs) if pairs else ((), ())
+    if not _numeric(probs):
+        return None
     size = len(pairs)
     prob = np.fromiter(map(float, probs), float, size)
     named = np.fromiter(map(isinstance, places, repeat(str)), bool, size)
@@ -163,6 +178,8 @@ def _location_columns(graph: CactusGraph, rows: list) -> LocationTable | None:
     if (vertex[named] < 0).any() or not _all_rows(spots, 3):
         return None
     u_names, v_names, offsets = zip(*spots) if spots else ((), (), ())
+    if not _numeric(offsets):
+        return None
     u = np.fromiter(map(ids.get, u_names, repeat(-1)), np.intp, len(spots))
     v = np.fromiter(map(ids.get, v_names, repeat(-1)), np.intp, len(spots))
     e = graph.edges_between(u, v)

@@ -19,6 +19,11 @@ concave along every edge, so each point's least value around a cycle
 (:attr:`Instance.ring_floor`) is read off the ring vertices' rows.  No
 Dijkstra runs for these tables: only :func:`expected_distances`, the
 independent pricing of an arbitrary point, reads the graph's Dijkstra rows.
+
+A probe's split around a skeleton node is arrays too: the components'
+gates, first nodes and masses (:func:`component_sums`, one row per
+component read off the subtree masses), and every point group's weighted
+eccentricity and worst point in one pass (:func:`group_eccentricity`).
 """
 
 from __future__ import annotations
@@ -450,12 +455,14 @@ def objective(inst: Instance, q1: GraphPoint, q2: GraphPoint) -> float:
     return float(np.max(inst.weights * ed))
 
 
-@dataclass(slots=True)
-class ComponentSums:
-    """Split of probability mass around a skeleton node: one row of ``sums``
-    per split component."""
+class ComponentSums(NamedTuple):
+    """Split of probability mass around a skeleton node, one entry per
+    component of :meth:`ucactus.graph.SkeletonTree.split_components`:
+    component ``i`` attaches at node ``gate[i]``, is entered through node
+    ``first[i]`` and holds mass ``sums[i, k]`` of point k."""
 
-    comps: list  # SplitComponent list, aligned with rows of sums
+    gate: np.ndarray
+    first: np.ndarray
     sums: np.ndarray  # (components, n)
 
 
@@ -490,12 +497,10 @@ def ring_shifts(
 
 def component_sums(inst: Instance, node: int) -> ComponentSums:
     tree, sub = inst.graph.skeleton, inst.subtree_mass
-    comps = tree.split_components(node)
-    gate = np.array([c.gate for c in comps], dtype=np.intp)
-    first = np.array([c.first for c in comps], dtype=np.intp)
+    gate, first = tree.split_components(node)
     # each component is the subtree of ``first`` or all but that of ``gate``
     below = tree.parent[first] == gate
-    return ComponentSums(comps, np.where(below[:, None], sub[first], sub[0] - sub[gate]))
+    return ComponentSums(gate, first, np.where(below[:, None], sub[first], sub[0] - sub[gate]))
 
 
 def median(inst: Instance, k: int) -> tuple[GraphPoint, float]:
@@ -522,17 +527,20 @@ def median_values(inst: Instance) -> np.ndarray:
 
 
 def group_eccentricity(
-    inst: Instance, subset: Sequence[int] | np.ndarray, where: int
-) -> tuple[float, int | None]:
-    """Largest weighted expected distance from vertex ``where`` over
-    ``subset``.
+    inst: Instance, group: np.ndarray, where: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every group's largest weighted expected distance, group ``g`` being
+    the points k with ``group[k] == g`` measured from vertex ``where[g]``.
+    A point whose group is negative or has no entry in ``where`` is left
+    out.
 
-    Returns ``(value, worst_point)``; an empty subset yields ``(0.0, None)``
-    and means there is nothing to serve.
+    Returns ``(value, worst)`` per group: the value and the first point, in
+    point order, that attains it.  An empty group has value ``-inf`` and
+    worst point -1, so it exceeds no radius and pins nothing.
     """
-    idx = np.asarray(subset, dtype=np.intp)
-    if idx.size == 0:
-        return 0.0, None
-    vals = inst.weights[idx] * inst.ed_at_vertices[where, idx]
-    best = int(np.argmax(vals))
-    return float(vals[best]), int(idx[best])
+    member = group == np.arange(len(where))[:, None]
+    table = np.where(member, inst.weights * inst.ed_at_vertices[where], -np.inf)
+    value = table.max(axis=1)
+    # argmax takes the first of tied maxima
+    worst = np.where(value > -np.inf, table.argmax(axis=1), -1)
+    return value, worst

@@ -1,13 +1,15 @@
 """Reference versions of what the package computes in array passes,
 written as loops over Python objects one item at a time: each cycle of
 the ring table as tuples, with its points found edge by edge, the skeleton
-tree as node and link lists and the quantities read off it, a query point's
+tree as node and link lists and the quantities read off it, a probe's
+group eccentricities one group at a time, a query point's
 expected distances priced location by location, the whole map from a
 reduced graph back to the original one, and the single-center questions
 asked edge by edge and piece by piece, and the cycle terminal's residual
 sweep one candidate at a time.  The tests check that both give the same
-ring points, tree, masses, expected distances, centroids, lifts,
-witnesses, terminal verdicts, 1-centers and base values."""
+ring points, tree, masses, group eccentricities, expected distances,
+centroids, lifts, witnesses, terminal verdicts, 1-centers and base
+values."""
 
 from __future__ import annotations
 
@@ -345,6 +347,18 @@ def edge_paths(red) -> list[list[tuple[int, float, float]]]:
     c, oriented = red._chains, red._split.oriented
     runs = list(map(oriented, c.edges.tolist(), c.enter.tolist()))
     return [runs[a:b] for a, b in zip(c.start[:-1].tolist(), c.start[1:].tolist())]
+
+
+def group_eccentricity(inst, subset, where: int) -> tuple[float, int | None]:
+    """Largest weighted expected distance from vertex ``where`` over the
+    points of ``subset``, ascending, with the first point attaining it;
+    ``(0.0, None)`` for an empty subset."""
+    idx = np.asarray(subset, dtype=np.intp)
+    if idx.size == 0:
+        return 0.0, None
+    vals = inst.weights[idx] * inst.ed_at_vertices[where, idx]
+    best = int(np.argmax(vals))
+    return float(vals[best]), int(idx[best])
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from ucactus.uncertain import (
     component_sums,
     expected_distance,
     expected_distances,
+    group_eccentricity,
     median,
     objective,
 )
@@ -87,12 +88,12 @@ def _probe_budget(inst) -> int:
 
 def _classify_loop(inst, cs):
     """The majority classification one point at a time."""
-    exclusive = [[] for _ in cs.comps]
+    exclusive = [[] for _ in cs.gate]
     local, split = [], []
     for k in range(inst.n):
         if inst.weights[k] <= 0.0:
             continue
-        heavy = [i for i in range(len(cs.comps)) if cs.sums[i, k] >= 0.5 - inst.eps]
+        heavy = [i for i in range(len(cs.gate)) if cs.sums[i, k] >= 0.5 - inst.eps]
         if not heavy:
             local.append(k)
         elif len(heavy) == 1:
@@ -102,23 +103,58 @@ def _classify_loop(inst, cs):
     return exclusive, local, split
 
 
-def test_classification_equals_the_point_loop_at_every_node():
-    buckets = set()
+def _splits():
+    """Every node of 60 reduced draws with its component sums; every third
+    draw has a weightless point."""
     for seed in range(60):
         inst = reduce_instance(draw_case(seed, max_points=8, edge_locations=seed % 2 == 1)).reduced
         if seed % 3 == 0:
-            # a weightless point lands in no bucket
             p = inst.points[0]
             points = (UncertainPoint(p.label, 0.0, p.locations),) + inst.points[1:]
             inst = build_instance(inst.graph, points, inst.eps)
         for node in range(len(inst.graph.skeleton)):
-            cs = component_sums(inst, node)
-            got = decision._classify(inst, cs)
-            want = _classify_loop(inst, cs)
-            exclusive = [e.tolist() for e in got.exclusive]
-            assert (exclusive, got.local.tolist(), got.split.tolist()) == want
-            buckets.update(i for i, b in enumerate(want) if any(b))
+            yield inst, node, component_sums(inst, node)
+
+
+def test_classification_equals_the_point_loop_at_every_node():
+    buckets = set()
+    for inst, _, cs in _splits():
+        got = decision._classify(inst, cs)
+        want = _classify_loop(inst, cs)
+        c = len(cs.gate)
+        exclusive = [np.flatnonzero(got == i).tolist() for i in range(c)]
+        local, split = np.flatnonzero(got == c).tolist(), np.flatnonzero(got == c + 1).tolist()
+        assert (exclusive, local, split) == want
+        # a weightless point lands in no bucket
+        assert np.array_equal(got == -1, inst.weights <= 0.0)
+        buckets.update(i for i, b in enumerate(want) if any(b))
     assert buckets == {0, 1, 2}
+
+
+def test_grouped_eccentricity_equals_the_group_loop_at_every_node():
+    """One pass over every group equals one reference call per group, with
+    every group at one vertex, and with each component's group at its own
+    gate (the local and split groups then left out)."""
+    ties = empty = 0
+    for inst, node, cs in _splits():
+        group = decision._classify(inst, cs)
+        tree, c = inst.graph.skeleton, len(cs.gate)
+        one_vertex = np.full(c + 2, node % inst.graph.vertex_count)
+        for where in (one_vertex, tree.ref[cs.gate]):
+            value, worst = group_eccentricity(inst, group, where)
+            want = [
+                refs.group_eccentricity(inst, np.flatnonzero(group == g), v)
+                for g, v in enumerate(where.tolist())
+            ]
+            assert value.tolist() == [-math.inf if k is None else val for val, k in want]
+            assert worst.tolist() == [-1 if k is None else k for _, k in want]
+            for g, (val, k) in enumerate(want):
+                members = np.flatnonzero(group == g)
+                vals = inst.weights[members] * inst.ed_at_vertices[where[g], members]
+                ties += int(np.count_nonzero(vals == val) > 1)
+                empty += k is None
+    # ties are settled for the first point, and empty groups come up
+    assert ties > 0 and empty > 0
 
 
 def test_articulation_probe_outcomes_across_radii(tri):

@@ -300,19 +300,20 @@ def test_split_components_partition_every_node():
         tree = g.skeleton
         everyone = set(range(len(tree)))
         for node in everyone:
-            comps = tree.split_components(node)
+            gate, first = tree.split_components(node)
+            comps = list(zip(gate.tolist(), first.tolist()))
             if len(tree) == 1:
                 assert comps == []
                 continue
-            pieces = [set(refs.nodes(tree, tree.component_toward(c.gate, c.first))) for c in comps]
-            gates = {c.gate for c in comps}
+            pieces = [set(refs.nodes(tree, tree.component_toward(g, x))) for g, x in comps]
+            gates = set(gate.tolist())
             assert set().union(*pieces) | {node} | gates == everyone
-            for c, piece in zip(comps, pieces):
+            for (g, _), piece in zip(comps, pieces):
                 assert node not in piece
                 if tree.kind[node] != CYCLE:
-                    assert c.gate == node
+                    assert g == node
                 else:
-                    assert tree.kind[c.gate] == HINGE
+                    assert tree.kind[g] == HINGE
             for i, a in enumerate(pieces):
                 for b in pieces[i + 1 :]:
                     assert not (a & b)
@@ -421,11 +422,12 @@ def test_component_queries_match_the_reference_search():
                 got = [component_mass(inst, removed, start) for start in side]
                 want = [mass for _, _, mass in side.values()]
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-            got = tree.split_components(removed)
+            gate, first = tree.split_components(removed)
+            got = list(zip(gate.tolist(), first.tolist()))
             want = _ref_split(sk, removed)
-            assert [(c.gate, c.first) for c in got] == [w[:2] for w in want]
-            for c, (_, _, nodes) in zip(got, want):
-                assert refs.nodes(tree, tree.component_toward(c.gate, c.first)) == nodes
+            assert got == [w[:2] for w in want]
+            for (g, x), (_, _, nodes) in zip(got, want):
+                assert refs.nodes(tree, tree.component_toward(g, x)) == nodes
 
 
 def _connected_sets(sk, rng, count):

@@ -279,6 +279,28 @@ BAD_INPUTS = [
     ("negative-eps-flag", {}, ["--eps=-1"], "eps must be finite and positive"),
     ("zero-eps-flag", {}, ["--eps", "0"], "eps must be finite and positive"),
     ("string-edge-length", {"edge_length": "long"}, [], "length of edge 'a'-'b' is not a number"),
+    # float() takes a boolean or a numeral string; a JSON number field must not
+    ("true-edge-length", {"edge_length": True}, [], "length of edge 'a'-'b' is not a number: True"),
+    (
+        "numeral-edge-length",
+        {"edge_length": "2.5"},
+        [],
+        "length of edge 'a'-'b' is not a number: '2.5'",
+    ),
+    ("true-weight", {"weight": True}, [], "weight of point 'P1' is not a number: True"),
+    (
+        "numeral-probability",
+        {"locations": [["a", "0.5"], ["b", 0.5]]},
+        [],
+        "probability in point 'P1' is not a number: '0.5'",
+    ),
+    (
+        "numeral-offset",
+        {"locations": [[["a", "b", "1"], 1.0]]},
+        [],
+        "offset on edge 'a'-'b' is not a number: '1'",
+    ),
+    ("true-eps", {"eps": True}, [], "eps is not a number: True"),
     ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
     ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
     # integers too large for a float, one per numeric field

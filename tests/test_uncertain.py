@@ -596,8 +596,8 @@ def test_component_sums_on_fixed_instance():
     cs = component_sums(inst, 0)
     tree = inst.graph.skeleton
     assert [
-        (c.gate, c.first, set(refs.nodes(tree, tree.component_toward(c.gate, c.first))))
-        for c in cs.comps
+        (g, x, set(refs.nodes(tree, tree.component_toward(g, x))))
+        for g, x in zip(cs.gate.tolist(), cs.first.tolist())
     ] == [
         (0, 1, {1}),
         (0, 2, {2}),
@@ -671,8 +671,11 @@ def test_median_is_no_worse_than_sampled_positions():
 
 def test_group_eccentricity_on_fixed_instance():
     inst = tri_instance()
-    assert group_eccentricity(inst, [0, 1], 2) == (2.0, 1)
-    assert group_eccentricity(inst, [], 2) == (0.0, None)
+    value, worst = group_eccentricity(inst, np.array([0, 0]), np.array([2]))
+    assert (value.tolist(), worst.tolist()) == ([2.0], [1])
+    # an empty group exceeds no radius and names no point
+    value, worst = group_eccentricity(inst, np.array([-1, -1]), np.array([2]))
+    assert (value.tolist(), worst.tolist()) == ([-math.inf], [-1])
 
 
 # ---------------------------------------------------------------------------
