@@ -49,7 +49,6 @@ from ucactus.uncertain import (
 )
 
 INFEASIBLE = "infeasible"
-FEASIBLE_SINGLE = "feasible_single"
 CENTER_AT = "center_at"
 DESCEND = "descend"
 DESCEND_TWO = "descend_two"
@@ -108,15 +107,14 @@ def probe_articulation(inst: Instance, node: int, lam: float) -> ProbeOutcome:
     if over[c:].any() or len(exceed) >= 3:
         return ProbeOutcome(INFEASIBLE)
     # a component's or the local group's worst point at the radius pins the
-    # center here; the local group is within it once past the check above
-    if ((value >= lam - tol) & ~over)[: c + 1].any():
+    # center here; the local group is within it once past the check above.
+    # With no group over the radius, a center here serves every point.
+    if not exceed.size or ((value >= lam - tol) & ~over)[: c + 1].any():
         return ProbeOutcome(CENTER_AT, node)
     first = cs.first[exceed].tolist()
     if len(exceed) == 2:
         return ProbeOutcome(DESCEND_TWO, *first, node, node)
-    if len(exceed) == 1:
-        return ProbeOutcome(DESCEND, first[0], via_primary=node)
-    return ProbeOutcome(FEASIBLE_SINGLE, node)
+    return ProbeOutcome(DESCEND, first[0], via_primary=node)
 
 
 def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
@@ -149,7 +147,7 @@ def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
 
     gate = int(cs.gate[exceed[0]])
     inner = probe_articulation(inst, gate, lam)
-    if inner.kind in (INFEASIBLE, CENTER_AT, FEASIBLE_SINGLE):
+    if inner.kind in (INFEASIBLE, CENTER_AT):
         return inner
     if inner.kind == DESCEND:
         if inner.primary == node:
@@ -288,9 +286,7 @@ def decide_on_edge(inst: Instance, edge: int, lam: float) -> Verdict:
     return _second_center(inst, lam, costs, 2.0 * tol, lambda i: GraphPoint(edge, float(ts[i])))
 
 
-def _cycle_arcs(
-    inst: Instance, cycle_id: int, lam: float
-) -> list[list[tuple[float, float]]]:
+def _cycle_arcs(inst: Instance, cycle_id: int, lam: float) -> tuple[np.ndarray, ...]:
     xs, ys = cycle_profiles(inst, cycle_id)
     return coverage_set(xs, ys, inst.weights, lam, inst.eps)
 
@@ -300,18 +296,18 @@ def decide_on_cycle(inst: Instance, node: int, lam: float) -> Verdict:
     cycle first, then one on-cycle center with the other anywhere."""
     g = inst.graph
     c = int(g.skeleton.ref[node])
-    arcs = _cycle_arcs(inst, c, lam)
-    if all(arcs):
+    arcs = ptr, lo, hi = _cycle_arcs(inst, c, lam)
+    if np.all(np.diff(ptr)):
         hit = stab_two(arcs)
         if hit is not None:
             x, y = hit[0], hit[0] if hit[1] is None else hit[1]
             return Verdict(True, (g.cycles.point(g, c, x), g.cycles.point(g, c, y)))
-    cands = sorted({0.0} | {end for fam in arcs for ab in fam for end in ab})
+    cands = np.unique(np.concatenate([[0.0], lo, hi]))
     costs = inst.weights * profile_at(*cycle_profiles(inst, c), cands)
     # double slack: each candidate is an arc endpoint, so its own cost sits
     # on the tolerance boundary
     return _second_center(
-        inst, lam, costs, 2.0 * _tol(inst, lam), lambda i: g.cycles.point(g, c, cands[i])
+        inst, lam, costs, 2.0 * _tol(inst, lam), lambda i: g.cycles.point(g, c, float(cands[i]))
     )
 
 
@@ -321,7 +317,7 @@ def decide_on_two_cycles(
     """Terminal with one center on each of two cycles.
 
     A point is served when a center lies in its coverage arcs on that
-    center's cycle, so this is one stab of the two cycles' arc families.
+    center's cycle, so this is one stab of the two cycles' arc tables.
     """
     g = inst.graph
     c1, c2 = int(g.skeleton.ref[node1]), int(g.skeleton.ref[node2])
@@ -335,7 +331,7 @@ def decide_on_two_cycles(
 
 
 # ---------------------------------------------------------------------------
-# exact single-center optimisation (used by the CLI and the optimiser)
+# exact single-center optimisation (used by the CLI)
 
 
 def one_center(inst: Instance) -> tuple[GraphPoint, float]:
@@ -411,9 +407,6 @@ def decide(inst: Instance, lam: float) -> Verdict:
             out = probe_articulation(inst, u, lam)
         if out.kind == INFEASIBLE:
             return Verdict(False)
-        if out.kind == FEASIBLE_SINGLE:
-            p = inst.graph.vertex_point(int(tree.ref[out.primary]))
-            return Verdict(True, (p, p))
         if out.kind == CENTER_AT:
             return _finish_at_vertex(inst, int(tree.ref[out.primary]), lam)
         if out.kind == DESCEND:

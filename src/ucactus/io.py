@@ -14,7 +14,8 @@ File schema::
 
 A location is a vertex name, or ``[u, v, t]`` for the point ``t`` units from
 ``u`` along edge ``(u, v)``.  ``eps`` is optional.  Every numeric field is a
-JSON number; a boolean or a string there is a format error.
+JSON number; a boolean or a string there is a format error.  A point's
+``id`` is a JSON string.
 
 The parser reads the edge rows as columns and the point rows as one
 location table (see :class:`ucactus.uncertain.LocationTable`), in one pass
@@ -124,13 +125,15 @@ def _location_table(graph: CactusGraph, rows: list | tuple) -> LocationTable:
             table = None
         if table is not None:
             return table
-    for row in rows:
+    for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise FormatError(f"bad uncertain point entry {row!r}")
         try:
             label, weight, loc_rows = row["id"], row["weight"], row["locations"]
         except KeyError as exc:
             raise FormatError(f"uncertain point missing key: {exc}") from exc
+        if not isinstance(label, str):
+            raise FormatError(f"uncertain_points[{i}]: id is not a string: {label!r}")
         _number(weight, "weight of point {!r}", label)
         for pair in _list(loc_rows, f"locations of point {label!r}"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -155,7 +158,7 @@ def _location_columns(graph: CactusGraph, rows: list) -> LocationTable | None:
     so a bad one raises here, and a column holding a boolean or a string
     reads as not well-formed."""
     labels, weights, loc_rows = zip(*map(_POINT_KEYS, rows)) if rows else ((), (), ())
-    if not _numeric(weights):
+    if not all(map(isinstance, labels, repeat(str))) or not _numeric(weights):
         return None
     weight = np.fromiter(map(float, weights), float, len(rows))
     if not all(map(isinstance, loc_rows, repeat((list, tuple)))):
@@ -194,7 +197,7 @@ def _location_columns(graph: CactusGraph, rows: list) -> LocationTable | None:
     t = np.zeros(size)
     t[inside] = np.where(graph.u[e] == u, at, length - at)
     ptr = np.cumsum([0, *map(len, loc_rows)])
-    return LocationTable(list(map(str, labels)), weight, ptr, vertex, edge, t, prob)
+    return LocationTable(list(labels), weight, ptr, vertex, edge, t, prob)
 
 
 def _check_place(graph: CactusGraph, where: Any) -> None:

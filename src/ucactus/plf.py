@@ -8,17 +8,18 @@ single-center question reads one :func:`sublevel` pass over piece rows.
 A cycle's profiles are one matrix: every point's expected distance sampled
 at the cycle's shared breakpoints.  A position on a ring is priced by one
 interpolation of that matrix (:func:`profile_at`), both in the cycle
-terminal and in :func:`ed_at_point`, which prices a solved center.  Every
-stabbing question reads one cell matrix over the sorted distinct interval
-endpoints: which family covers each endpoint and each open gap between two
-endpoints.
+terminal and in :func:`ed_at_point`, which prices a solved center.  A
+cycle's coverage intervals are one table ``(ptr, lo, hi)`` of three arrays
+(:func:`coverage_set`): column ``k``'s intervals run from
+``lo[ptr[k]:ptr[k + 1]]`` to ``hi[ptr[k]:ptr[k + 1]]``.  Every stabbing
+question reads such a table as one cell matrix over the sorted distinct
+interval endpoints: which family covers each endpoint and each open gap
+between two endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from ucactus.graph import GraphPoint
@@ -27,8 +28,6 @@ from ucactus.uncertain import Instance, ring_shifts
 # There is one kernel, in pure Python; the benchmark's env line still reads
 # this flag (perfbench/run.py).
 HAVE_COMPILED_KERNEL = False
-
-Interval = tuple[float, float]
 
 # first positions tried per product in stab_two, which bounds its memory
 _BLOCK = 128
@@ -173,9 +172,11 @@ def pieces(inst: Instance) -> Pieces:
 
 def coverage_set(
     xs: np.ndarray, ys: np.ndarray, weights: np.ndarray, lam: float, eps: float
-) -> list[list[Interval]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per column of ``ys``, the closed intervals of ``xs`` where the
-    weighted profile stays within ``lam``.
+    weighted profile stays within ``lam``, as the table ``(ptr, lo, hi)``:
+    column ``k``'s intervals run from ``lo[ptr[k]:ptr[k + 1]]`` to
+    ``hi[ptr[k]:ptr[k + 1]]``, in order.
 
     ``ys`` holds one profile per column sampled at ``xs``, ``weights`` one
     weight per column.  Each column's intervals are its pieces' sublevel
@@ -189,6 +190,8 @@ def coverage_set(
     x0, x1 = xs[:-1, None], xs[1:, None]
     a, b, keep = sublevel(x0, x1, ys[:-1], ys[1:], thr)
     keep &= (x1 > x0) & ~free
+    # a weightless column's first piece stands for the whole range
+    a[0, free], b[0, free], keep[0, free] = 0.0, xs[-1], slack >= 0.0
 
     # A piece joins the running interval when it starts at or before the
     # running interval's end.  Cuts land at most an ulp past their piece, and
@@ -200,72 +203,64 @@ def coverage_set(
     col, piece = np.nonzero(keep.T)  # column by column, pieces in order
     first = np.flatnonzero(opens.T[col, piece])
     last = np.append(first[1:], col.size) - 1 if first.size else first
-    lo = a.T[col[first], piece[first]]
-    hi = ends.T[col[last], piece[last]]
-    pairs = list(zip(lo.tolist(), hi.tolist()))
-    stops = np.cumsum(np.bincount(col[first], minlength=ys.shape[1])).tolist()
-    out = [pairs[i:j] for i, j in zip([0] + stops[:-1], stops)]
-    whole = [(0.0, float(xs[-1]))] if slack >= 0.0 else []
-    for k in np.flatnonzero(free).tolist():
-        out[k] = list(whole)
-    return out
+    count = np.bincount(col[first], minlength=ys.shape[1])
+    ptr = np.concatenate([[0], np.cumsum(count)])
+    return ptr, a.T[col[first], piece[first]], ends.T[col[last], piece[last]]
 
 
-def _cells(
-    sets: Sequence[Sequence[Interval]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cell matrix of interval families.
+def _cells(table: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell matrix of an interval table.
 
     Returns the sorted distinct endpoints, a mask of those that close some
     interval, and ``hit[cell, family]``: whether the family covers the cell.
     Cell ``2i`` is endpoint ``i`` and cell ``2i + 1`` the open gap after it.
     """
-    n = len(sets)
-    ends = np.array(
-        [e for ivals in sets for ab in ivals for e in ab], dtype=np.float64
-    ).reshape(-1, 2)
-    fam = np.repeat(np.arange(n), [len(ivals) for ivals in sets])
-    xs = np.unique(ends)
-    lo, hi = np.searchsorted(xs, ends.T)
+    ptr, lo, hi = table
+    n = len(ptr) - 1
+    fam = np.repeat(np.arange(n), np.diff(ptr))
+    xs = np.unique(np.concatenate([lo, hi]))
+    first, last = np.searchsorted(xs, lo), np.searchsorted(xs, hi)
     closes = np.zeros(xs.size, dtype=bool)
-    closes[hi] = True
+    closes[last] = True
     # +1 at an interval's first cell, -1 past its last, summed down the cells
     size = 2 * xs.size * n
-    diff = np.bincount(2 * lo * n + fam, minlength=size) - np.bincount(
-        (2 * hi + 1) * n + fam, minlength=size
+    diff = np.bincount(2 * first * n + fam, minlength=size) - np.bincount(
+        (2 * last + 1) * n + fam, minlength=size
     )
     hit = diff.reshape(2 * xs.size, n).cumsum(axis=0)[:-1] > 0
     return xs, closes, hit
 
 
-def stab_one(sets: Sequence[Sequence[Interval]]) -> float | None:
-    """The leftmost position inside every family of closed intervals, or
+def stab_one(table: tuple[np.ndarray, ...]) -> float | None:
+    """The leftmost position inside every family of an interval table, or
     None."""
-    if not sets:
+    if len(table[0]) == 1:
         return 0.0
-    xs, _, hit = _cells(sets)
+    xs, _, hit = _cells(table)
     at = np.flatnonzero(hit[::2].all(axis=1))
     return float(xs[at[0]]) if at.size else None
 
 
 def stab_two(
-    sets: Sequence[Sequence[Interval]],
-    other: Sequence[Sequence[Interval]] | None = None,
+    table: tuple[np.ndarray, ...], other: tuple[np.ndarray, ...] | None = None
 ) -> tuple[float, float | None] | None:
     """Two positions jointly hitting every family, or None.
 
-    Family ``k`` is hit when the first position lies in ``sets[k]`` or the
-    second in ``other[k]``; ``other`` defaults to ``sets``.  A first
+    ``table`` and ``other`` are interval tables ``(ptr, lo, hi)`` over the
+    same families, as :func:`coverage_set` builds them.  Family ``k`` is
+    hit when the first position lies in ``table``'s column ``k`` or the
+    second in ``other``'s; ``other`` defaults to ``table``.  A first
     position can slide right onto the close endpoint of an interval holding
     it and a second left onto an endpoint, so the first ranges over the
-    close endpoints of ``sets`` in order, the second over the endpoints of
+    close endpoints of ``table`` in order, the second over the endpoints of
     ``other``.  The first close endpoint that works wins, with the leftmost
     second position, or with None in its place when the first position
     hits every family alone.
     """
-    other = sets if other is None else other
-    assert len(other) == len(sets)
-    xs, closes, hit = _cells(sets)
+    other = table if other is None else other
+    n = len(table[0]) - 1
+    assert len(other[0]) == n + 1
+    xs, closes, hit = _cells(table)
     if not closes.any():  # the first position hits nothing
         y = stab_one(other)
         return None if y is None else (0.0, y)
@@ -273,7 +268,7 @@ def stab_two(
     miss = ~hit[::2][closes]
     ys, _, hit2 = _cells(other)
     # column 0 is an idle second position, which hits nothing
-    miss2 = np.vstack([np.ones((1, len(sets)), dtype=bool), ~hit2[::2]])
+    miss2 = np.vstack([np.ones((1, n), dtype=bool), ~hit2[::2]])
     for lo in range(0, len(firsts), _BLOCK):
         # a pair fails when some family is missed by both positions
         fail = miss[lo : lo + _BLOCK] @ miss2.T
@@ -284,16 +279,14 @@ def stab_two(
     return None
 
 
-def intersect_families(sets: Sequence[Sequence[Interval]]) -> list[Interval]:
-    """Common part of several interval families (each a disjoint union), as
-    its maximal closed intervals in order."""
-    if not sets:
-        return []
-    xs, _, hit = _cells(sets)
+def intersect_families(table: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Common part of an interval table's families (each a disjoint union),
+    as a one-column table of its maximal closed intervals in order."""
+    xs, _, hit = _cells(table)
     # a run of common cells starts and ends on an endpoint: a family covering
     # a gap covers both endpoints beside it
     common = np.concatenate([[False], hit.all(axis=1), [False]]).astype(np.int8)
     edge = np.diff(common)
     starts = np.flatnonzero(edge == 1) // 2
     stops = (np.flatnonzero(edge == -1) - 1) // 2
-    return list(zip(xs[starts].tolist(), xs[stops].tolist()))
+    return np.array([0, starts.size]), xs[starts], xs[stops]

@@ -5,11 +5,11 @@ tree as node and link lists and the quantities read off it, a probe's
 group eccentricities one group at a time, a query point's
 expected distances priced location by location, the whole map from a
 reduced graph back to the original one, and the single-center questions
-asked edge by edge and piece by piece, and the cycle terminal's residual
-sweep one candidate at a time.  The tests check that both give the same
-ring points, tree, masses, group eccentricities, expected distances,
-centroids, lifts, witnesses, terminal verdicts, 1-centers and base
-values."""
+asked edge by edge and piece by piece, with interval tables read as
+per-family lists, and the cycle terminal's residual sweep one candidate
+at a time.  The tests check that both give the same ring points, tree,
+masses, group eccentricities, expected distances, centroids, lifts,
+witnesses, terminal verdicts, 1-centers and base values."""
 
 from __future__ import annotations
 
@@ -365,6 +365,22 @@ def group_eccentricity(inst, subset, where: int) -> tuple[float, int | None]:
 # single-center questions, edge by edge and piece by piece
 
 
+def table(fams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-family lists of ``(lo, hi)`` intervals as the package's interval
+    table ``(ptr, lo, hi)``."""
+    pairs = [ab for fam in fams for ab in fam]
+    lo, hi = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+    return np.cumsum([0, *map(len, fams)]), lo, hi
+
+
+def families(tab) -> list[list[tuple[float, float]]]:
+    """An interval table ``(ptr, lo, hi)`` as per-family lists of ``(lo,
+    hi)`` tuples."""
+    ptr, lo, hi = tab
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    return [pairs[i:j] for i, j in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
 def _tol(inst, lam: float) -> float:
     return inst.eps * max(1.0, abs(lam))
 
@@ -408,7 +424,8 @@ def coverage_witness(inst, subset, lam: float) -> GraphPoint | None:
         xs, ys = cycle_profiles(inst, cyc.id)
         if np.any(inst.weights[idx] * ys.min(axis=0)[idx] > lam + tol):
             continue
-        common = intersect_families(coverage_set(xs, ys[:, idx], w, lam, inst.eps))
+        arcs = coverage_set(xs, ys[:, idx], w, lam, inst.eps)
+        (common,) = families(intersect_families(arcs))
         if common:
             return cyc.coord_point(g, common[0][0])
     return None
@@ -468,14 +485,15 @@ def decide_on_cycle(inst, node: int, lam: float) -> Verdict:
     g = inst.graph
     c = int(g.skeleton.ref[node])
     arcs = decision._cycle_arcs(inst, c, lam)
-    if all(arcs):
+    fams = families(arcs)
+    if all(fams):
         hit = stab_two(arcs)
         if hit is not None:
             x, y = hit[0], hit[0] if hit[1] is None else hit[1]
             return Verdict(True, (g.cycles.point(g, c, x), g.cycles.point(g, c, y)))
     xs, ys = cycle_profiles(inst, c)
     tol = _tol(inst, lam)
-    cands = sorted({0.0} | {end for fam in arcs for ab in fam for end in ab})
+    cands = sorted({0.0} | {end for fam in fams for ab in fam for end in ab})
     seen_masks: set[frozenset[int]] = set()
     for x in cands:
         yx = interp_rows(xs, ys, x)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import references as refs
 from conftest import draw_case, draw_many_cycles, tri_instance
 from ucactus import decision
 from ucactus.decision import decide, one_center
@@ -170,7 +171,7 @@ def test_stab_two_matches_endpoint_search_on_1000_families():
                 else:
                     merged.append((a, b))
             sets.append(merged)
-        got = stab_two(sets)
+        got = stab_two(refs.table(sets))
         want = _brute_stab_two(sets)
         if (got is None) != (want is None):
             failures.append(trial)

@@ -16,7 +16,6 @@ from ucactus.decision import (
     CYCLE_AND_BEYOND,
     DESCEND,
     DESCEND_TWO,
-    FEASIBLE_SINGLE,
     Verdict,
     _cycle_arcs,
     coverage_witness,
@@ -163,7 +162,8 @@ def test_articulation_probe_outcomes_across_radii(tri):
     assert (tight.primary, tight.secondary) == (1, 2)
     pinned = probe_articulation(tri, 0, 2.0)
     assert (pinned.kind, pinned.primary) == (CENTER_AT, 0)
-    assert probe_articulation(tri, 0, 3.0).kind == FEASIBLE_SINGLE
+    wide = probe_articulation(tri, 0, 3.0)
+    assert (wide.kind, wide.primary) == (CENTER_AT, 0)
 
 
 def test_cycle_probe_outcomes_across_radii(tri):
@@ -236,7 +236,7 @@ def _rescan_two_cycles(inst, node1, node2, lam):
     toward1 = component_mass(inst, h2, node1) + inst.node_mass[h2]
     far = toward1 >= 0.5 - inst.eps
 
-    arcs2 = _cycle_arcs(inst, cyc2.id, lam)
+    arcs2 = refs.families(_cycle_arcs(inst, cyc2.id, lam))
     h2_coord = cyc2.pos[cyc2.vertices.index(tree.ref[h2])]
     reach2 = far & (
         inst.weights * inst.ed_at_vertices[tree.ref[h2]] <= lam + tol
@@ -250,7 +250,7 @@ def _rescan_two_cycles(inst, node1, node2, lam):
     atoms = [(x, x) for x in ends_sorted]
     atoms += list(zip(ends_sorted, ends_sorted[1:]))
 
-    arcs1 = _cycle_arcs(inst, cyc1.id, lam)
+    arcs1 = refs.families(_cycle_arcs(inst, cyc1.id, lam))
     h1_coord = cyc1.pos[cyc1.vertices.index(tree.ref[h1])]
     need_cache = set()
     xs_cand = []
@@ -266,9 +266,11 @@ def _rescan_two_cycles(inst, node1, node2, lam):
         need_cache.add(key)
         if any(not arcs1[k] for k in need):
             continue
-        region = intersect_families([arcs1[k] for k in need]) if need else [
-            (0.0, cyc1.perimeter)
-        ]
+        region = (
+            refs.families(intersect_families(refs.table([arcs1[k] for k in need])))[0]
+            if need
+            else [(0.0, cyc1.perimeter)]
+        )
         if not region:
             continue
         xs_cand.extend(_closest_in_region(region, h1_coord, cyc1.perimeter))
@@ -286,7 +288,7 @@ def _rescan_two_cycles(inst, node1, node2, lam):
             return Verdict(True, (p1, p1))
         if any(not arcs2[k] for k in rest):
             continue
-        q = stab_one([arcs2[k] for k in rest])
+        q = stab_one(refs.table([arcs2[k] for k in rest]))
         if q is not None:
             return Verdict(True, (p1, cyc2.coord_point(g, q)))
     return Verdict(False)
@@ -365,8 +367,8 @@ def test_cycle_matrix_rows_price_positions_like_expected_distances():
             cycles += 1
             xs, ys = cycle_profiles(inst, cyc.id)
             lam = rng.uniform(0.0, float((ys * inst.weights).max()))
-            arcs = _cycle_arcs(inst, cyc.id, lam)
-            ends = [x for fam in arcs for ab in fam for x in ab]
+            _, lo, hi = _cycle_arcs(inst, cyc.id, lam)
+            ends = [*lo.tolist(), *hi.tolist()]
             for x in [*xs.tolist(), *ends, rng.uniform(0.0, cyc.perimeter)]:
                 want = expected_distances(inst, cyc.coord_point(g, x))
                 err = np.abs(profile_at(xs, ys, [x])[0] - want)

@@ -252,10 +252,13 @@ def test_cli_decide_rejects_a_nan_radius(tmp_path, capsys):
 
 def _tri_doc(**changes):
     """The triangle instance as a document, with one field replaced; keys
-    are ``edge_length``, ``weight``, ``locations`` or a top-level key."""
+    are ``edge_length``, ``id``, ``weight``, ``locations`` or a top-level
+    key."""
     doc = instance_to_dict(tri_instance())
     if "edge_length" in changes:
         doc["edges"][0][2] = changes["edge_length"]
+    if "id" in changes:
+        doc["uncertain_points"][0]["id"] = changes["id"]
     if "weight" in changes:
         doc["uncertain_points"][0]["weight"] = changes["weight"]
     if "locations" in changes:
@@ -301,6 +304,11 @@ BAD_INPUTS = [
         "offset on edge 'a'-'b' is not a number: '1'",
     ),
     ("true-eps", {"eps": True}, [], "eps is not a number: True"),
+    # a point id is a string, not whatever str() makes of a JSON value
+    ("true-id", {"id": True}, [], "uncertain_points[0]: id is not a string: True"),
+    ("number-id", {"id": 5}, [], "uncertain_points[0]: id is not a string: 5"),
+    ("list-id", {"id": [1]}, [], "uncertain_points[0]: id is not a string: [1]"),
+    ("null-id", {"id": None}, [], "uncertain_points[0]: id is not a string: None"),
     ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
     ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
     # integers too large for a float, one per numeric field
@@ -451,6 +459,12 @@ def _point(label, weight, *locations):
             [_point("P1", 1.0, ("a", 1.0)), _point("P2", 1.0), _point("P3", -1.0, ("a", 1.0))],
             ValidationError,
             "point 'P2' has no locations",
+        ),
+        # a non-string id, named by its row, before a later bad weight
+        (
+            [_point("P1", 1.0, ("a", 1.0)), _point(7, 1.0, ("a", 1.0)), _point("P3", "x")],
+            FormatError,
+            "uncertain_points[1]: id is not a string: 7",
         ),
     ],
 )

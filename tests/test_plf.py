@@ -205,9 +205,10 @@ def _profile_matrices(draw):
 @given(_profile_matrices())
 def test_coverage_set_equals_the_piece_loop(case):
     xs, ys, weights, lam, eps = case
-    assert coverage_set(xs, ys, weights, lam, eps) == _reference_columns(
-        xs, ys, weights, lam, eps
-    )
+    got = coverage_set(xs, ys, weights, lam, eps)
+    # every field is an array: the benchmark's tracer takes each one's length
+    assert [type(f) for f in got] == [np.ndarray] * 3
+    assert refs.families(got) == _reference_columns(xs, ys, weights, lam, eps)
 
 
 def test_coverage_set_equals_the_piece_loop_on_cycles():
@@ -225,10 +226,9 @@ def test_coverage_set_equals_the_piece_loop_on_cycles():
             lams.append(float(ys[rng.randrange(len(xs)), cols[0]] * w[cols[0]]))
             for lam in lams:
                 want = _reference_columns(xs, ys, w, lam, inst.eps)
-                assert coverage_set(xs, ys, w, lam, inst.eps) == want
-                assert coverage_set(xs, ys[:, cols], w[cols], lam, inst.eps) == [
-                    want[k] for k in cols
-                ]
+                assert refs.families(coverage_set(xs, ys, w, lam, inst.eps)) == want
+                got = coverage_set(xs, ys[:, cols], w[cols], lam, inst.eps)
+                assert refs.families(got) == [want[k] for k in cols]
     assert cycles >= 30
 
 
@@ -242,19 +242,19 @@ def test_coverage_set_clips_the_profile_at_the_radius():
     inst = tri_instance()
     xs, ys = _pendant_profile(inst)
     w = np.array([1.0])
-    ((lo, hi),), = coverage_set(xs, ys, w, 1.0, inst.eps)
+    ((lo, hi),), = refs.families(coverage_set(xs, ys, w, 1.0, inst.eps))
     assert lo == pytest.approx(1.0, abs=1e-8)
     assert hi == 2.0
-    assert coverage_set(xs, ys, w, 2.5, inst.eps) == [[(0.0, 2.0)]]
-    assert coverage_set(xs, ys, w, -0.5, inst.eps) == [[]]
+    assert refs.families(coverage_set(xs, ys, w, 2.5, inst.eps)) == [[(0.0, 2.0)]]
+    assert refs.families(coverage_set(xs, ys, w, -0.5, inst.eps)) == [[]]
 
 
 def test_coverage_set_of_weightless_point_is_everything_or_nothing():
     inst = tri_instance()
     xs, ys = _pendant_profile(inst)
     w = np.array([0.0])
-    assert coverage_set(xs, ys, w, 0.0, inst.eps) == [[(0.0, 2.0)]]
-    assert coverage_set(xs, ys, w, -1.0, inst.eps) == [[]]
+    assert refs.families(coverage_set(xs, ys, w, 0.0, inst.eps)) == [[(0.0, 2.0)]]
+    assert refs.families(coverage_set(xs, ys, w, -1.0, inst.eps)) == [[]]
 
 
 def test_coverage_set_membership_matches_the_profile():
@@ -271,7 +271,7 @@ def test_coverage_set_membership_matches_the_profile():
         prof = ys[:, k]
         w = float(inst.weights[k])
         lam = rng.uniform(0.0, w * float(prof.max()) + 0.5)
-        ivals = coverage_set(xs, ys, inst.weights, lam, inst.eps)[k]
+        ivals = refs.families(coverage_set(xs, ys, inst.weights, lam, inst.eps))[k]
         for a, b in ivals:
             assert a <= b
             for x in (a, (a + b) / 2.0, b):
@@ -334,25 +334,38 @@ def test_crossings_equal_the_pair_loop(case):
 # stabbing
 
 
+def _stab_one(sets):
+    return stab_one(refs.table(sets))
+
+
+def _stab_two(sets, other=None):
+    return stab_two(refs.table(sets), None if other is None else refs.table(other))
+
+
+def _intersect(sets):
+    (common,) = refs.families(intersect_families(refs.table(sets)))
+    return common
+
+
 def test_stab_one_finds_a_common_position():
-    assert stab_one([[(0.0, 2.0)], [(1.0, 3.0)]]) == 1.0
-    assert stab_one([[(0.0, 1.0)], [(2.0, 3.0)]]) is None
-    assert stab_one([]) == 0.0
-    assert stab_one([[]]) is None
+    assert _stab_one([[(0.0, 2.0)], [(1.0, 3.0)]]) == 1.0
+    assert _stab_one([[(0.0, 1.0)], [(2.0, 3.0)]]) is None
+    assert _stab_one([]) == 0.0
+    assert _stab_one([[]]) is None
 
 
 def test_stab_two_splits_families_between_two_positions():
-    assert stab_two([[(0.0, 1.0)], [(2.0, 3.0)]]) == (1.0, 2.0)
-    assert stab_two([[(0.0, 1.0)], [(2.0, 3.0)], [(0.5, 1.5)]]) == (1.0, 2.0)
-    assert stab_two([]) == (0.0, 0.0)
-    assert stab_two([[], [(0.0, 1.0)]]) is None
+    assert _stab_two([[(0.0, 1.0)], [(2.0, 3.0)]]) == (1.0, 2.0)
+    assert _stab_two([[(0.0, 1.0)], [(2.0, 3.0)], [(0.5, 1.5)]]) == (1.0, 2.0)
+    assert _stab_two([]) == (0.0, 0.0)
+    assert _stab_two([[], [(0.0, 1.0)]]) is None
 
 
 def test_intersect_families_on_fixed_intervals():
-    got = intersect_families([[(0.0, 3.0)], [(1.0, 2.0), (2.5, 4.0)]])
+    got = _intersect([[(0.0, 3.0)], [(1.0, 2.0), (2.5, 4.0)]])
     assert got == [(1.0, 2.0), (2.5, 3.0)]
-    assert intersect_families([]) == []
-    assert intersect_families([[(0.0, 1.0)], [(2.0, 3.0)]]) == []
+    assert _intersect([]) == []
+    assert _intersect([[(0.0, 1.0)], [(2.0, 3.0)]]) == []
 
 
 def _disjoint(raw):
@@ -396,7 +409,7 @@ def test_stab_two_agrees_with_endpoint_search():
     rng = random.Random(20240817)
     for _ in range(300):
         sets = _random_families(rng, rng.randint(1, 6))
-        got = stab_two(sets)
+        got = _stab_two(sets)
         want = _brute_stab_two(sets)
         assert (got is None) == (want is None)
         if got is not None:
@@ -408,8 +421,8 @@ def test_stab_one_agrees_with_intersection():
     rng = random.Random(99)
     for _ in range(200):
         sets = _random_families(rng, rng.randint(1, 5))
-        got = stab_one(sets)
-        common = intersect_families(sets)
+        got = _stab_one(sets)
+        common = _intersect(sets)
         assert (got is None) == (not common)
         if got is not None:
             assert all(_hits(ivals, got) for ivals in sets)
@@ -547,18 +560,21 @@ def test_stabbing_kernel_equals_the_endpoint_sweeps():
         else:
             sets = _random_families(rng, n)
             other = _random_families(rng, n)
-        assert stab_one(sets) == _sweep_stab_one(sets)
-        assert intersect_families(sets) == _sweep_intersect(sets)
-        assert _twin(stab_two(sets)) == _sweep_stab_two(sets)
-        assert _twin(stab_two(sets)) == _sweep_stab_two_lists(sets, sets)
-        assert _twin(stab_two(sets, other)) == _sweep_stab_two_lists(sets, other)
+        tab, tab2 = refs.table(sets), refs.table(other)
+        # the sweeps read the same tables, as lists
+        sets, other = refs.families(tab), refs.families(tab2)
+        assert stab_one(tab) == _sweep_stab_one(sets)
+        assert refs.families(intersect_families(tab)) == [_sweep_intersect(sets)]
+        assert _twin(stab_two(tab)) == _sweep_stab_two(sets)
+        assert _twin(stab_two(tab)) == _sweep_stab_two_lists(sets, sets)
+        assert _twin(stab_two(tab, tab2)) == _sweep_stab_two_lists(sets, other)
 
 
 def test_stab_two_second_list_serves_what_the_first_misses():
-    assert stab_two([[(0.0, 1.0)], []], [[], [(5.0, 6.0)]]) == (1.0, 5.0)
+    assert _stab_two([[(0.0, 1.0)], []], [[], [(5.0, 6.0)]]) == (1.0, 5.0)
     # the first position serves both alone: no second position
-    assert stab_two([[(0.0, 1.0)], [(0.5, 2.0)]], [[], []]) == (1.0, None)
+    assert _stab_two([[(0.0, 1.0)], [(0.5, 2.0)]], [[], []]) == (1.0, None)
     # no close endpoint: the first position hits nothing anywhere
-    assert stab_two([[], []], [[(0.0, 2.0)], [(1.0, 3.0)]]) == (0.0, 1.0)
-    assert stab_two([[], []], [[(0.0, 1.0)], [(2.0, 3.0)]]) is None
-    assert stab_two([[(0.0, 1.0)], []], [[(2.0, 3.0)], []]) is None
+    assert _stab_two([[], []], [[(0.0, 2.0)], [(1.0, 3.0)]]) == (0.0, 1.0)
+    assert _stab_two([[], []], [[(0.0, 1.0)], [(2.0, 3.0)]]) is None
+    assert _stab_two([[(0.0, 1.0)], []], [[(2.0, 3.0)], []]) is None

@@ -7,8 +7,8 @@ import importlib.util
 from functools import cached_property
 from pathlib import Path
 
-from conftest import tri_instance
-from ucactus import optimizer
+from conftest import draw_many_cycles, tri_instance
+from ucactus import decision, optimizer
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,3 +36,27 @@ def test_tracer_installs_and_uninstalls_every_wrapper():
     assert spans.originals_in_place()
     assert {"optimizer.solve", "decision.decide", "graph.skeleton"} <= traced
     assert "uncertain.ed_at_vertices" in traced
+
+
+def test_traced_decides_record_the_stab_on_one_and_on_two_cycles():
+    # on this draw the lower radius ends in the two-cycle terminal, the
+    # higher one in the one-cycle terminal; each builds its arc tables with
+    # coverage_set and stabs them
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        inst = draw_many_cycles(6)
+        for lam in (26.25, 52.5):
+            decision.decide(inst, lam)
+    finally:
+        tracer.uninstall()
+    recs = tracer.spans
+    tables, notes = [], []
+    for i, rec in enumerate(recs):
+        if rec[0] == "decision.terminal":
+            children = [c for c in recs if c[3] == i]
+            tables.append(sum(c[0] == "plf.coverage_set" for c in children))
+            notes += [c[5] for c in children if c[0] == "plf.stab"]
+    assert {1, 2} <= set(tables)
+    assert len(notes) >= 2 and all(isinstance(n, int) and n > 0 for n in notes)
