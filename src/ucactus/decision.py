@@ -122,7 +122,8 @@ def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
 
     Components hang off the cycle's hinges; each component's group is
     measured at its own hinge.  With one overloaded direction the hinge
-    itself is probed and the outcome translated back to the cycle's frame.
+    itself is probed and its outcome handed back, unless it splits between
+    this cycle and a stretch past the hinge.
     """
     tree = inst.graph.skeleton
     assert tree.kind[node] == CYCLE
@@ -147,18 +148,10 @@ def probe_cycle(inst: Instance, node: int, lam: float) -> ProbeOutcome:
 
     gate = int(cs.gate[exceed[0]])
     inner = probe_articulation(inst, gate, lam)
-    if inner.kind in (INFEASIBLE, CENTER_AT):
-        return inner
-    if inner.kind == DESCEND:
-        if inner.primary == node:
-            return ProbeOutcome(DESCEND, node, via_primary=node)
-        return ProbeOutcome(DESCEND, inner.primary, via_primary=gate)
-    assert inner.kind == DESCEND_TWO
-    if inner.primary == node:
-        return ProbeOutcome(CYCLE_AND_BEYOND, node, inner.secondary, gate, gate)
-    if inner.secondary == node:
-        return ProbeOutcome(CYCLE_AND_BEYOND, node, inner.primary, gate, gate)
-    return inner  # two overloaded stretches both beyond the same hinge
+    if inner.kind == DESCEND_TWO and node in (inner.primary, inner.secondary):
+        other = inner.secondary if inner.primary == node else inner.primary
+        return ProbeOutcome(CYCLE_AND_BEYOND, node, other, gate, gate)
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +451,12 @@ def _pick_direction(
     flag: int | None,
     out: ProbeOutcome,
 ) -> tuple[int, int] | None:
-    """Choose which of two overloaded directions to pursue; the one holding
-    the boundary flag is the other center's territory."""
-    options = []
-    for target, via in (
-        (out.primary, out.via_primary),
-        (out.secondary, out.via_secondary),
-    ):
-        assert target is not None and via is not None
+    """Choose which of two overloaded directions to pursue: the least
+    ``(target, via)`` that meets the part still searched, or None; the one
+    holding the boundary flag is the other center's territory."""
+    good = []
+    for target, via in ((out.primary, out.via_primary), (out.secondary, out.via_secondary)):
         comp = tree.component_toward(via, target)
-        eligible = (comp & active).any() and (flag is None or not comp[tree.start[flag]])
-        options.append((target, via, eligible))
-    good = [(t, v) for t, v, ok in options if ok]
-    if not good:
-        return None
-    if len(good) == 1:
-        return good[0]
-    return min(good)
+        if (comp & active).any() and (flag is None or not comp[tree.start[flag]]):
+            good.append((target, via))
+    return min(good, default=None)

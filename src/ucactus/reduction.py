@@ -271,26 +271,18 @@ def _live_edges(split: _Split, root: int) -> np.ndarray:
     ring_of = np.full(m, -1)
     ring_of[ring_edges] = ring
 
-    # the mass on each ring vertex's own side, kept on one ring edge at the
-    # vertex: a lower vertex's on its parent edge, as its subtree's mass
-    # less its ring child's; the ring top's on the ring's back edge, as all
-    # mass less the top's ring child's
-    closing = ~tree[ring_edges]
-    back = np.empty(len(bounds) - 1, dtype=np.intp)
-    back[ring[closing]] = ring_edges[closing]
-    down, r = ring_edges[~closing], ring[~closing]
-    up = walk.parent_edge[top[down]]
-    at_top = (up < 0) | (ring_of[up] != r)
-    side = np.zeros(m, dtype=np.intp)
-    side[down] = below[low[down]]
-    side[np.where(at_top, back[r], up)] -= below[low[down]]
-    side[back] += held[-1]
-    # ring vertex ``ring_from[i]`` keeps its side on the ring edge it leaves
-    # or on the one before
+    # the mass on each ring vertex's own side: its subtree's, or all of it
+    # at the ring's top, less its ring child's subtree; a ring child hangs
+    # from it by a tree edge of the ring, the one it leaves or the one
+    # before, and the ring's lowest vertex has none
     prev = np.arange(-1, len(ring_edges) - 1)
     prev[bounds[:-1]] = bounds[1:] - 1
-    holder = np.where(tree, low, top)[ring_edges] == ring_from
-    anchor = side[np.where(holder, ring_edges, ring_edges[prev])] > 0
+    above = walk.parent_edge[ring_from]
+    at_top = (above < 0) | (ring_of[above] != ring)
+    side = np.where(at_top, held[-1], below[ring_from])
+    for e in (ring_edges, ring_edges[prev]):
+        side -= np.where(tree[e] & (top[e] == ring_from), below[low[e]], 0)
+    anchor = side > 0
     anchors = np.bincount(ring[anchor], minlength=len(bounds) - 1)
 
     dropped = np.zeros(len(ring_edges) + 1, dtype=np.intp)

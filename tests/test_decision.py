@@ -451,6 +451,39 @@ def test_decide_stays_within_its_probe_budget():
             assert decide(inst, lam).probes <= budget, (seed, lam)
 
 
+@pytest.mark.parametrize(
+    "seed, size, fractions",
+    [
+        (4021105733, dict(n_vertices=27, n_cycles=4, n_points=7, n_locations=3), (0.95,)),
+        (2744684735, dict(n_vertices=38, n_cycles=8, n_points=5, n_locations=1), (0.5, 0.8)),
+    ],
+)
+def test_two_way_split_with_no_eligible_direction_is_infeasible(
+    monkeypatch, seed, size, fractions
+):
+    # both directions of a two-way split lie outside the part still searched
+    # or in the other center's territory; the reduced instances have 16 and
+    # 7 vertices, within the oracle's reach
+    picked = []
+    pick = decision._pick_direction
+
+    def spy(*args):
+        picked.append(pick(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(decision, "_pick_direction", spy)
+    inst = random_instance(seed, **size)
+    star = solve(inst).value
+    reduced = reduce_instance(inst).reduced
+    for fraction in fractions:
+        picked.clear()
+        lam = fraction * star
+        verdict = decide(inst, lam)
+        assert picked[-1] is None, fraction
+        assert not verdict.feasible and verdict.centers is None
+        assert verdict.feasible == oracle_decide(reduced, lam)[0]
+
+
 def test_single_point_gets_twin_centers():
     for seed in range(20):
         inst = draw_case(seed, max_points=1)

@@ -310,6 +310,14 @@ BAD_INPUTS = [
     ("list-id", {"id": [1]}, [], "uncertain_points[0]: id is not a string: [1]"),
     ("null-id", {"id": None}, [], "uncertain_points[0]: id is not a string: None"),
     ("non-list-edges", {"edges": 5}, [], "edges must be a list"),
+    ("no-vertices", {"vertices": [], "edges": []}, [], "graph needs at least one vertex"),
+    # a location on an edge of a graph that has none
+    (
+        "edgeless-edge-location",
+        {"vertices": ["a"], "edges": [], "locations": [[["a", "a", 0.0], 1.0]]},
+        [],
+        "no edge 'a'-'a'",
+    ),
     ("non-list-locations", {"locations": 5}, [], "locations of point 'P1' must be a list"),
     # integers too large for a float, one per numeric field
     ("huge-edge-length", {"edge_length": 10**400}, [], "length of edge 'a'-'b' is out of range"),

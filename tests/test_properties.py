@@ -1,6 +1,7 @@
 """Exactness beyond the oracle's size cap: certificates and metamorphic
-relations on 30-60 vertex draws with edge-interior locations, and on
-smaller draws from the benchmark's generators."""
+relations (scaling, relabelling, a massless pendant) on 30-60 vertex draws
+with edge-interior locations, and on smaller draws from the benchmark's
+generators."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from conftest import benchmark_shaped_instances, edge_rows, mid_size_instances
 from ucactus.decision import decide
 from ucactus.graph import GraphPoint, validate_cactus
 from ucactus.optimizer import solve
+from ucactus.reduction import reduce_instance
 from ucactus.uncertain import (
     Instance,
     Location,
@@ -116,3 +118,21 @@ def test_listing_vertices_edges_and_points_in_another_order_changes_nothing(
     want = solve(inst).value
     got = solve(_rebuilt(inst, rng=random.Random(seed))).value
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@_DRAWS
+@given(st.one_of(_EDGE_DRAWS, benchmark_shaped_instances()), st.data())
+def test_a_massless_pendant_changes_nothing(inst, data):
+    # a new vertex holding no location, hung off any vertex: the reduction
+    # drops its bridge, so the optimum and the reduced network stay as they are
+    g = inst.graph
+    at = data.draw(st.integers(0, g.vertex_count - 1))
+    length = data.draw(st.floats(0.5, 50.0))
+    # longer than every name, so no name clashes with it
+    pendant = max(g.names, key=len) + "'"
+    spec = [(g.names[r.u], g.names[r.v], r.length) for r in edge_rows(g)]
+    graph = validate_cactus([*g.names, pendant], [*spec, (g.names[at], pendant, length)])
+    hung = build_instance(graph, inst.points, inst.eps)
+    assert solve(hung).value == solve(inst).value
+    want = reduce_instance(inst).reduced.graph.vertex_count
+    assert reduce_instance(hung).reduced.graph.vertex_count == want
