@@ -14,14 +14,14 @@ Dijkstra serves only the pricing of an arbitrary point
 ``expected_distance`` read to check a solution independently of the
 solver; ``solve`` and ``decide`` read distances off the skeleton instead.
 
-The cycle decomposition is one depth-first search in C (scipy's
-``depth_first_order``, which takes each vertex's edges in index order);
-the tree and the back edges are read off in array passes, with no loop
-over the levels of the tree, and each back edge closes one cycle.  The
-cycles are one ring table, flat columns over every cycle's positions in
-ring order that every later stage slices.  The walk up each cycle's tree
-path is the one Python pass, once per ring vertex; the ring order, the
-orientation and the arc coordinates are array passes.
+The cycle decomposition reads one depth-first search in C (scipy's
+``depth_first_order``, which takes each vertex's edges in index order),
+kept as :attr:`CactusGraph.search`, which the reduction reads as well; the
+tree, the back edges and each cycle's tree path are read off in array
+passes, with no loop over the levels of the tree or over ring vertices,
+and each back edge closes one cycle.  The cycles are one ring table, flat
+columns over every cycle's positions in ring order that every later stage
+slices.
 
 The skeleton tree is a set of arrays built from one more such search,
 which roots it; every component query (what one removed node cuts off,
@@ -67,9 +67,10 @@ class CactusGraph:
     ``indptr[x]:indptr[x + 1]`` of ``nbr`` (the far end) and ``half_edge``
     (the edge id) list the edges at vertex ``x`` in id order.  Outside input
     comes through :func:`validate_cactus`, which hands over the name index
-    it built as ``vertex_id``; the reduction builds its output directly.
-    The cycle decomposition proves connectivity and cactus-ness when it is
-    first read."""
+    it built as ``vertex_id``; the reduction builds its output directly and
+    hands over its ring table as ``cycles``.  Otherwise the cycle
+    decomposition proves connectivity and cactus-ness when it is first
+    read."""
 
     def __init__(
         self,
@@ -79,6 +80,7 @@ class CactusGraph:
         length: np.ndarray,
         vertex_id: dict[str, int] | None = None,
         pair_index: tuple[np.ndarray, np.ndarray] | None = None,
+        cycles: CycleDecomposition | None = None,
     ) -> None:
         self.names = names
         self.u, self.v, self.length = u, v, length
@@ -89,6 +91,8 @@ class CactusGraph:
             self.vertex_id = vertex_id
         if pair_index is not None:
             self.pair_index = pair_index
+        if cycles is not None:
+            self.cycles = cycles
 
     @cached_property
     def vertex_id(self) -> dict[str, int]:
@@ -149,6 +153,12 @@ class CactusGraph:
         u, v, length = self.edge(p.edge)
         d = self.distance_rows([u, v])
         return np.minimum(p.t + d[0], (length - p.t) + d[1])
+
+    @cached_property
+    def search(self) -> DepthFirst:
+        """The depth-first search of the network from vertex 0, which the
+        cycle decomposition and the reduction read."""
+        return depth_first(self.indptr, self.nbr, self.half_edge, 0)
 
     @cached_property
     def cycles(self) -> CycleDecomposition:
@@ -276,15 +286,15 @@ def validate_edge_columns(
 @dataclass(frozen=True, slots=True)
 class CycleDecomposition:
     """The cycles as one ring table, numbered in the order the search closes
-    them, built by one Python walk, once per ring vertex, and array passes.
-    Cycle ``c`` holds positions ``ring(c)`` of the ring columns, from its
-    smallest vertex toward that vertex's smaller neighbour, so the order of
-    the search never shows in a coordinate.  At position ``i``,
-    ``ring_vertex[i]`` is a vertex, ``ring_edge[i]`` the edge on to the next
-    position (the last one back to the first), ``ring_forward[i]`` whether
-    its ``u`` endpoint is ``ring_vertex[i]``, ``ring_pos[i]`` the vertex's
-    arc coordinate, the ring's edge lengths added up in ring order from 0,
-    and ``ring_cycle[i]`` its cycle.  Coordinates of cycle ``c`` live in
+    them, or for a reduced network in the original network's order, built
+    by array passes.  Cycle ``c`` holds positions ``ring(c)`` of the ring
+    columns, from its smallest vertex toward that vertex's smaller
+    neighbour, so the order of the search never shows in a coordinate.  At
+    position ``i``, ``ring_vertex[i]`` is a vertex, ``ring_edge[i]`` the
+    edge on to the next position (the last one back to the first),
+    ``ring_forward[i]`` whether its ``u`` endpoint is ``ring_vertex[i]``,
+    ``ring_pos[i]`` the vertex's arc coordinate, the ring's edge lengths
+    added up in ring order from 0, and ``ring_cycle[i]`` its cycle.  Coordinates of cycle ``c`` live in
     ``[0, perimeter[c])``; ``edge_cycle[e]`` is the cycle of edge ``e``, -1
     for a bridge."""
 
@@ -340,18 +350,18 @@ class DepthFirst(NamedTuple):
     taken in index order.
 
     ``order`` lists the reached vertices in preorder and ``start[x]`` is
-    x's place in it (the vertex count when x is unreached).  ``parent`` and
-    ``parent_edge`` are -1 at the root and at unreached vertices.
-    ``tail[h]`` is the vertex that index position ``h`` leaves, ``down[h]``
-    says that position ``h`` is a tree edge from parent to child, and the
-    search takes up the positions in the order of ``taken``."""
+    x's place in it (the vertex count when x is unreached); a reached x's
+    subtree is ``order[start[x]:stop[x]]``.  ``parent`` and ``parent_edge``
+    are -1 at the root and at unreached vertices.  ``tail[h]`` is the
+    vertex that index position ``h`` leaves, and the search takes up the
+    positions in the order of ``taken``."""
 
     order: np.ndarray
     start: np.ndarray
+    stop: np.ndarray
     parent: np.ndarray
     parent_edge: np.ndarray
     tail: np.ndarray
-    down: np.ndarray
     taken: np.ndarray
 
 
@@ -366,90 +376,124 @@ def depth_first(
     which costs the square of the degree, so the search runs through one
     node per index position instead: vertex x leads to node ``n +
     indptr[x]``, and node ``n + p`` to vertex ``nbr[p]`` and then to node
-    ``n + p + 1`` of the same row.  Each row has two entries, padded with
-    the root, which is always seen.  Vertices are met in the same order,
-    and node ``n + p`` is met when the search takes up position ``p``."""
+    ``n + p + 1`` of the same row, the row's last to x's end node ``n + h
+    + x``.  Each row has two entries, padded with the root, which is always
+    seen.  Vertices are met in the same order, node ``n + p`` is met when
+    the search takes up position ``p``, and x's end node when x's subtree
+    is done."""
     n, h = len(indptr) - 1, len(nbr)
-    nodes = n + h
+    nodes = 2 * n + h
     has_edges = indptr[1:] > indptr[:-1]
-    rows = np.empty((nodes, 2), dtype=np.int32)
-    rows[:n, 0] = np.where(has_edges, n + indptr[:-1], root)
-    rows[:n, 1] = root
-    rows[n:, 0] = nbr
-    rows[n:, 1] = np.arange(n + 1, nodes + 1)
-    rows[n + indptr[1:][has_edges] - 1, 1] = root
+    ends = np.arange(n + h, nodes)
+    rows = np.full((nodes, 2), root, dtype=np.int32)
+    rows[:n, 0] = np.where(has_edges, n + indptr[:-1], ends)
+    rows[n : n + h, 0] = nbr
+    rows[n : n + h, 1] = np.arange(n + 1, n + h + 1)
+    rows[n + indptr[1:][has_edges] - 1, 1] = ends[has_edges]
     adj = csr_matrix(
         (np.ones(2 * nodes), rows.ravel(), np.arange(0, 2 * nodes + 1, 2, dtype=np.int32)),
         shape=(nodes, nodes),
     )
     met, pred = depth_first_order(adj, root, directed=True, return_predecessors=True)
-    rank = np.full(nodes, nodes, dtype=np.intp)
+    met = met.astype(np.intp)
+    rank = np.full(nodes, len(met), dtype=np.intp)
     rank[met] = np.arange(len(met))
-    order = met[met < n].astype(np.intp)
+    # the vertices and their end nodes in the order met: each end node
+    # follows the vertices of its subtree
+    seen = met[np.flatnonzero((met < n) | (met >= n + h))]
+    done = np.flatnonzero(seen >= n + h)
+    order = seen[seen < n]
     start = np.full(n, n, dtype=np.intp)
     start[order] = np.arange(len(order))
+    stop = np.full(n, n, dtype=np.intp)
+    stop[seen[done] - n - h] = done - np.arange(len(done))
     tail = np.repeat(np.arange(n), np.diff(indptr))
-    down = pred[nbr] == np.arange(n, nodes)
-    child = np.flatnonzero(down)
+    # the positions the search takes down to a child
+    child = np.flatnonzero(pred[nbr] == np.arange(n, n + h))
     parent = np.full(n, -1, dtype=np.intp)
     parent_edge = np.full(n, -1, dtype=np.intp)
     parent[nbr[child]] = tail[child]
     parent_edge[nbr[child]] = half_edge[child]
-    return DepthFirst(order, start, parent, parent_edge, tail, down, rank[n:])
+    return DepthFirst(order, start, stop, parent, parent_edge, tail, rank[n : n + h])
 
 
 def _decompose(graph: CactusGraph) -> CycleDecomposition:
-    """The cycles of one depth-first search from vertex 0: each back edge
+    """The cycles of the graph's search from vertex 0: each back edge
     closes one, numbered in the order the search meets it.  An edge closed
-    twice raises SharedCycleEdge and an unreached vertex NotConnected."""
-    n, m = graph.vertex_count, graph.edge_count
-    walk = depth_first(graph.indptr, graph.nbr, graph.half_edge, 0)
-    tail, nbr, start = walk.tail, graph.nbr, walk.start
-    tree_edge = np.zeros(m, dtype=bool)
-    tree_edge[graph.half_edge[walk.down]] = True
+    twice raises SharedCycleEdge and an unreached vertex NotConnected.
+
+    Each back edge is marked at its deeper end and unmarked at its top, so
+    a subtree sum over preorder counts the cycles through the tree edge up
+    from each vertex and adds up their ids.  In a cactus the count is at
+    most 1; a cycle's tree path is then its vertices of that id, deepest
+    first, and its top closes it."""
+    n = graph.vertex_count
+    walk = graph.search
+    tail, nbr, start, order = walk.tail, graph.nbr, walk.start, walk.order
     # every other edge of the reached part joins a vertex to an ancestor,
     # and the search meets it when it takes it up from the deeper end
-    back = np.flatnonzero(~tree_edge[graph.half_edge] & (start[tail] > start[nbr]))
-    back = back[stable_order(walk.taken[back], n + len(walk.taken))]
+    back = np.flatnonzero((start[tail] > start[nbr]) & (walk.parent_edge[tail] != graph.half_edge))
+    back = back[stable_order(walk.taken[back], 2 * n + len(walk.taken))]
+    top, c, reached = nbr[back], len(back), len(order)
+    at = np.concatenate([start[tail[back]], start[top]]) + 1
+    stop = walk.stop[order]
 
+    def subtree_sums(marks: np.ndarray) -> np.ndarray:
+        held = np.cumsum(np.bincount(at, marks, reached + 1))
+        return held[stop] - held[:-1]
+
+    ids = np.arange(c, dtype=float)
+    count = subtree_sums(np.repeat([1.0, -1.0], c))
+    cycle = subtree_sums(np.concatenate([ids, -ids]))
+    if (count > 1).any():
+        _raise_shared_edge(graph, walk, back)
+    if reached < n:
+        raise NotConnected("graph is not connected")
+    on = np.flatnonzero(count)[::-1]
+    ring = cycle[on].astype(np.intp)
+    by = stable_order(ring, c)
+    on, ring = on[by], ring[by]
+    ring_ptr = np.concatenate([[0], np.cumsum(np.bincount(ring, minlength=c) + 1)])
+    # each cycle's tree path, then its top with the back edge
+    slot, last = np.arange(len(on)) + ring, ring_ptr[1:] - 1
+    vert, edge = np.empty(ring_ptr[-1], np.intp), np.empty(ring_ptr[-1], np.intp)
+    vert[slot] = order[on]
+    edge[slot] = walk.parent_edge[vert[slot]]
+    vert[last], edge[last] = top, graph.half_edge[back]
+    return ring_table(graph.u, graph.length, ring_ptr, vert, edge)
+
+
+def _raise_shared_edge(graph: CactusGraph, walk: DepthFirst, back: np.ndarray) -> None:
+    """Raise SharedCycleEdge: walk up each cycle's tree path in the order
+    the search closes them, and of the edges closed before, name the
+    topmost on the first cycle that closes one."""
     parent, parent_edge = walk.parent.tolist(), walk.parent_edge.tolist()
-    ends = zip(tail[back].tolist(), nbr[back].tolist(), graph.half_edge[back].tolist())
-    verts, edges, ptr, closed = [], [], [0], bytearray(m)
-    for x, top, eid in ends:
-        # the tree path up from the deeper end, each vertex with its edge up,
-        # then the top with the back edge; of the edges closed before, the
-        # topmost is named
+    closed = bytearray(graph.edge_count)
+    for x, top in zip(walk.tail[back].tolist(), graph.nbr[back].tolist()):
         shared = -1
         while x != top:
             e = parent_edge[x]
             if closed[e]:
                 shared = e
             closed[e] = 1
-            verts.append(x)
-            edges.append(e)
             x = parent[x]
         if shared >= 0:
             a, b = graph.names[int(graph.u[shared])], graph.names[int(graph.v[shared])]
             raise SharedCycleEdge(f"edge {a!r}-{b!r} lies on two cycles")
-        verts.append(top)
-        edges.append(eid)
-        ptr.append(len(verts))
-    if len(walk.order) < n:
-        raise NotConnected("graph is not connected")
-    return _ring_table(graph, np.array(ptr), np.array(verts, np.intp), np.array(edges, np.intp))
+    raise InternalInvariantError("a cycle count above 1 with no shared edge")
 
 
-def _ring_table(
-    graph: CactusGraph, ring_ptr: np.ndarray, vert: np.ndarray, edge: np.ndarray
+def ring_table(
+    u: np.ndarray, length: np.ndarray, ring_ptr: np.ndarray, vert: np.ndarray, edge: np.ndarray
 ) -> CycleDecomposition:
-    """The decomposition of rings walked up the tree: ring ``r`` visits
-    ``vert[ring_ptr[r]:ring_ptr[r + 1]]``, and ``edge[i]`` joins ``vert[i]``
-    to the ring's next vertex."""
+    """The decomposition of the network with edge columns ``u`` and
+    ``length`` whose ring ``r`` visits ``vert[ring_ptr[r]:ring_ptr[r + 1]]``,
+    ``edge[i]`` joining ``vert[i]`` to the ring's next vertex."""
     size, first = np.diff(ring_ptr), ring_ptr[:-1]
     ring_cycle = np.repeat(np.arange(len(size)), size)
     # rotate each ring to start at its smallest vertex and turn it toward
-    # that vertex's smaller neighbour; the walk ran up the tree, so a tie,
-    # on a ring of two, turns it down the tree as the search went
+    # that vertex's smaller neighbour; a tie, on a ring of two walked up
+    # the tree, turns it down the tree as the search went
     low = np.flatnonzero(vert == np.minimum.reduceat(vert, first)[ring_cycle]) - first
     back = (vert[first + (low - 1) % size] <= vert[first + (low + 1) % size])[ring_cycle]
     base, wrap = first[ring_cycle], size[ring_cycle]
@@ -459,18 +503,18 @@ def _ring_table(
     ring_edge = edge[base + (turn - back) % wrap]
     # running sums in ring order, one block of equal-sized rings at a time:
     # at most sqrt(2 * len(vert)) sizes
-    length, run = graph.length[ring_edge], np.empty(len(vert))
+    run, along = np.empty(len(vert)), length[ring_edge]
     for s in set(size.tolist()):
         at = first[size == s, None] + np.arange(s)
-        run[at] = np.cumsum(length[at], axis=1)
+        run[at] = np.cumsum(along[at], axis=1)
     ring_pos = np.where(k == 0, 0.0, np.concatenate([run[-1:], run[:-1]]))
-    edge_cycle = np.full(graph.edge_count, -1, dtype=np.intp)
+    edge_cycle = np.full(len(u), -1, dtype=np.intp)
     edge_cycle[ring_edge] = ring_cycle
     return CycleDecomposition(
         ring_ptr=ring_ptr,
         ring_vertex=ring_vertex,
         ring_edge=ring_edge,
-        ring_forward=graph.u[ring_edge] == ring_vertex,
+        ring_forward=u[ring_edge] == ring_vertex,
         ring_pos=ring_pos,
         perimeter=run[ring_ptr[1:] - 1],
         ring_cycle=ring_cycle,
@@ -588,7 +632,7 @@ def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
         up_edge=link_edge[walk.parent_edge],
         order=walk.order,
         start=walk.start,
-        stop=subtree_stop(walk, nbr),
+        stop=walk.stop,
         indptr=indptr,
         nbr=nbr,
         node_ptr=np.concatenate([np.arange(h + 1), h + cycle_holds]),
@@ -596,21 +640,6 @@ def _build_skeleton(graph: CactusGraph) -> SkeletonTree:
         node_of_vertex=node_of_vertex,
         node_of_cycle=h + np.arange(c),
     )
-
-
-def subtree_stop(walk: DepthFirst, nbr: np.ndarray) -> np.ndarray:
-    """Where each vertex's subtree ends in the preorder of ``walk``, a
-    search of the index with far ends ``nbr``: after its last child's
-    subtree, found by pointer doubling in log(depth) passes."""
-    last = np.arange(len(walk.start))
-    child = np.flatnonzero(walk.down)
-    final = child[np.diff(walk.tail[child], append=-1) != 0]
-    last[walk.tail[final]] = nbr[final]
-    while True:
-        deeper = last[last]
-        if np.array_equal(deeper, last):
-            return walk.start[last] + 1
-        last = deeper
 
 
 # ---------------------------------------------------------------------------

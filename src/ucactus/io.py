@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from ucactus.errors import FormatError, InfeasibleParams, InternalInvariantError
+from ucactus.errors import FormatError, InfeasibleParams, InternalInvariantError, ValidationError
 from ucactus.graph import CactusGraph, GraphPoint, validate_cactus, validate_edge_columns
 from ucactus.uncertain import (
     Instance,
@@ -88,7 +88,14 @@ def parse_instance(data: Any) -> Instance:
         raise FormatError(f"missing required key: {exc}") from exc
     if not isinstance(names, list) or not all(map(isinstance, names, repeat(str))):
         raise FormatError("vertices must be a list of names")
-    graph = validate_edge_columns(names, *_edge_columns(_list(edge_rows, "edges")))
+    edge_rows = _list(edge_rows, "edges")
+    try:
+        graph = validate_edge_columns(names, *_edge_columns(edge_rows))
+    except (ValidationError, TypeError):
+        # an endpoint that is no string misses the name index, or cannot be
+        # looked up; its format fault comes first in document order
+        _check_edge_rows(edge_rows)
+        raise
     table = _location_table(graph, _list(point_rows, "uncertain_points"))
     eps = data.get("eps")
     return instance_from_table(graph, table, None if eps is None else _number(eps, "eps"))
@@ -96,15 +103,23 @@ def parse_instance(data: Any) -> Instance:
 
 def _edge_columns(rows: list | tuple) -> tuple[tuple, tuple, list[float]]:
     """The edge rows as the columns ``u``, ``v`` and length, checked a
-    column at a time: the rows are pairs of names and a number.  With a bad
-    row, the first one raises its error."""
+    column at a time: the rows are triples ending in a number.  The names
+    are checked by their lookup in the name index.  With a bad row, the
+    first one raises its error."""
     if _all_rows(rows, 3):
         us, vs, lengths = zip(*rows) if rows else ((), (), ())
-        if all(map(isinstance, us + vs, repeat(str))) and _numeric(lengths):
+        if _numeric(lengths):
             try:
                 return us, vs, list(map(float, lengths))
             except (TypeError, ValueError, OverflowError):
                 pass
+    _check_edge_rows(rows)
+    raise InternalInvariantError("an edge column check failed on no row")
+
+
+def _check_edge_rows(rows: list | tuple) -> None:
+    """Raise the format fault of the first bad edge row, if one is: a row
+    is a pair of names and a number."""
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise FormatError(f"bad edge entry {row!r}")
@@ -112,7 +127,6 @@ def _edge_columns(rows: list | tuple) -> tuple[tuple, tuple, list[float]]:
         if not isinstance(u, str) or not isinstance(v, str):
             raise FormatError(f"bad edge entry {row!r}")
         _number(length, "length of edge {!r}-{!r}", u, v)
-    raise InternalInvariantError("an edge column check failed on no row")
 
 
 def _location_table(graph: CactusGraph, rows: list | tuple) -> LocationTable:

@@ -1,25 +1,30 @@
 """Normalisation to vertex-constrained form.
 
 Splits edges at interior locations, then keeps only what can host a better
-center.  One depth-first search of the split cactus, rooted at a vertex
-holding mass, counts ``below[x]``, the mass vertices in x's subtree; the
+center.  The original graph's depth-first search from vertex 0, the one its
+cycle decomposition read, is also a search of the split cactus once each
+edge's cuts are threaded into it, so no search runs here: prefix sums over
+its preorder count ``below[x]``, the mass vertices in x's subtree, and the
 rest are array passes over that tree:
 
-* a bridge into x stays when ``below[x] > 0``: both its sides hold mass;
+* a bridge into x stays when ``0 < below[x] < total``: both its sides hold
+  mass;
 * a ring stays when at least two of its vertices, its anchors, have mass
   on their own side (the part of the network that hangs off the ring
   there, the vertex included);
 * a ring with exactly two anchors keeps only its shorter arc;
 * every chain between survivors (vertices holding mass or of degree three
-  or more) becomes one reduced edge.
+  or more) becomes one reduced edge, found by pointer doubling along the
+  live edges.
 
 Every removed position is dominated by a survivor: a dropped bridge or
 ring by where it hangs, a longer arc by the shorter.  The split cactus is
-an edge table with a half-edge index, as a ``CactusGraph`` is: one sort of
-the snapped interior cuts by (edge, offset) numbers its vertices, and each
-edge's stations, its ends and its cuts, are placed by index arithmetic,
-with no sort.  Ring membership and ring order come from the original
-graph's cycle decomposition.  The interior locations are read from the
+an edge table: one sort of the snapped interior cuts by (edge, offset)
+numbers its vertices, and each edge's stations, its ends and its cuts, are
+placed by index arithmetic, with no sort.  Ring membership and ring order
+come from the original graph's cycle decomposition, and the reduced graph's
+rings, the original rings that stay whole, are handed to it in that order,
+so it is not searched either.  The interior locations are read from the
 instance's location table as columns; the reduced instance's table keeps
 the locations with mass in location order, each on its survivor, and pads
 point 0 with a weightless location on every survivor that holds none,
@@ -37,15 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ucactus.errors import InternalInvariantError
-from ucactus.graph import (
-    CactusGraph,
-    DepthFirst,
-    GraphPoint,
-    depth_first,
-    half_edge_index,
-    stable_order,
-    subtree_stop,
-)
+from ucactus.graph import CactusGraph, GraphPoint, ring_table, stable_order
 from ucactus.uncertain import Instance, LocationTable
 
 _SNAP = 1e-12
@@ -57,7 +54,7 @@ _Seg = tuple[int, float, float]
 @dataclass(slots=True)
 class _Split:
     """The cactus with every interior location made a vertex, as an edge
-    table with its half-edge index.
+    table.
 
     Original vertices keep their ids; split vertices follow, numbered by
     (edge, offset), and sit at offset ``cut_t`` of original edge
@@ -80,9 +77,6 @@ class _Split:
     t0: np.ndarray
     t1: np.ndarray
     first: np.ndarray
-    indptr: np.ndarray
-    nbr: np.ndarray
-    half_edge: np.ndarray
     live: np.ndarray
     site: np.ndarray
 
@@ -105,7 +99,11 @@ class _Chains:
     split edge.  Chain ``k`` takes the split edges ``edges[start[k]:start[k
     + 1]]`` in turn, entering each at vertex ``enter``, and passes its
     lowest split edge from that edge's ``u`` end; ``ends`` are its first
-    and last vertices and ``length`` its length."""
+    and last vertices and ``length`` its length.
+
+    The original rings that stay whole, in their order, run the chains
+    ``ring_chain[ring_ptr[r]:ring_ptr[r + 1]]`` in ring order, chain ``i``
+    leaving survivor ``ring_vertex[i]``."""
 
     survivors: np.ndarray
     edges: np.ndarray
@@ -113,6 +111,9 @@ class _Chains:
     start: np.ndarray
     ends: tuple[np.ndarray, np.ndarray]
     length: np.ndarray
+    ring_ptr: np.ndarray
+    ring_vertex: np.ndarray
+    ring_chain: np.ndarray
 
 
 class Reduction:
@@ -224,10 +225,8 @@ def _split(inst: Instance) -> _Split:
 
     mass = np.zeros(n + kept.size, dtype=bool)
     mass[site] = True
-    index = half_edge_index(mass.size, u, v)
     return _Split(
-        graph, mass, cut_edge, cut_t, u, v, t1 - t0, edge, t0, t1, first, *index,
-        live, site,
+        graph, mass, cut_edge, cut_t, u, v, t1 - t0, edge, t0, t1, first, live, site
     )
 
 
@@ -251,35 +250,73 @@ def _kept_cuts(e: np.ndarray, t: np.ndarray, snap: np.ndarray) -> np.ndarray:
 
 def _reduce(split: _Split) -> _Chains:
     """The survivors of the split cactus and the chains that join them."""
-    root = int(np.argmax(split.mass))
-    live = _live_edges(split, root)
+    rings = _rings(split)
+    live = _live_edges(split, rings)
     n = len(split.mass)
     degree = np.bincount(split.u[live], minlength=n) + np.bincount(split.v[live], minlength=n)
-    return _chains(split, live, split.mass | (degree >= 3), root)
+    return _chains(split, live, split.mass | (degree >= 3), rings)
 
 
-def _live_edges(split: _Split, root: int) -> np.ndarray:
-    """Which split edges stay, from one depth-first search rooted at a mass
-    vertex: the bridges with mass below them, and the rings with two
+def _split_search(split: _Split) -> tuple[np.ndarray, ...]:
+    """The split cactus as a depth-first search from vertex 0 meets it,
+    read off the original graph's search: ``below[x]``, the mass vertices
+    in x's subtree, and each split edge's end nearer the root, its other
+    end and whether it is a tree edge.
+
+    Such a search takes each original vertex's edges in the original
+    order, since piece ids grow with the edge id, and runs through an
+    edge's cuts from the end that takes the edge up first, since a cut has
+    no other edge.  That end is the parent on a tree edge, whose pieces
+    are all tree edges; on a back edge it is the deeper end, below which
+    the cuts hang in a chain, and the last piece, at the top, closes the
+    ring."""
+    graph, walk = split.graph, split.graph.search
+    n, m = graph.vertex_count, graph.edge_count
+    u, v, first = graph.u, graph.v, split.first
+    upper = walk.start[u] < walk.start[v]
+    tree = walk.parent_edge[np.where(upper, v, u)] == np.arange(m)
+    from_u = upper == tree
+    closing = np.zeros(len(split.u), dtype=bool)
+    closing[np.where(from_u, first[1:] - 1, first[:-1])[~tree]] = True
+    down = from_u[split.edge] != closing
+    top, low = np.where(down, split.u, split.v), np.where(down, split.v, split.u)
+
+    # every cut holds mass: an original vertex's subtree holds the cuts
+    # hanging from the edges it takes up first, and a cut's the cuts after
+    # it along its edge, then the far end's subtree on a tree edge
+    ce = split.cut_edge
+    near, far = np.where(from_u, u, v), np.where(from_u, v, u)
+    own = split.mass[:n] + np.bincount(near[ce], minlength=n)
+    held = np.concatenate([[0], np.cumsum(own[walk.order])])
+    below = held[walk.stop] - held[walk.start]
+    cut = np.arange(len(ce))
+    after = np.where(from_u[ce], first[ce + 1] - ce - 1 - cut, cut - first[ce] + ce + 1)
+    after += np.where(tree[ce], below[far[ce]], 0)
+    return np.concatenate([below, after]), top, low, ~closing
+
+
+def _live_edges(split: _Split, rings: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Which split edges stay, read off the split cactus's search from
+    vertex 0: the bridges with mass on both sides, and the rings with two
     anchors or more, cut to the shorter arc when they have exactly two."""
-    u, v, m = split.u, split.v, len(split.u)
-    walk = depth_first(split.indptr, split.nbr, split.half_edge, root)
-    held = np.concatenate([[0], np.cumsum(split.mass[walk.order])])
-    below = held[subtree_stop(walk, split.nbr)] - held[walk.start]
-    top, low, tree = _tree_ends(walk, u, v)
-    ring_edges, ring_from, ring, bounds = _rings(split)
-    ring_of = np.full(m, -1)
+    below, top, low, tree = _split_search(split)
+    total = below[0]
+    ring_edges, ring_from, ring, bounds = rings
+    ring_of = np.full(len(split.u), -1)
     ring_of[ring_edges] = ring
 
     # the mass on each ring vertex's own side: its subtree's, or all of it
     # at the ring's top, less its ring child's subtree; a ring child hangs
     # from it by a tree edge of the ring, the one it leaves or the one
-    # before, and the ring's lowest vertex has none
+    # before, and the ring's lowest vertex has none.  The top is an
+    # original vertex whose edge up lies off the ring.
     prev = np.arange(-1, len(ring_edges) - 1)
     prev[bounds[:-1]] = bounds[1:] - 1
-    above = walk.parent_edge[ring_from]
-    at_top = (above < 0) | (ring_of[above] != ring)
-    side = np.where(at_top, held[-1], below[ring_from])
+    graph = split.graph
+    original = ring_from < graph.vertex_count
+    above = graph.search.parent_edge[np.where(original, ring_from, 0)]
+    at_top = original & ((above < 0) | (graph.cycles.edge_cycle[above] != ring))
+    side = np.where(at_top, total, below[ring_from])
     for e in (ring_edges, ring_edges[prev]):
         side -= np.where(tree[e] & (top[e] == ring_from), below[low[e]], 0)
     anchor = side > 0
@@ -303,7 +340,7 @@ def _live_edges(split: _Split, root: int) -> np.ndarray:
         np.add.at(dropped, cut_from, 1)
         np.add.at(dropped, cut_to, -1)
     live = ring_of < 0
-    live[live] = below[low[live]] > 0
+    live[live] = (below[low[live]] > 0) & (below[low[live]] < total)
     live[ring_edges] = (anchors[ring] >= 2) & (np.cumsum(dropped[:-1]) == 0)
     return live
 
@@ -328,76 +365,97 @@ def _rings(split: _Split) -> tuple[np.ndarray, ...]:
     return ring_edges, ring_from, ring, bounds
 
 
-def _chains(split: _Split, live: np.ndarray, survivor: np.ndarray, root: int) -> _Chains:
-    """The chains of live split edges between survivors.
+def _chains(
+    split: _Split, live: np.ndarray, survivor: np.ndarray, rings: tuple[np.ndarray, ...]
+) -> _Chains:
+    """The chains of live split edges between survivors, and the rings
+    that stay whole.
 
-    In a depth-first search of the live edges, a vertex of degree two has
-    a parent edge, so every chain runs down the tree from a survivor and
-    may end by a back edge up to a survivor.  Each edge entered at a vertex
-    that is not a survivor follows that vertex's parent edge, and pointer
-    doubling finds the top edge of each chain."""
-    u, v, n, m = split.u, split.v, len(split.mass), len(split.u)
-    keep = live[split.half_edge]
-    tail = np.repeat(np.arange(n), np.diff(split.indptr))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(tail[keep], minlength=n))])
-    walk = depth_first(indptr, split.nbr[keep], split.half_edge[keep], root)
-    top, low, tree = _tree_ends(walk, u, v)
-    enter, leave = np.where(tree, top, low), np.where(tree, low, top)
-    follows = np.where(survivor[enter] | ~live, np.arange(m), walk.parent_edge[enter])
-    while True:
-        higher = follows[follows]
-        if np.array_equal(higher, follows):
+    A vertex that does not survive has two live edges or none, so a live
+    edge run one way leads on to the other live edge at its far end,
+    unless that end survives.  Pointer doubling finds where each run ends
+    and how many steps away; of a chain's two runs, the one that passes its
+    lowest split edge from that edge's ``u`` end is kept."""
+    n, ids = len(split.mass), np.flatnonzero(live)
+    eu, ev, k = split.u[ids], split.v[ids], len(ids)
+    # run 2j takes live edge ids[j] from its u end, run 2j + 1 from its v end
+    tail, head = np.column_stack([eu, ev]).ravel(), np.column_stack([ev, eu]).ravel()
+    edge = np.repeat(np.arange(k), 2)
+    step = np.arange(2 * k)
+    on = np.flatnonzero(~survivor[head])
+    # the other live edge at a vertex of two: their sum less this one
+    at_vertex = np.bincount(tail, edge, n).astype(np.intp)
+    onto = at_vertex[head[on]] - edge[on]
+    step[on] = 2 * onto + (ev[onto] == head[on])
+    steps = (step != np.arange(2 * k)).astype(np.intp)
+    # a run closing on itself would never settle
+    for _ in range(max(1, 2 * k).bit_length() + 1):
+        further = step[step]
+        if np.array_equal(further, step):
             break
-        follows = higher
-    # each chain's edges top down, chain after chain: two stable sorts, the
-    # minor key first
-    ids = np.flatnonzero(live)
-    ids = ids[stable_order(np.where(tree, walk.start[low], n)[ids], n + 1)]
-    ids = ids[stable_order(follows[ids], m)]
-    heads = np.flatnonzero(np.diff(follows[ids], prepend=-1))
-    # chains in order of their lowest split edge, each turned to pass that
-    # edge from its u end
-    lowest = np.minimum.reduceat(ids, heads) if len(ids) else ids
-    by = stable_order(lowest, m)
-    onward = (enter[lowest] == u[lowest])[by]
-    sizes = np.diff(heads, append=len(ids))[by]
+        steps += steps[step]
+        step = further
+    else:
+        raise InternalInvariantError("a chain of live edges closes on itself")
+    # a chain leaves a survivor; keep the run through its lowest edge's u
+    # end, in order of that edge
+    lowest = np.full(2 * k, k)
+    np.minimum.at(lowest, step, edge)
+    lead = np.flatnonzero(survivor[tail])
+    low = lowest[step[lead]]
+    through = step[2 * low] == step[lead]
+    lead = lead[through][stable_order(low[through], k)]
+    sizes = steps[lead] + 1
     start = np.concatenate([[0], np.cumsum(sizes)])
-    k = np.repeat(np.arange(len(by)), sizes)
-    step = np.arange(len(ids)) - start[k]
-    edges = ids[heads[by][k] + np.where(onward[k], step, sizes[k] - 1 - step)]
-    entered = np.where(onward[k], enter[edges], leave[edges])
+    # each run of a kept chain goes to its place in walk order
+    chain = np.full(2 * k, -1)
+    chain[step[lead]] = np.arange(len(lead))
+    of = chain[step]
+    runs = np.flatnonzero(of >= 0)
+    at = start[1:][of[runs]] - 1 - steps[runs]
+    edges, entered = np.empty(len(runs), np.intp), np.empty(len(runs), np.intp)
+    edges[at], entered[at] = ids[edge[runs]], tail[runs]
+    c = np.repeat(np.arange(len(lead)), sizes)
     last = start[1:] - 1
+
+    # a ring with every edge live has three anchors or more; it runs the
+    # chains that leave them, in ring order
+    ring_edges, ring_from, ring, bounds = rings
+    whole = np.bincount(ring[~live[ring_edges]], minlength=len(bounds) - 1) == 0
+    leaves = np.flatnonzero(whole[ring] & survivor[ring_from])
+    chain_of = np.empty(len(live), np.intp)
+    chain_of[edges] = c
     return _Chains(
         np.flatnonzero(survivor),
         edges,
         entered,
         start,
-        (entered[start[:-1]], u[edges[last]] + v[edges[last]] - entered[last]),
+        (entered[start[:-1]], split.u[edges[last]] + split.v[edges[last]] - entered[last]),
         # bincount adds each chain's lengths in walk order
-        np.bincount(k, split.length[edges], len(by)),
+        np.bincount(c, split.length[edges], len(lead)),
+        np.concatenate([[0], np.cumsum(np.bincount(ring[leaves], minlength=len(whole))[whole])]),
+        ring_from[leaves],
+        chain_of[ring_edges[leaves]],
     )
 
 
-def _tree_ends(walk: DepthFirst, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each edge's end nearer the search's root, its other end, and whether
-    it is a tree edge: the parent edge of its other end.  Every other edge
-    of the searched part closes a ring."""
-    upper = walk.start[u] < walk.start[v]
-    top, low = np.where(upper, u, v), np.where(upper, v, u)
-    return top, low, walk.parent_edge[low] == np.arange(len(u))
-
-
 def _finish(inst: Instance, split: _Split, chains: _Chains) -> Reduction:
-    # a cactus by construction: its decomposition, which the skeleton reads,
-    # still proves that, and the tests check it against validate_cactus
+    # a cactus by construction, whose rings are the original rings that
+    # stay whole; the tests check the handed-over ring table against
+    # validate_cactus
     survivors = chains.survivors
     renumber = np.zeros(len(split.mass), dtype=np.intp)
     renumber[survivors] = np.arange(len(survivors))
+    u = renumber[chains.ends[0]]
+    cycles = ring_table(
+        u, chains.length, chains.ring_ptr, renumber[chains.ring_vertex], chains.ring_chain
+    )
     graph = CactusGraph(
         [f"v{i}" for i in range(len(survivors))],
-        renumber[chains.ends[0]],
+        u,
         renumber[chains.ends[1]],
         chains.length,
+        cycles=cycles,
     )
 
     # the live locations in location order, then point 0's pads: mass-free

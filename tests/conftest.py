@@ -10,7 +10,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
-from ucactus.graph import CactusGraph, validate_cactus
+from ucactus.graph import CactusGraph, GraphPoint, validate_cactus
 from ucactus.io import parse_instance, random_instance
 from ucactus.uncertain import Instance, Location, UncertainPoint, build_instance
 
@@ -118,6 +118,40 @@ def draw_many_cycles(seed: int) -> Instance:
         n_locations=rng.randint(1, 3),
         edge_locations=seed % 2 == 1,
     )
+
+
+def draw_flower(seed: int, petals: int = 6) -> Instance:
+    """Rings of 3-6 vertices and pendant paths of 1-4 edges that share one
+    hub, their edges listed in shuffled order, so a search from the hub
+    meets tree edges and ring-closing back edges in turn at it.  The hub is
+    vertex 0 in every other draw.  A third of the locations lie inside
+    edges, on tree and back edges alike."""
+    rng = random.Random(seed)
+    spec, count = [], 1
+    for _ in range(petals):
+        ring = rng.random() < 0.6
+        size = rng.randint(2, 5) if ring else rng.randint(1, 4)
+        path = [0, *range(count, count + size)] + ([0] if ring else [])
+        count += size
+        spec += [(a, b, float(rng.randint(1, 9))) for a, b in zip(path, path[1:])]
+    rng.shuffle(spec)
+    ids = list(range(count))
+    if seed % 2:
+        rng.shuffle(ids)
+    graph = validate_cactus([f"f{i}" for i in ids], [(f"f{a}", f"f{b}", t) for a, b, t in spec])
+    points = []
+    for k in range(rng.randint(1, 6)):
+        m = rng.randint(1, 3)
+        bounds = [0, *sorted(rng.sample(range(1, 8), m - 1)), 8]
+        locs = []
+        for j in range(m):
+            place = rng.randrange(count)
+            if rng.random() < 0.35:
+                e = rng.randrange(graph.edge_count)
+                place = GraphPoint(e, round(rng.uniform(0.0, float(graph.length[e])), 3))
+            locs.append(Location(place, (bounds[j + 1] - bounds[j]) / 8))
+        points.append(UncertainPoint(f"P{k}", float(rng.randint(1, 5)), tuple(locs)))
+    return build_instance(graph, points)
 
 
 @st.composite

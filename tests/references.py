@@ -299,6 +299,18 @@ def decomposition(dec) -> tuple:
     return tuple(getattr(dec, name).tolist() for name in arrays)
 
 
+def unnumbered(dec) -> tuple:
+    """A cycle decomposition's rings as their fields, sorted, and the ring
+    of each edge as that ring's edges: equal for two decompositions that
+    number the same cycles in different orders."""
+    by_id = rings(dec)
+    for ring in by_id:
+        at = dec.ring(ring.id)
+        assert set(dec.ring_cycle[at].tolist()) == {ring.id}
+    fields = sorted((r.vertices, r.edges, r.forward, r.pos, r.perimeter) for r in by_id)
+    return fields, [c >= 0 and by_id[c].edges for c in dec.edge_cycle.tolist()]
+
+
 def distance_via(graph, q: GraphPoint, dq: np.ndarray, p: GraphPoint) -> float:
     """Distance between ``q`` and ``p``, given ``dq = graph.distances_from(q)``:
     through an end of ``p``'s edge, or along that edge when ``q`` shares it."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_case, edge_rows, gen, tri_graph
+from conftest import draw_case, draw_flower, edge_rows, gen, tri_graph
 from ucactus.io import parse_instance, random_instance
 from ucactus.errors import (
     InternalInvariantError,
@@ -807,14 +807,33 @@ def _decomposition_or_error(decompose, graph):
         return type(exc), str(exc)
 
 
+def _assert_decomposed_as_the_reference(inst) -> None:
+    """The decomposition of the instance's network and of its reduction
+    equals the reference, and the ring table the reduction hands over
+    equals the latter up to the order of the cycles."""
+    reduced = reduce_instance(inst).reduced.graph
+    for g in (inst.graph, reduced):
+        assert refs.decomposition(_decompose(g)) == refs.decomposition(reference_decompose(g))
+    assert refs.unnumbered(reduced.cycles) == refs.unnumbered(_decompose(reduced))
+
+
 def test_decomposition_equals_the_reference_on_draws_and_their_reductions():
     cycles = 0
     for seed in range(2000):
         inst = draw_case(seed, edge_locations=seed % 2 == 1)
-        for g in (inst.graph, reduce_instance(inst).reduced.graph):
-            assert refs.decomposition(_decompose(g)) == refs.decomposition(reference_decompose(g))
+        _assert_decomposed_as_the_reference(inst)
         cycles += len(inst.graph.cycles)
     assert cycles >= 2000
+
+
+def test_decomposition_equals_the_reference_on_flowers_and_their_reductions():
+    # rings and pendant paths on one hub, searched from the hub or not
+    cycles = 0
+    for seed in range(400):
+        inst = draw_flower(seed, petals=1 + seed % 12)
+        _assert_decomposed_as_the_reference(inst)
+        cycles += len(inst.graph.cycles)
+    assert cycles >= 1000
 
 
 def _benchmark_graphs(n: int):

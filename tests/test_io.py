@@ -559,3 +559,31 @@ def test_cli_invalid_instance_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": ["a"]}), encoding="utf-8")
     assert main(["solve", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, vertices, message",
+    [
+        # an endpoint that is no string misses the name index or cannot be
+        # looked up; it is a format fault all the same
+        ([["a", 7, 1.0]], None, "bad edge entry ['a', 7, 1.0]"),
+        ([[None, "b", 1.0]], None, "bad edge entry [None, 'b', 1.0]"),
+        ([["a", ["b"], 1.0]], None, "bad edge entry ['a', ['b'], 1.0]"),
+        ([[{"a": 1}, "b", 1.0]], None, "bad edge entry [{'a': 1}, 'b', 1.0]"),
+        ([[1, 2, 3.0]], [], "bad edge entry [1, 2, 3.0]"),
+        # it wins over a bad value in an earlier row
+        ([["a", "q", 1.0], ["a", 7, 1.0]], None, "bad edge entry ['a', 7, 1.0]"),
+        ([["a", "a", 1.0], ["b", ["c"], 1.0]], None, "bad edge entry ['b', ['c'], 1.0]"),
+        ([["a", "b", -1.0], ["b", None, 1.0]], None, "bad edge entry ['b', None, 1.0]"),
+        # and loses to a format fault in an earlier row
+        ([["a", "b", "x"], ["b", ["c"], 1.0]], None, "length of edge 'a'-'b' is not a number"),
+        ([["a", "b"], ["b", 7, 1.0]], None, "bad edge entry ['a', 'b']"),
+    ],
+)
+def test_edge_rows_report_the_first_format_fault_in_document_order(rows, vertices, message):
+    doc = _tri_doc(edges=rows)
+    if vertices is not None:
+        doc["vertices"] = vertices
+    with pytest.raises(FormatError) as raised:
+        parse_instance(doc)
+    assert message in str(raised.value)

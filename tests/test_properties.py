@@ -136,3 +136,23 @@ def test_a_massless_pendant_changes_nothing(inst, data):
     assert solve(hung).value == solve(inst).value
     want = reduce_instance(inst).reduced.graph.vertex_count
     assert reduce_instance(hung).reduced.graph.vertex_count == want
+
+
+@_DRAWS
+@given(st.one_of(_EDGE_DRAWS, benchmark_shaped_instances()), st.data())
+def test_a_weightless_point_changes_nothing(inst, data):
+    # a point of weight 0 costs 0 wherever the centers are, yet its
+    # locations, inside edges too, keep cuts and vertices in the reduction
+    g = inst.graph
+    k = data.draw(st.sampled_from([1, 2, 4]))
+    places = []
+    for _ in range(k):
+        e = data.draw(st.integers(-1, g.edge_count - 1))
+        if e < 0:
+            places.append(data.draw(st.integers(0, g.vertex_count - 1)))
+        else:
+            places.append(GraphPoint(e, data.draw(st.floats(0.0, float(g.length[e])))))
+    label = max(inst.labels, key=len) + "'"
+    weightless = UncertainPoint(label, 0.0, tuple(Location(p, 1.0 / k) for p in places))
+    changed = build_instance(g, (*inst.points, weightless), inst.eps)
+    assert _certified(changed) == pytest.approx(solve(inst).value, rel=1e-9, abs=1e-12)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     draw_case,
+    draw_flower,
     edge_row,
     edge_rows,
     gen,
@@ -26,7 +27,9 @@ from conftest import (
     tri_instance,
 )
 import references as refs
+import workloads
 from test_graph import reference_decompose
+from ucactus import graph as graph_module
 from ucactus import reduction
 from ucactus.decision import decide
 from ucactus.graph import (
@@ -34,6 +37,7 @@ from ucactus.graph import (
     GraphPoint,
     _decompose,
     centroid,
+    half_edge_index,
     validate_cactus,
     validate_edge_columns,
 )
@@ -288,6 +292,49 @@ def test_validate_cactus_runs_once_per_solve_and_decide(monkeypatch):
         calls.clear()
         assert decide(parse_instance(doc), star).feasible
         assert len(calls) == 1
+
+
+def _searched(monkeypatch) -> list[int]:
+    """The vertex count of each network that ``graph.depth_first`` searches
+    from now on, wherever it is called from."""
+    sizes = []
+    search = graph_module.depth_first
+
+    def counted(indptr, *args):
+        sizes.append(len(indptr) - 1)
+        return search(indptr, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ucactus") and hasattr(module, "depth_first"):
+            monkeypatch.setattr(module, "depth_first", counted)
+    return sizes
+
+
+def test_a_solve_searches_its_input_once_and_its_skeleton_once(monkeypatch):
+    # the reduction reads the parse's search, and the reduced network gets
+    # its rings handed over, so only the skeleton is searched again
+    sizes = _searched(monkeypatch)
+    edge = random_instance(
+        5, n_vertices=300, n_cycles=30, n_points=12, n_locations=4, edge_locations=True
+    )
+    for doc in (workloads.build("tree-large", 1).pool[1], instance_to_dict(edge)):
+        sizes.clear()
+        inst = parse_instance(doc)
+        assert sizes == [inst.graph.vertex_count]
+        assert not reduce_instance(inst).identity
+        assert len(sizes) == 1
+        solve(inst)
+        assert len(sizes) == 2
+
+
+def test_a_cold_decide_searches_twice(monkeypatch):
+    sizes = _searched(monkeypatch)
+    work = workloads.build("decide-cold", 1)
+    for i in range(8):
+        op = work.op(i)
+        sizes.clear()
+        decide(parse_instance(op.data), op.lam)
+        assert len(sizes) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +672,9 @@ def assert_same_split(inst, sp: Splits):
     for i, e in enumerate(want.edges):
         want_at[e.u].append((i, e.v))
         want_at[e.v].append((i, e.u))
+    indptr, nbr, half_edge = half_edge_index(len(got.mass), got.u, got.v)
     got_at = [
-        [(got.half_edge[h], got.nbr[h]) for h in range(a, b)]
-        for a, b in zip(got.indptr, got.indptr[1:])
+        [(half_edge[h], nbr[h]) for h in range(a, b)] for a, b in zip(indptr, indptr[1:])
     ]
     assert got_at == want_at
 
@@ -654,7 +701,8 @@ def assert_same_reduction(got, want):
 def assert_passes_validation(red):
     """The reduced network and points, built without validation, pass the
     checks that outside input passes, and ``validate_cactus`` decomposes the
-    network as the reduced graph does itself."""
+    network into the rings that the reduction hands over, which it numbers
+    in the original graph's ring order."""
     g = red.reduced.graph
     checked = validate_cactus(
         g.names, [(g.names[e.u], g.names[e.v], e.length) for e in edge_rows(g)]
@@ -663,7 +711,7 @@ def assert_passes_validation(red):
     for name in ("indptr", "nbr", "half_edge"):
         assert list(getattr(checked, name)) == list(getattr(g, name))
     # compares the cycles and every map of the decomposition
-    assert refs.decomposition(checked.cycles) == refs.decomposition(g.cycles)
+    assert refs.unnumbered(checked.cycles) == refs.unnumbered(g.cycles)
     build_instance(g, red.reduced.points, red.reduced.eps)
 
 
@@ -703,8 +751,10 @@ def worklist_reduce(split) -> tuple[list[int], list[tuple[list[int], list[int]]]
     and the split edges taken, in order of their lowest split edge and run
     its way."""
     mass, length = split.mass.tolist(), split.length.tolist()
-    indptr, nbr = split.indptr.tolist(), split.nbr.tolist()
-    half_edge, split_u = split.half_edge.tolist(), split.u.tolist()
+    indptr, nbr, half_edge = (
+        x.tolist() for x in half_edge_index(len(split.mass), split.u, split.v)
+    )
+    split_u = split.u.tolist()
     deg = [b - a for a, b in zip(indptr, indptr[1:])]
     live = [True] * len(length)
     cycles = refs.rings(split.graph.cycles)
@@ -891,6 +941,32 @@ def test_one_pass_matches_the_fixpoint_on_large_draws():
         assert_passes_validation(got)
 
 
+def _cut_search_edges(inst) -> set[bool]:
+    """Of the edges the reduction cuts, whether each is a tree edge of the
+    network's search (rather than a ring-closing back edge)."""
+    if reduce_instance(inst).identity:
+        return set()
+    walk = inst.graph.search
+    return set(np.isin(reduction._split(inst).cut_edge, walk.parent_edge).tolist())
+
+
+def test_one_pass_matches_the_fixpoint_on_flowers():
+    # rings and pendant paths on one hub, cut inside tree and back edges:
+    # the reduction threads those cuts into the network's search
+    cut = set()
+    for seed in range(400):
+        inst = draw_flower(seed, petals=1 + seed % 12)
+        sp = splits(inst)
+        assert_same_split(inst, sp)
+        assert_same_reduction(sp.red, fixpoint_reduce(inst, sp))
+        if sp.got is not None:
+            assert_same_chains_of(sp.got)
+        assert_lifts_match_the_tables(sp.red)
+        assert_passes_validation(sp.red)
+        cut |= _cut_search_edges(inst)
+    assert cut == {True, False}
+
+
 @pytest.mark.parametrize("n", [60, 250, 1000, 4000])
 def test_rooted_count_matches_the_worklist_on_benchmark_networks(n):
     # tree-like networks with interior locations, and rings whose few points
@@ -912,8 +988,9 @@ def test_rooted_count_matches_the_worklist_on_benchmark_networks(n):
 
 
 def _deep_network(shape: str, size: int):
-    """A path of ``size`` vertices, a star of ``size`` vertices or a chain
-    of ``size`` triangles with seeded lengths, its points and its optimum.
+    """A path of ``size`` vertices, a star of ``size`` vertices, a flower
+    of ``size`` petals or a chain of ``size`` triangles with seeded
+    lengths, its points and its optimum.
     One point sits on both ends (the first and last vertex) with equal
     chance, another on the first end, so half the distance between the
     ends is the least cost."""
@@ -928,6 +1005,20 @@ def _deep_network(shape: str, size: int):
         names = [f"s{i}" for i in range(size)]
         spec = [(names[1], x, float(rng.randint(1, 9))) for x in names if x != names[1]]
         far = spec[0][2] + spec[-1][2]
+    elif shape == "flower":
+        # triangles and pendant edges in turn on the hub, the first vertex;
+        # the last petal is a triangle, and its far vertex the last one
+        names = ["h"]
+        for i in range(size):
+            sides = [float(rng.randint(1, 9)) for _ in range(3)]
+            if i % 2 and i < size - 1:
+                names.append(f"p{i}")
+                spec.append(("h", names[-1], sides[0]))
+                continue
+            names += [f"a{i}", f"b{i}"]
+            spec += [("h", names[-2], sides[0]), (names[-2], names[-1], sides[1])]
+            spec.append((names[-1], "h", sides[2]))
+            far = min(sides[0] + sides[1], sides[2])
     else:
         names = [f"t{i}" for i in range(2 * size + 1)]
         for i in range(0, 2 * size, 2):
@@ -965,7 +1056,8 @@ def _solve_seconds(shape: str, size: int) -> float:
 
 
 @pytest.mark.parametrize(
-    "shape, size", [("path", 10_000), ("star", 10_000), ("triangles", 1_500)]
+    "shape, size",
+    [("path", 10_000), ("star", 10_000), ("flower", 10_000), ("triangles", 1_500)],
 )
 def test_deep_networks_reduce_and_solve_in_linear_time(shape, size):
     names, spec, points, _ = _deep_network(shape, 1_000 if shape == "triangles" else 2_000)
